@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .geometry import HardSphereModel, PhasePoint
+from .geometry import HardSphereModel
 from .occupation import (
     ContactOccupancy,
     brute_force_ks,
@@ -193,8 +193,8 @@ def _strictly_decreasing(values) -> bool:
 
 
 def sweep_k1(c: float, box: float, ns, *, pdf=None, grid_nodes: int = 8,
-             samples_per_node: int = 1_000_000, seed: int = 0,
-             fit: bool = True) -> ConvergenceReport:
+             samples_per_node: int = 1_000_000, tol: float = 1e-3,
+             seed: int = 0, fit: bool = True) -> ConvergenceReport:
     """Sup-node deviation of the one-point occupation field over the sequence.
 
     Per entry: solve the self-consistent field on the pinned grid and record
@@ -210,7 +210,7 @@ def sweep_k1(c: float, box: float, ns, *, pdf=None, grid_nodes: int = 8,
     rows = []
     for entry in seq.entries:
         field = solve_k1(entry.model, pdf, grid_nodes=grid_nodes,
-                         samples_per_node=samples_per_node,
+                         samples_per_node=samples_per_node, tol=tol,
                          seed=derive_child_seed(seed, "bg", "k1", entry.n))
         dev = np.abs(field.values - 1.0)
         idx = np.unravel_index(int(np.argmax(dev)), dev.shape)
@@ -319,7 +319,8 @@ def sweep_operators(c: float, box: float, ns, pdf, *, quad=None,
 
 def chaos_sweep(c: float, box: float, ns, *, pdf=None, tuple_count: int = 20,
                 samples: int = 200_000, seed: int = 0, grid_nodes: int = 6,
-                samples_per_node: int = 200_000, control: bool = True,
+                samples_per_node: int = 200_000, tol: float = 1e-3,
+                control: bool = True,
                 oracle_tuples: int = 3, oracle_samples: int = 0,
                 fit: bool = True) -> ConvergenceReport:
     """Decay of the two-point factorization defect over the sequence.
@@ -350,7 +351,8 @@ def chaos_sweep(c: float, box: float, ns, *, pdf=None, tuple_count: int = 20,
     for entry in seq.entries:
         child = derive_child_seed(seed, "bg", "chaos", entry.n)
         field = solve_k1(entry.model, pdf, grid_nodes=grid_nodes,
-                         samples_per_node=samples_per_node, seed=child)
+                         samples_per_node=samples_per_node, tol=tol,
+                         seed=child)
         pair_occ = estimate_ks(entry.model, pdf, positions, samples=samples,
                                seed=child, k1_field=field)
         cs = correlation_delta(entry.model, pdf, field, tuples,
@@ -387,28 +389,6 @@ def chaos_sweep(c: float, box: float, ns, *, pdf=None, tuple_count: int = 20,
     return ConvergenceReport(
         metric_name="sup_pair_factorization_defect", entries=rows,
         fit=fit_result, decreasing=_strictly_decreasing(values), info=info)
-
-
-def smoothness_ordering(c: float, box: float, ns, pdf, *, t: float = 0.0,
-                        probes: int = 64, seed: int = 0):
-    """delta = sigma / L_rho per sequence entry.
-
-    The scale length of a fixed pdf does not depend on sigma, so the ratios
-    delta_j / delta_i equal sigma_j / sigma_i = sqrt(eps_j / eps_i) exactly:
-    the smoothness ordering holds with the square-root rate by construction
-    once L_rho is finite.
-    """
-    from .pdfs import scale_length
-
-    seq = build_sequence(c, box, ns)
-    rows = []
-    for entry in seq.entries:
-        rep = scale_length(pdf, t, probes, seed, model=entry.model)
-        rows.append({
-            "n": entry.n, "epsilon": entry.epsilon, "sigma": entry.sigma,
-            "L_rho": rep.L_rho, "delta": rep.delta,
-        })
-    return rows
 
 
 @dataclass
@@ -450,7 +430,7 @@ def noncommutativity_report(c: float, box: float, ns, pdf, *,
                             r1=None, probe_velocity=None, quad=None,
                             grid_nodes: int = 8,
                             samples_per_node: int = 400_000,
-                            seed: int = 0,
+                            tol: float = 1e-3, seed: int = 0,
                             plateau_tol: float = 0.05) -> LimitOrderingReport:
     """Compare transport-then-limit against limit-then-transport for k1.
 
@@ -470,7 +450,7 @@ def noncommutativity_report(c: float, box: float, ns, pdf, *,
     rows = []
     for entry in seq.entries:
         field = solve_k1(entry.model, pdf, grid_nodes=grid_nodes,
-                         samples_per_node=samples_per_node,
+                         samples_per_node=samples_per_node, tol=tol,
                          seed=derive_child_seed(seed, "bg", "noncomm",
                                                 entry.n))
         occ = ContactOccupancy(entry.model, field)

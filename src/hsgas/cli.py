@@ -23,6 +23,7 @@ from .geometry import HardSphereModel, uniform_admissible_sample
 from .pdfs import build_family
 from .quadrature import QuadratureSpec
 from .runio import (
+    EXPERIMENTS,
     artifact_path,
     build_manifest,
     read_json,
@@ -32,9 +33,6 @@ from .runio import (
     write_json,
 )
 from .seeding import derive_child_seed
-
-EXPERIMENT_COMMANDS = ("k1", "ks", "ops", "md", "bg-sweep", "noncomm",
-                       "chaos", "relax", "entropy")
 
 
 def _model_from(config: dict) -> HardSphereModel:
@@ -74,7 +72,7 @@ def _box_of(config: dict) -> float:
 # experiment runners: each returns (artifact names, report dict)
 
 
-def _run_k1(config, seed, out_dir, threads):
+def _run_k1(config, seed, out_dir):
     from .occupation import hat_normalization, solve_k1
 
     model = _model_from(config)
@@ -83,7 +81,7 @@ def _run_k1(config, seed, out_dir, threads):
     field = solve_k1(model, pdf, grid_nodes=p.get("grid_nodes", 8),
                      samples_per_node=p.get("samples_per_node", 1_000_000),
                      seed=derive_child_seed(seed, "cli", "k1"),
-                     tol=p.get("tol", 1e-3), threads=threads)
+                     tol=p.get("tol", 1e-3))
     field.to_csv(artifact_path(out_dir, "k1_field.csv"))
     report = {
         "sup_abs_k1_minus_1": field.sup_abs_deviation(),
@@ -93,7 +91,7 @@ def _run_k1(config, seed, out_dir, threads):
     return ["k1_field.csv"], report
 
 
-def _run_ks(config, seed, out_dir, threads):
+def _run_ks(config, seed, out_dir):
     from .occupation import contact_pair_tuples, estimate_ks, solve_k1
 
     model = _model_from(config)
@@ -102,7 +100,8 @@ def _run_ks(config, seed, out_dir, threads):
     k1p = config.get("k1", {})
     field = solve_k1(model, pdf, grid_nodes=k1p.get("grid_nodes", 6),
                      samples_per_node=k1p.get("samples_per_node", 200_000),
-                     seed=derive_child_seed(seed, "cli", "ks", "k1"))
+                     seed=derive_child_seed(seed, "cli", "ks", "k1"),
+                     tol=k1p.get("tol", 1e-3))
     tuples = contact_pair_tuples(
         model, pdf, p.get("tuple_count", 20),
         derive_child_seed(seed, "cli", "ks", "tuples"),
@@ -126,7 +125,7 @@ def _run_ks(config, seed, out_dir, threads):
     return ["ks_pairs.csv"], report
 
 
-def _run_ops(config, seed, out_dir, threads):
+def _run_ops(config, seed, out_dir):
     from .bg import bulk_phase_probes
     from .collision import moment_audit, operator_scan
     from .occupation import ContactOccupancy, solve_k1
@@ -138,7 +137,8 @@ def _run_ops(config, seed, out_dir, threads):
     k1p = config.get("k1", {})
     field = solve_k1(model, pdf, grid_nodes=k1p.get("grid_nodes", 6),
                      samples_per_node=k1p.get("samples_per_node", 200_000),
-                     seed=derive_child_seed(seed, "cli", "ops", "k1"))
+                     seed=derive_child_seed(seed, "cli", "ops", "k1"),
+                     tol=k1p.get("tol", 1e-3))
     occ = ContactOccupancy(model, field)
     probes = bulk_phase_probes(model, pdf, p.get("probes", 12),
                                derive_child_seed(seed, "cli", "ops", "probes"))
@@ -176,7 +176,7 @@ def _run_ops(config, seed, out_dir, threads):
     return artifacts, report
 
 
-def _run_md(config, seed, out_dir, threads):
+def _run_md(config, seed, out_dir):
     from .md import MeasureSpec, enskog_frequency_prediction, measure, run
     from .md import near_contact_pair_prediction, wall_rate_prediction
 
@@ -236,7 +236,7 @@ def _run_md(config, seed, out_dir, threads):
     return artifacts, report
 
 
-def _run_bg_sweep(config, seed, out_dir, threads):
+def _run_bg_sweep(config, seed, out_dir):
     from .bg import sweep_k1
 
     c, box, ns = _sequence_args(config)
@@ -245,7 +245,7 @@ def _run_bg_sweep(config, seed, out_dir, threads):
     rep = sweep_k1(c, box, ns, pdf=pdf,
                    grid_nodes=p.get("grid_nodes", 8),
                    samples_per_node=p.get("samples_per_node", 1_000_000),
-                   seed=seed)
+                   tol=p.get("tol", 1e-3), seed=seed)
     rows = [[r["n"], r["epsilon"], r["sigma"], r["value"], r["error"]]
             for r in rep.entries]
     write_csv(artifact_path(out_dir, "k1_sweep.csv"),
@@ -253,7 +253,7 @@ def _run_bg_sweep(config, seed, out_dir, threads):
     return ["k1_sweep.csv"], rep.to_dict()
 
 
-def _run_noncomm(config, seed, out_dir, threads):
+def _run_noncomm(config, seed, out_dir):
     from .bg import noncommutativity_report
 
     c, box, ns = _sequence_args(config)
@@ -261,7 +261,8 @@ def _run_noncomm(config, seed, out_dir, threads):
     p = config.get("k1", {})
     rep = noncommutativity_report(
         c, box, ns, pdf, grid_nodes=p.get("grid_nodes", 8),
-        samples_per_node=p.get("samples_per_node", 400_000), seed=seed)
+        samples_per_node=p.get("samples_per_node", 400_000),
+        tol=p.get("tol", 1e-3), seed=seed)
     rows = [[r["n"], r["epsilon"], r["sigma"], r["raw_value"],
              r["raw_error"], r["rescaled_value"], r["rescaled_error"],
              r["sup_abs_k1_minus_1"]] for r in rep.entries]
@@ -272,7 +273,7 @@ def _run_noncomm(config, seed, out_dir, threads):
     return ["noncomm.csv"], rep.to_dict()
 
 
-def _run_chaos(config, seed, out_dir, threads):
+def _run_chaos(config, seed, out_dir):
     from .bg import chaos_sweep
 
     c, box, ns = _sequence_args(config)
@@ -284,6 +285,7 @@ def _run_chaos(config, seed, out_dir, threads):
                       samples=p.get("samples", 200_000),
                       grid_nodes=k1p.get("grid_nodes", 6),
                       samples_per_node=k1p.get("samples_per_node", 200_000),
+                      tol=k1p.get("tol", 1e-3),
                       oracle_samples=p.get("oracle_samples", 0), seed=seed)
     rows = [[r["n"], r["epsilon"], r["sigma"], r["value"], r["error"],
              r["sup_abs_k2_minus_1"]] for r in rep.entries]
@@ -293,7 +295,7 @@ def _run_chaos(config, seed, out_dir, threads):
     return ["chaos.csv"], rep.to_dict()
 
 
-def _run_relax(config, seed, out_dir, threads):
+def _run_relax(config, seed, out_dir):
     from .relax import (
         VelocityLattice,
         homogeneous_relax,
@@ -333,7 +335,7 @@ def _run_relax(config, seed, out_dir, threads):
     return ["relax_trace.csv", "final_f.csv"], report
 
 
-def _run_entropy(config, seed, out_dir, threads):
+def _run_entropy(config, seed, out_dir):
     from .pdfs import bs_entropy, scale_length
 
     box = _box_of(config)
@@ -368,15 +370,13 @@ _RUNNERS = {
     "entropy": _run_entropy,
 }
 
-_COMMAND_TO_EXPERIMENT = {cmd: cmd for cmd in EXPERIMENT_COMMANDS}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hsgas",
         description="hard-sphere kinetic-theory experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENT_COMMANDS + ("validate-config",):
+    for name in EXPERIMENTS + ("validate-config",):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True,
                        help="path to the JSON run config")
@@ -384,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None,
                        help="root seed (overrides config)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for shardable estimators")
     return parser
 
 
@@ -411,13 +409,10 @@ def main(argv=None) -> int:
               f"{args.command!r}", file=sys.stderr)
         return 2
     seed = args.seed if args.seed is not None else int(config["seed"])
-    threads = (args.threads if args.threads is not None
-               else int(config.get("threads", 1)))
     out_dir = resolve_out_dir(args.out or config.get("output_dir", "out"))
     t0 = time.time()
     try:
-        artifacts, report = _RUNNERS[args.command](config, seed, out_dir,
-                                                   threads)
+        artifacts, report = _RUNNERS[args.command](config, seed, out_dir)
     except Exception as exc:
         module = type(exc).__module__
         origin = module.split(".")[-1] if module.startswith("hsgas") else \

@@ -6,17 +6,24 @@ law reweighted self-consistently by 1/k1, overlaps a sphere inserted at r.
 Under independent placements this is (1 - v(r))^(N-1) with v(r) the
 reweighted measure of the exclusion ball around r.
 
-The Monte Carlo estimator uses a mixture proposal: a large bank of
-wall-conditioned positions shared by every grid node (common random numbers
-across nodes and sequence entries) plus per-node draws placed uniformly
-inside the exclusion ball, so the rare in-ball measure is resolved with
-per-mille relative error instead of Poisson counting noise.
+The s-point coefficient k_s(r_1..r_s) = (1 - v_union)^(N-s) uses the
+measure of the union of the s exclusion balls, so k1 at a grid node is k_s
+with s = 1. One Monte Carlo estimator serves both: solve_k1 iterates it at
+s = 1 to the self-consistent fixed point, and estimate_ks applies it once
+per position tuple with a solved k1 field. It uses a mixture proposal: a
+large bank of wall-conditioned positions shared by every node or tuple
+(common random numbers across nodes and sequence entries) plus per-stack
+draws placed uniformly inside the union of the balls, so the rare in-ball
+measure is resolved with per-mille relative error instead of Poisson
+counting noise. Each estimate splits into SHARDS independent replicas for
+its stderr and carries the error of the wall-box measure z_w.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +32,7 @@ from .quadrature import gauss_legendre
 from .seeding import derive_rng
 
 BALL_MIX_FRACTION = 0.1  # share of each node's sample count drawn in-ball
+SHARDS = 16  # independent sub-estimates behind each Monte Carlo stderr
 
 
 # ---------------------------------------------------------------------------
@@ -191,18 +199,126 @@ class _CellIndex:
         return idx[d2 <= radius * radius]
 
 
+class _Bank:
+    """Wall-conditioned positions shared by every ball of one estimate.
+
+    The sample budget splits into the bank and ball_count in-ball proposals
+    per s-point stack (BALL_MIX_FRACTION of the budget); both divide into
+    SHARDS equal blocks, the independent replicas behind each stderr.
+    """
+
+    def __init__(self, pdf, model: HardSphereModel, samples: int, rng):
+        beta = BALL_MIX_FRACTION
+        size = int(round((1.0 - beta) * samples))
+        ball_count = int(round(size * beta / (1.0 - beta)))
+        size -= size % SHARDS
+        ball_count -= ball_count % SHARDS
+        if size < SHARDS or ball_count < SHARDS:
+            raise ValueError(f"{samples} samples are too few for {SHARDS} "
+                             "shards")
+        self.pts, self.z_w, self.z_w_se = wall_conditioned_positions(
+            pdf, model, size, rng)
+        self.p = pdf.position_density(self.pts)
+        self.index = _CellIndex(self.pts, max(model.sigma, model.box / 64.0),
+                                model.box)
+        self.shard_of = np.repeat(np.arange(SHARDS), size // SHARDS)
+        self.ball_count = ball_count
+        self.m_tot = size // SHARDS + ball_count // SHARDS
+        self.beta_eff = (ball_count // SHARDS) / self.m_tot
+
+    def weights(self, k1_field):
+        """1/k1 on the bank and its per-shard means; k1 = 1 when None."""
+        inv_k = (np.ones(len(self.pts)) if k1_field is None
+                 else 1.0 / k1_field.interp(self.pts))
+        den = np.array([inv_k[self.shard_of == q].mean()
+                        for q in range(SHARDS)])
+        return inv_k, den
+
+
+class _Proposals(NamedTuple):
+    """In-ball draws around one s-point stack and the bank hits of its union.
+
+    Everything here is fixed once drawn; only the 1/k1 weights change
+    between Picard iterations.
+    """
+
+    pts: np.ndarray         # in-ball draws
+    p_thw: np.ndarray       # target density p theta_w at the draws
+    q: np.ndarray           # mixture proposal density at the draws
+    bank_share: float       # mean share of q from the bank law (z_w term)
+    hit_idx: np.ndarray     # bank points inside the union
+    p_hit: np.ndarray
+    q_hit: np.ndarray
+
+
+def _ball_proposals(pdf, model: HardSphereModel, bank: _Bank, fixed,
+                    rng) -> _Proposals:
+    """Uniform draws in the union of the exclusion balls of an s-point stack.
+
+    The mixture proposal is the bank law with weight 1 - beta plus the
+    uniform law on the union with weight beta, its density counting how many
+    balls cover each point.
+    """
+    s, sigma = fixed.shape[0], model.sigma
+    b_idx = rng.integers(s, size=bank.ball_count)
+    radius = sigma * np.cbrt(rng.random(bank.ball_count))
+    d = rng.normal(size=(bank.ball_count, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    pts = fixed[b_idx] + radius[:, None] * d
+    hits = [bank.index.query_ball(r, sigma) for r in fixed]
+    # a point in several overlapping balls is still one bank sample
+    hit_idx = hits[0] if s == 1 else np.unique(np.concatenate(hits))
+    beta_eff, z_w = bank.beta_eff, bank.z_w
+    v_ball_vol = 4.0 / 3.0 * math.pi * sigma ** 3
+
+    def ball_law(at):  # beta x (balls covering each point) / (s |ball|)
+        d2 = ((at[:, None, :] - fixed[None, :, :]) ** 2).sum(axis=2)
+        return beta_eff * (d2 < sigma * sigma).sum(axis=1) / (s * v_ball_vol)
+
+    p_thw = pdf.position_density(pts) * wall_theta(pts, model).astype(float)
+    bank_law = (1.0 - beta_eff) * p_thw / z_w
+    q = bank_law + ball_law(pts)
+    p_hit = bank.p[hit_idx]
+    q_hit = (1.0 - beta_eff) * p_hit / z_w + ball_law(bank.pts[hit_idx])
+    return _Proposals(pts, p_thw, q, float((bank_law / q).mean()), hit_idx,
+                      p_hit, q_hit)
+
+
+def _union_measure(bank: _Bank, weights, prop: _Proposals, k1_field):
+    """(v_hat, v_se): reweighted measure of the union of the s balls.
+
+    weights = bank.weights(k1_field); k1 = 1 when k1_field is None.
+    """
+    inv_k_bank, den = weights
+    inv_k_pts = 1.0 if k1_field is None else 1.0 / k1_field.interp(prop.pts)
+    contrib_ball = prop.p_thw * inv_k_pts / prop.q
+    contrib_hit = prop.p_hit * inv_k_bank[prop.hit_idx] / prop.q_hit
+    hit_shards = bank.shard_of[prop.hit_idx]
+    block = bank.ball_count // SHARDS
+    v_shards = np.empty(SHARDS)
+    for q in range(SHARDS):
+        num = contrib_ball[q * block:(q + 1) * block].sum()
+        num += contrib_hit[hit_shards == q].sum()
+        # num/m_tot estimates the in-ball mass of p theta_w / k1;
+        # z_w * den converts it to the normalized reweighted law
+        v_shards[q] = num / bank.m_tot / (bank.z_w * den[q])
+    v_hat = float(np.clip(v_shards.mean(), 0.0, 1.0 - 1e-12))
+    v_se = float(v_shards.std(ddof=1) / math.sqrt(SHARDS))
+    # z_w sensitivity: the explicit 1/z_w factor and the mixture
+    # denominator shift pull in opposite directions
+    v_se = math.hypot(v_se, v_hat * (bank.z_w_se / bank.z_w)
+                      * abs(1.0 - prop.bank_share))
+    return v_hat, v_se
+
+
 # ---------------------------------------------------------------------------
 # one-point solver
 
 
-def _ones_field(field: OccupationField) -> bool:
-    return bool(np.all(field.values == 1.0))
-
-
 def solve_k1(model: HardSphereModel, pdf, *, grid_nodes: int = 8,
              samples_per_node: int = 1_000_000, seed: int = 0,
-             tol: float = 1e-3, max_iter: int = 12, damping: float = 0.5,
-             shards: int = 16, threads: int = 1) -> OccupationField:
+             tol: float = 1e-3, max_iter: int = 12,
+             damping: float = 0.5) -> OccupationField:
     """Self-consistent one-point occupation coefficients on a cubic grid.
 
     Iterates k -> (1 - v[k])^(N-1) where v[k] is the exclusion-ball measure
@@ -217,98 +333,31 @@ def solve_k1(model: HardSphereModel, pdf, *, grid_nodes: int = 8,
                           samples_per_node=0, seed=seed)
         return field
 
-    beta = BALL_MIX_FRACTION
-    bank_size = int(round((1.0 - beta) * samples_per_node))
-    ball_per_node = int(round(bank_size * beta / (1.0 - beta)))
-    bank_size -= bank_size % shards
-    ball_per_node -= ball_per_node % shards
-    if bank_size < shards or ball_per_node < shards:
-        raise ValueError("samples_per_node too small for the shard count")
-
-    rng_bank = derive_rng(seed, "occupation", "bank")
-    bank, z_w, z_w_se = wall_conditioned_positions(pdf, model, bank_size, rng_bank)
-    bank_p = pdf.position_density(bank)
-    index = _CellIndex(bank, cell=max(sigma, box / 64.0), box=box)
-    shard_of = np.repeat(np.arange(shards), bank_size // shards)
-
-    nodes = field.nodes()
-    v_ball_vol = 4.0 / 3.0 * math.pi * sigma ** 3
-    m_tot = bank_size // shards + ball_per_node // shards
-    beta_eff = (ball_per_node / shards) / m_tot
-
+    bank = _Bank(pdf, model, samples_per_node,
+                 derive_rng(seed, "occupation", "bank"))
     # per-node ball proposals are drawn once and reused across iterations so
     # the Picard map sees a fixed sample (deterministic fixed point)
-    ball_pts = np.empty((nodes.shape[0], ball_per_node, 3))
-    for i, r1 in enumerate(nodes):
-        rng = derive_rng(seed, "occupation", "ball", i)
-        u = rng.random(ball_per_node)
-        radius = sigma * np.cbrt(u)
-        d = rng.normal(size=(ball_per_node, 3))
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
-        ball_pts[i] = r1 + radius[:, None] * d
-    ball_p = pdf.position_density(ball_pts.reshape(-1, 3)).reshape(
-        nodes.shape[0], ball_per_node)
-    ball_thw = wall_theta(ball_pts.reshape(-1, 3), model).reshape(
-        nodes.shape[0], ball_per_node).astype(float)
-    in_ball = [index.query_ball(r1, sigma) for r1 in nodes]
+    proposals = [
+        _ball_proposals(pdf, model, bank, fixed,
+                        derive_rng(seed, "occupation", "ball", i))
+        for i, fixed in enumerate(field.nodes()[:, None, :])
+    ]
 
     history = []
     converged = False
     iterations = 0
-    values = field.values
-    stderr = field.stderr
     for it in range(max_iter):
         iterations = it + 1
-        ones = _ones_field(field)
-        inv_k_bank = np.ones(bank_size) if ones else 1.0 / field.interp(bank)
-        den_per_shard = np.array([
-            inv_k_bank[shard_of == s].mean() for s in range(shards)
-        ])
-        new_vals = np.empty(nodes.shape[0])
-        new_errs = np.empty(nodes.shape[0])
-        for i, r1 in enumerate(nodes):
-            idx = in_ball[i]
-            pts_w = ball_thw[i]
-            p_ball = ball_p[i]
-            if ones:
-                inv_k_ball = 1.0
-                inv_k_hit = 1.0
-            else:
-                inv_k_ball = 1.0 / field.interp(ball_pts[i])
-                inv_k_hit = 1.0 / field.interp(bank[idx]) if idx.size else 1.0
-            q_ball = (1.0 - beta_eff) * p_ball * pts_w / z_w + beta_eff / v_ball_vol
-            h_ball = p_ball * pts_w * inv_k_ball
-            contrib_ball = h_ball / q_ball
-            if idx.size:
-                p_hit = bank_p[idx]
-                q_hit = (1.0 - beta_eff) * p_hit / z_w + beta_eff / v_ball_vol
-                contrib_hit = p_hit * inv_k_hit / q_hit
-                hit_shards = shard_of[idx]
-            else:
-                contrib_hit = np.empty(0)
-                hit_shards = np.empty(0, dtype=int)
-            v_shards = np.empty(shards)
-            for s in range(shards):
-                lo = s * (ball_per_node // shards)
-                hi = lo + ball_per_node // shards
-                num = contrib_ball[lo:hi].sum()
-                if contrib_hit.size:
-                    num += contrib_hit[hit_shards == s].sum()
-                # num/m_tot estimates the in-ball mass of p theta_w / k1;
-                # z_w * den converts it to the normalized reweighted law
-                v_shards[s] = num / m_tot / (z_w * den_per_shard[s])
-            v_hat = float(np.clip(v_shards.mean(), 0.0, 1.0 - 1e-12))
-            v_se = float(v_shards.std(ddof=1) / math.sqrt(shards))
-            # z_w sensitivity: the explicit 1/z_w factor and the mixture
-            # denominator shift pull in opposite directions
-            bank_q_share = float(
-                ((1.0 - beta_eff) * p_ball * pts_w / z_w / q_ball).mean()
-            )
-            v_se = math.hypot(v_se, v_hat * (z_w_se / z_w) * abs(1.0 - bank_q_share))
+        k1 = None if it == 0 else field  # the first pass runs at k1 = 1
+        weights = bank.weights(k1)
+        new_vals = np.empty(len(proposals))
+        new_errs = np.empty(len(proposals))
+        for i, prop in enumerate(proposals):
+            v_hat, v_se = _union_measure(bank, weights, prop, k1)
             new_vals[i] = (1.0 - v_hat) ** (n - 1)
             new_errs[i] = (n - 1) * (1.0 - v_hat) ** (n - 2) * v_se
-        new_vals = new_vals.reshape(values.shape)
-        new_errs = new_errs.reshape(values.shape)
+        new_vals = new_vals.reshape(field.values.shape)
+        new_errs = new_errs.reshape(field.values.shape)
         change = float(np.abs(new_vals - field.values).max())
         if len(history) >= 1 and change > history[-1]:
             new_vals = damping * field.values + (1.0 - damping) * new_vals
@@ -332,15 +381,15 @@ def solve_k1(model: HardSphereModel, pdf, *, grid_nodes: int = 8,
         )
     field.info.update(
         iterations=iterations, converged=converged, seed=seed,
-        bank_size=bank_size, ball_per_node=ball_per_node, shards=shards,
-        z_w=z_w, z_w_stderr=z_w_se, sup_change=history[-1],
-        samples_per_node=samples_per_node,
+        bank_size=len(bank.pts), ball_per_node=bank.ball_count,
+        shards=SHARDS, z_w=bank.z_w, z_w_stderr=bank.z_w_se,
+        sup_change=history[-1], samples_per_node=samples_per_node,
     )
     return field
 
 
 def brute_force_ks(model: HardSphereModel, pdf, fixed_points, samples: int,
-                   seed: int, shards: int = 16):
+                   seed: int):
     """Direct estimate of k_s from the full (N-s)-body conditional law.
 
     Draws complete sets of the remaining N-s wall-conditioned positions,
@@ -371,9 +420,9 @@ def brute_force_ks(model: HardSphereModel, pdf, fixed_points, samples: int,
         clear &= np.all(d2 > sigma * sigma, axis=1)
     num = (w & clear).astype(float)
     den = w.astype(float)
-    vals = np.empty(shards)
-    block = samples // shards
-    for q in range(shards):
+    vals = np.empty(SHARDS)
+    block = samples // SHARDS
+    for q in range(SHARDS):
         sl = slice(q * block, (q + 1) * block)
         d = den[sl].sum()
         vals[q] = num[sl].sum() / d if d > 0 else np.nan
@@ -383,11 +432,10 @@ def brute_force_ks(model: HardSphereModel, pdf, fixed_points, samples: int,
     return k, se
 
 
-def brute_force_k1(model: HardSphereModel, pdf, r1, samples: int, seed: int,
-                   shards: int = 16):
+def brute_force_k1(model: HardSphereModel, pdf, r1, samples: int, seed: int):
     """One-point special case of brute_force_ks."""
     return brute_force_ks(model, pdf, np.atleast_2d(np.asarray(r1, float)),
-                          samples, seed, shards)
+                          samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +453,9 @@ class PairOccupation:
     info: dict = dataclass_field(default_factory=dict)
 
 
-def _containment_count(pts: np.ndarray, fixed: np.ndarray, sigma: float):
-    """How many of the fixed exclusion balls contain each point."""
-    d2 = ((pts[:, None, :] - fixed[None, :, :]) ** 2).sum(axis=2)
-    return (d2 < sigma * sigma).sum(axis=1)
-
-
 def estimate_ks(model: HardSphereModel, pdf, tuples, *, samples: int = 200_000,
-                seed: int = 0, k1_field: OccupationField | None = None,
-                shards: int = 16) -> PairOccupation:
+                seed: int = 0,
+                k1_field: OccupationField | None = None) -> PairOccupation:
     """Monte Carlo s-point occupation coefficients at position tuples.
 
     k_s(r_1..r_s) = (1 - v_union)^(N-s) with v_union the measure of the union
@@ -427,7 +469,7 @@ def estimate_ks(model: HardSphereModel, pdf, tuples, *, samples: int = 200_000,
     s = tuples[0].shape[0]
     if any(p.shape != (s, 3) for p in tuples):
         raise ValueError("all tuples must stack the same number of 3d points")
-    n, sigma, box = model.n, model.sigma, model.box
+    n, sigma = model.n, model.sigma
     rest = n - s
     if rest < 0:
         raise ValueError(f"s={s} exceeds the particle count N={n}")
@@ -437,77 +479,22 @@ def estimate_ks(model: HardSphereModel, pdf, tuples, *, samples: int = 200_000,
                               mc_error=np.zeros(m), s=s,
                               info={"samples": 0, "seed": seed})
 
-    beta = BALL_MIX_FRACTION
-    bank_size = int(round((1.0 - beta) * samples))
-    ball_per_tuple = int(round(bank_size * beta / (1.0 - beta)))
-    bank_size -= bank_size % shards
-    ball_per_tuple -= ball_per_tuple % shards
-    if bank_size < shards or ball_per_tuple < shards:
-        raise ValueError("samples too small for the shard count")
-    rng_bank = derive_rng(seed, "occupation", "ks", "bank")
-    bank, z_w, z_w_se = wall_conditioned_positions(pdf, model, bank_size,
-                                                   rng_bank)
-    bank_p = pdf.position_density(bank)
-    index = _CellIndex(bank, cell=max(sigma, box / 64.0), box=box)
-    shard_of = np.repeat(np.arange(shards), bank_size // shards)
-    inv_k_bank = (np.ones(bank_size) if k1_field is None
-                  else 1.0 / k1_field.interp(bank))
-    den_per_shard = np.array([
-        inv_k_bank[shard_of == q].mean() for q in range(shards)
-    ])
-    v_ball_vol = 4.0 / 3.0 * math.pi * sigma ** 3
-    m_tot = bank_size // shards + ball_per_tuple // shards
-    beta_eff = (ball_per_tuple // shards) / m_tot
-
+    bank = _Bank(pdf, model, samples,
+                 derive_rng(seed, "occupation", "ks", "bank"))
+    weights = bank.weights(k1_field)
     ks = np.empty(m)
     err = np.empty(m)
     for t_idx, fixed in enumerate(tuples):
-        rng = derive_rng(seed, "occupation", "ks", "ball", t_idx)
-        b_idx = rng.integers(s, size=ball_per_tuple)
-        radius = sigma * np.cbrt(rng.random(ball_per_tuple))
-        d = rng.normal(size=(ball_per_tuple, 3))
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
-        pts = fixed[b_idx] + radius[:, None] * d
-        cnt = _containment_count(pts, fixed, sigma)
-        p_pts = pdf.position_density(pts)
-        thw = wall_theta(pts, model).astype(float)
-        inv_k_pts = (np.ones(ball_per_tuple) if k1_field is None
-                     else 1.0 / k1_field.interp(pts))
-        q_pts = ((1.0 - beta_eff) * p_pts * thw / z_w
-                 + beta_eff * cnt / (s * v_ball_vol))
-        contrib_ball = p_pts * thw * inv_k_pts / q_pts
-        hit = [index.query_ball(fixed[b], sigma) for b in range(s)]
-        hit_idx = (np.unique(np.concatenate(hit)) if any(h.size for h in hit)
-                   else np.empty(0, dtype=np.intp))
-        if hit_idx.size:
-            cnt_h = _containment_count(bank[hit_idx], fixed, sigma)
-            p_h = bank_p[hit_idx]
-            q_h = ((1.0 - beta_eff) * p_h / z_w
-                   + beta_eff * cnt_h / (s * v_ball_vol))
-            contrib_hit = p_h * inv_k_bank[hit_idx] / q_h
-            hit_shards = shard_of[hit_idx]
-        else:
-            contrib_hit = np.empty(0)
-            hit_shards = np.empty(0, dtype=int)
-        v_shards = np.empty(shards)
-        block = ball_per_tuple // shards
-        for q in range(shards):
-            num = contrib_ball[q * block:(q + 1) * block].sum()
-            if contrib_hit.size:
-                num += contrib_hit[hit_shards == q].sum()
-            v_shards[q] = num / m_tot / (z_w * den_per_shard[q])
-        v_hat = float(np.clip(v_shards.mean(), 0.0, 1.0 - 1e-12))
-        v_se = float(v_shards.std(ddof=1) / math.sqrt(shards))
-        bank_q_share = float(
-            ((1.0 - beta_eff) * p_pts * thw / z_w / q_pts).mean()
-        )
-        v_se = math.hypot(v_se, v_hat * (z_w_se / z_w) * abs(1.0 - bank_q_share))
+        proposals = _ball_proposals(
+            pdf, model, bank, fixed,
+            derive_rng(seed, "occupation", "ks", "ball", t_idx))
+        v_hat, v_se = _union_measure(bank, weights, proposals, k1_field)
         ks[t_idx] = (1.0 - v_hat) ** rest
         err[t_idx] = rest * (1.0 - v_hat) ** (rest - 1) * v_se
     return PairOccupation(
         points=tuples, ks_values=ks, mc_error=err, s=s,
-        info={"samples": samples, "seed": seed, "shards": shards,
-              "bank_size": bank_size, "ball_per_tuple": ball_per_tuple,
+        info={"samples": samples, "seed": seed, "shards": SHARDS,
+              "bank_size": len(bank.pts), "ball_per_tuple": bank.ball_count,
               "reweighted": k1_field is not None},
     )
 

@@ -187,14 +187,6 @@ def _batched_vector_shift(A: np.ndarray, shifts: np.ndarray):
     return out
 
 
-def _axis_quadratic_shift(A: np.ndarray, axis: int, shift: float):
-    return _batched_axis_shift(A[None], axis, np.array([float(shift)]))[0]
-
-
-def _vector_shift(A: np.ndarray, shift_nodes):
-    return _batched_vector_shift(A, np.asarray(shift_nodes, dtype=float)[None])[0]
-
-
 def _pair_spine(lattice: VelocityLattice, a_shifts: np.ndarray,
                 b_shifts: np.ndarray, u: np.ndarray, T: float):
     """(ln M - ln norm) at v + h*a[k] plus the same at v + h*b[k].

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import platform
 import time
 from pathlib import Path
@@ -87,7 +86,6 @@ CONFIG_SCHEMA = {
         "experiment": {"enum": list(EXPERIMENTS)},
         "seed": {"type": "integer", "minimum": 0},
         "output_dir": {"type": "string", "minLength": 1},
-        "threads": {"type": "integer", "minimum": 1},
         "model": {
             "type": "object",
             "required": ["n", "sigma", "box"],
@@ -207,7 +205,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "tuple_count": {"type": "integer", "minimum": 1},
                 "samples": {"type": "integer", "minimum": 1000},
-                "probes": {"type": "integer", "minimum": 1},
                 "oracle_samples": {"type": "integer", "minimum": 0},
             },
             "additionalProperties": False,
@@ -268,26 +265,3 @@ def build_manifest(config: dict, *, seed: int, artifacts, wall_clock_s: float,
     if extra:
         manifest["extra"] = _jsonable(extra)
     return manifest
-
-
-def relative_artifacts(out_dir: Path, names) -> list:
-    return [str(Path(n).name) for n in names]
-
-
-def ensure_no_stray_writes(out_dir: Path, before: set, after: set) -> None:
-    """Guard hook for tests: everything new must be inside out_dir."""
-    new = after - before
-    out_dir = Path(out_dir).resolve()
-    for p in new:
-        if not Path(p).resolve().is_relative_to(out_dir):
-            raise RuntimeError(f"stray write outside the output dir: {p}")
-
-
-def pdf_config_box(config: dict, default: float) -> float:
-    model = config.get("model")
-    if model:
-        return float(model["box"])
-    seq = config.get("sequence")
-    if seq:
-        return float(seq["box"])
-    return default

@@ -1,0 +1,79 @@
+"""CLI contract: exit codes, artifact lists, byte-identical CSVs, schema."""
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from hsgas import cli, runio
+
+K1_CONFIG = {
+    "schema_version": 1, "experiment": "k1", "seed": 3,
+    "model": {"n": 8, "sigma": 0.05, "box": 1.0},
+    "k1": {"grid_nodes": 2, "samples_per_node": 20_000},
+}
+
+CHAOS_CONFIG = {
+    "schema_version": 1, "experiment": "chaos", "seed": 3,
+    "sequence": {"c": 0.2, "box": 1.0, "ns": [20, 40, 80, 160]},
+    "k1": {"grid_nodes": 2, "samples_per_node": 100_000},
+    "bg": {"tuple_count": 2, "samples": 20_000},
+}
+
+
+def run_cli(tmp_path, config, name, command=None):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / name
+    rc = cli.main([command or config["experiment"], "--config", str(path),
+                   "--out", str(out)])
+    return rc, out
+
+
+def test_one_experiment_registry():
+    assert set(cli._RUNNERS) == set(runio.EXPERIMENTS)
+    sub = next(a for a in cli.build_parser()._actions
+               if a.dest == "command")
+    assert set(sub.choices) == set(runio.EXPERIMENTS) | {"validate-config"}
+
+
+@pytest.mark.parametrize("config", [K1_CONFIG, CHAOS_CONFIG],
+                         ids=["k1", "chaos"])
+def test_run_lists_its_artifacts_and_repeats_its_csvs(tmp_path, config):
+    rc, out = run_cli(tmp_path, config, "a")
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    on_disk = sorted(p.name for p in out.iterdir()
+                     if p.name != "manifest.json")
+    assert manifest["artifacts"] == on_disk
+    assert manifest["config"] == config
+    csvs = [name for name in on_disk if name.endswith(".csv")]
+    assert csvs
+
+    rc, again = run_cli(tmp_path, config, "b")
+    assert rc == 0
+    for name in csvs:
+        assert (out / name).read_bytes() == (again / name).read_bytes()
+
+
+@pytest.mark.parametrize("config, command", [
+    ({**K1_CONFIG, "threads": 2}, None),
+    ({**CHAOS_CONFIG, "bg": {**CHAOS_CONFIG["bg"], "probes": 4}}, None),
+    ({**K1_CONFIG, "k1": {**K1_CONFIG["k1"], "grid": 2}}, None),
+    ({**K1_CONFIG, "extra": 1}, None),
+    (K1_CONFIG, "ks"),
+], ids=["threads", "bg.probes", "unknown-nested", "unknown-top", "mismatch"])
+def test_schema_violations_exit_2(tmp_path, capsys, config, command):
+    rc, out = run_cli(tmp_path, config, "bad", command)
+    assert rc == 2
+    assert "schema error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_chaos_honours_k1_tol(tmp_path, capsys):
+    # the sample meets the default tol (1e-3) but not a 1e-5 Monte Carlo
+    # error; the solver must see the configured tol and refuse
+    config = {**CHAOS_CONFIG, "k1": {**CHAOS_CONFIG["k1"], "tol": 1e-5}}
+    rc, _ = run_cli(tmp_path, config, "tight")
+    assert rc == 1
+    assert "raise samples_per_node" in capsys.readouterr().err

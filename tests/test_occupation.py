@@ -119,6 +119,24 @@ def test_solve_k1_matches_brute_force_n16():
     assert abs(k_solver - k_bf) < 3 * combined
 
 
+def test_estimate_ks_at_s1_reproduces_the_k1_fixed_point():
+    # k1 = (1 - v[k1])^(N-1): one-point stacks under the solved field's
+    # 1/k1 weights, with an independent sample, give the field back
+    model = HardSphereModel(n=16, sigma=0.1, box=1.0)
+    pdf = UniformMaxwellian(1.0)
+    field = solve_k1(model, pdf, grid_nodes=3, samples_per_node=100_000,
+                     seed=41)
+    idx = [0, 1, 4, 13, 26]  # corner, edge, face, centre, far corner
+    nodes = field.nodes()[idx]
+    occ = estimate_ks(model, pdf, [[r] for r in nodes], samples=100_000,
+                      seed=43, k1_field=field)
+    assert occ.s == 1
+    k1 = field.values.reshape(-1)[idx]
+    se = field.stderr.reshape(-1)[idx]
+    assert np.all(np.abs(occ.ks_values - k1)
+                  < 4 * np.hypot(occ.mc_error, se))
+
+
 def test_estimate_ks_sigma_zero_is_exactly_one():
     model = HardSphereModel(n=12, sigma=0.0, box=1.0)
     pdf = UniformMaxwellian(1.0)
