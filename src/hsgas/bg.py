@@ -22,11 +22,9 @@ from .occupation import (
     contact_pair_tuples,
     correlation_delta,
     estimate_ks,
-    hat_normalization,
     l1_k1_contact_integral,
     solve_k1,
 )
-from .quadrature import QuadratureSpec
 from .seeding import derive_child_seed, derive_rng
 
 
@@ -243,78 +241,6 @@ def bulk_phase_probes(model: HardSphereModel, pdf, count: int, seed: int,
     r = rng.uniform(margin, model.box - margin, size=(count, 3))
     v = pdf.sample_velocities(r, rng)
     return [(r[i], v[i]) for i in range(count)]
-
-
-def sweep_operators(c: float, box: float, ns, pdf, *, quad=None,
-                    probes: int = 12, seed: int = 0,
-                    rho2_form: str = "pair_over_k1sq", grid_nodes: int = 6,
-                    samples_per_node: int = 200_000,
-                    rel_floor: float = 1e-2,
-                    fit: bool = True) -> ConvergenceReport:
-    """Relative contact-vs-binary operator gap over the sequence.
-
-    Per entry: solve the occupation field, then evaluate both collision
-    operators at the same fixed bulk phase probes and record the largest
-    per-probe relative difference |master - boltzmann| / max(|boltzmann|,
-    rel_floor * sup|boltzmann|) (the floor keeps near-zero probes from
-    dominating as division noise). The probes are drawn once, at the
-    largest-sigma geometry, and reused verbatim for every entry.
-    """
-    from .collision import boltzmann_op, master_op
-
-    if quad is None:
-        quad = QuadratureSpec()
-    seq = build_sequence(c, box, ns)
-    sigma_max = max(e.sigma for e in seq.entries)
-    probe_model = HardSphereModel(
-        n=seq.entries[0].n, sigma=sigma_max, box=box)
-    probe_list = bulk_phase_probes(probe_model, pdf, probes, seed)
-    rows = []
-    degenerate = False
-    for entry in seq.entries:
-        field = solve_k1(entry.model, pdf, grid_nodes=grid_nodes,
-                         samples_per_node=samples_per_node,
-                         seed=derive_child_seed(seed, "bg", "ops", entry.n))
-        occ = ContactOccupancy(entry.model, field)
-        z1 = hat_normalization(entry.model, pdf, field, quad.position_nodes)
-        m_vals = np.empty(len(probe_list))
-        b_vals = np.empty(len(probe_list))
-        q_err = np.empty(len(probe_list))
-        for i, (r1, v1) in enumerate(probe_list):
-            m = master_op(entry.model, pdf, r1, v1, quad, occ,
-                          rho2_form=rho2_form, z1=z1)
-            b = boltzmann_op(entry.model, pdf, r1, v1, quad)
-            m_vals[i] = m.value
-            b_vals[i] = b.value
-            q_err[i] = m.error + b.error
-        sup_b = float(np.abs(b_vals).max())
-        if sup_b <= 10.0 * float(q_err.max()):
-            degenerate = True
-        denom = np.maximum(np.abs(b_vals), rel_floor * sup_b)
-        rel = np.abs(m_vals - b_vals) / denom
-        i_max = int(np.argmax(rel))
-        rows.append({
-            "n": entry.n, "epsilon": entry.epsilon, "sigma": entry.sigma,
-            "value": float(rel[i_max]),
-            "error": float(q_err[i_max] / denom[i_max]),
-            "sup_abs_gap": float(np.abs(m_vals - b_vals).max()),
-            "sup_boltzmann": sup_b,
-            "argmax_probe": i_max,
-        })
-    values = [r["value"] for r in rows]
-    fit_result = fit_rate(seq.epsilons(), values,
-                          [r["error"] for r in rows]) if fit else None
-    return ConvergenceReport(
-        metric_name="max_relative_operator_gap", entries=rows, fit=fit_result,
-        decreasing=_strictly_decreasing(values),
-        info={"c": c, "box": box, "probes": probes, "seed": seed,
-              "rho2_form": rho2_form, "rel_floor": rel_floor,
-              "velocity_nodes": quad.velocity_nodes,
-              "angle_nodes": quad.angle_nodes,
-              "grid_nodes": grid_nodes,
-              "samples_per_node": samples_per_node,
-              "degenerate_metric": degenerate,
-              "pdf": type(pdf).__name__})
 
 
 def chaos_sweep(c: float, box: float, ns, *, pdf=None, tuple_count: int = 20,

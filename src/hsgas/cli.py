@@ -125,6 +125,11 @@ def _run_ks(config, seed, out_dir):
     return ["ks_pairs.csv"], report
 
 
+# ops.rho2_form names the pair form at contact; the ContactOccupancy mode
+# computes it: k2 itself, or the product k1(r1) k1(r2)
+_PAIR_MODES = {"pair_over_k1sq": "insertion", "hat_product": "product"}
+
+
 def _run_ops(config, seed, out_dir):
     from .bg import bulk_phase_probes
     from .collision import moment_audit, operator_scan
@@ -139,10 +144,10 @@ def _run_ops(config, seed, out_dir):
                      samples_per_node=k1p.get("samples_per_node", 200_000),
                      seed=derive_child_seed(seed, "cli", "ops", "k1"),
                      tol=k1p.get("tol", 1e-3))
-    occ = ContactOccupancy(model, field)
+    rho2_form = p.get("rho2_form", "pair_over_k1sq")
+    occ = ContactOccupancy(model, field, mode=_PAIR_MODES[rho2_form])
     probes = bulk_phase_probes(model, pdf, p.get("probes", 12),
                                derive_child_seed(seed, "cli", "ops", "probes"))
-    rho2_form = p.get("rho2_form", "pair_over_k1sq")
     flavor = p.get("flavor", "both")
     artifacts = []
     report = {"rho2_form": rho2_form, "audits": {}}
@@ -152,8 +157,7 @@ def _run_ops(config, seed, out_dir):
         if flavor not in (fl, "both"):
             continue
         rows = operator_scan(model, pdf, probes, quad, fl,
-                             pair_occ=occ if fl == "master" else None,
-                             rho2_form=rho2_form)
+                             pair_occ=occ if fl == "master" else None)
         name = f"ops_{fl}.csv"
         write_csv(artifact_path(out_dir, name), header, rows)
         artifacts.append(name)
@@ -164,7 +168,7 @@ def _run_ops(config, seed, out_dir):
                              angle_nodes=min(quad.angle_nodes, 75))
         audit = moment_audit(model, pdf, probes[0][0], audit_quad, fl,
                              pair_occ=occ if fl == "master" else None,
-                             rho2_form=rho2_form, outer_nodes=10)
+                             outer_nodes=10)
         report["audits"][fl] = {
             "residuals": audit.residuals,
             "scales": audit.scales,
@@ -387,6 +391,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_origin(exc: BaseException, command: str) -> str:
+    """The package layer that raised exc: its innermost hsgas frame.
+
+    Errors raised by the runners in this module name the subcommand.
+    """
+    origin = command
+    tb = exc.__traceback__
+    while tb is not None:
+        module = tb.tb_frame.f_globals.get("__name__", "")
+        if module.startswith("hsgas.") and module != __name__:
+            origin = module.split(".")[-1]
+        tb = tb.tb_next
+    return origin
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -414,10 +433,8 @@ def main(argv=None) -> int:
     try:
         artifacts, report = _RUNNERS[args.command](config, seed, out_dir)
     except Exception as exc:
-        module = type(exc).__module__
-        origin = module.split(".")[-1] if module.startswith("hsgas") else \
-            getattr(exc, "origin", args.command)
-        print(f"error[{origin}]: {exc}", file=sys.stderr)
+        print(f"error[{_error_origin(exc, args.command)}]: {exc}",
+              file=sys.stderr)
         return 1
     write_json(artifact_path(out_dir, "report.json"), report)
     manifest = build_manifest(config, seed=seed,

@@ -5,8 +5,12 @@ Two flavors share one kernel:
 * local operator ("boltzmann"): both colliding spheres are evaluated at the
   same position r1, prefactor N sigma^2.
 * contact operator ("master"): the partner sits on the contact sphere
-  r2 = r1 + sigma e, carries wall clearance and occupation weights, and the
-  prefactor is (N-1) sigma^2.
+  r2 = r1 + sigma e, the prefactor is (N-1) sigma^2, and the two-body density
+  at contact is k2(r1, r2) rho_hat(r1, v1) rho_hat(r2, v2), with the
+  occupation-stripped density rho_hat = p theta_w / Z1 (see
+  occupation.hat_normalization). k2 from ContactOccupancy is the only
+  contact-sphere factor; its mode selects the pair form ("product" is
+  k1(r1) k1(r2)).
 
 The angular rule is aligned with the relative velocity: contact directions
 e = u ghat + sqrt(1-u^2)(cos phi e1 + sin phi e2) with u in [0, 1], so the
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .geometry import HardSphereModel, wall_theta
+from .geometry import wall_theta
 from .occupation import ContactOccupancy, hat_normalization
 from .quadrature import (QuadratureSpec, hemisphere_rule, orthonormal_frames,
                          velocity_grid)
@@ -63,27 +67,38 @@ class OperatorValue:
     details: dict = dataclass_field(default_factory=dict)
 
 
+_V2_CHUNK = 2048
+
+
+def _master_z1(model, pdf, quad, flavor, pair_occ):
+    """Z1 behind the master flavor's rho_hat (None for the local flavor)."""
+    if flavor == "boltzmann":
+        return None
+    if flavor != "master":
+        raise ValueError(f"unknown flavor {flavor!r}")
+    if pair_occ is None:
+        raise ValueError("master flavor needs a ContactOccupancy")
+    return hat_normalization(model, pdf, pair_occ.k1_field,
+                             quad.position_nodes)
+
+
+def _rho_hat(model, pdf, r, v, z1, t):
+    """Occupation-stripped one-body density p theta_w / Z1."""
+    return pdf.density(r, v, t) * (wall_theta(r, model) > 0) / z1
+
+
 def _kernel_batch(model, pdf, r1, V1, quad, flavor, pair_occ=None,
-                  rho2_form="pair_over_k1sq", rule_variant=(0, 0.0),
-                  z1=None, t=0.0, v2_chunk=2048):
+                  rule_variant=(0, 0.0), z1=None, t=0.0):
     """Gain and loss of the chosen operator at r1 for a batch of v1 values.
 
-    Returns (gain, loss) arrays of shape (len(V1),).
+    The master flavor needs z1 from _master_z1. Returns (gain, loss) arrays
+    of shape (len(V1),).
     """
     r1 = np.asarray(r1, dtype=float)
     V1 = np.atleast_2d(np.asarray(V1, dtype=float))
+    master = flavor == "master"
     n_part, sigma = model.n, model.sigma
-    if flavor == "boltzmann":
-        prefactor = n_part * sigma ** 2
-    elif flavor == "master":
-        prefactor = (n_part - 1) * sigma ** 2
-        if pair_occ is None:
-            raise ValueError("master flavor needs a ContactOccupancy")
-        if z1 is None:
-            z1 = hat_normalization(model, pdf, pair_occ.k1_field,
-                                   quad.position_nodes)
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
+    prefactor = ((n_part - 1) if master else n_part) * sigma ** 2
 
     drift = pdf.drift(r1, t)
     V2, W2 = velocity_grid(quad, pdf.v_th, center=drift)
@@ -94,21 +109,12 @@ def _kernel_batch(model, pdf, r1, V1, quad, flavor, pair_occ=None,
     su = np.sqrt(np.clip(1.0 - u_nodes ** 2, 0.0, 1.0))
     w_ang = (wu[:, None] * wphi).reshape(-1)
 
-    if flavor == "master":
-        def hat(r, v):
-            th = wall_theta(r, model) > 0
-            k1v = pair_occ.k1_field.interp(r)
-            return pdf.density(r, v, t) * th * k1v / z1
-    else:
-        def hat(r, v):
-            return pdf.density(r, v, t)
-
     gain = np.zeros(V1.shape[0])
     loss = np.zeros(V1.shape[0])
     for i, v1 in enumerate(V1):
-        for lo in range(0, V2.shape[0], v2_chunk):
-            v2 = V2[lo:lo + v2_chunk]
-            w2 = W2[lo:lo + v2_chunk]
+        for lo in range(0, V2.shape[0], _V2_CHUNK):
+            v2 = V2[lo:lo + _V2_CHUNK]
+            w2 = W2[lo:lo + _V2_CHUNK]
             g = v1 - v2
             gnorm = np.linalg.norm(g, axis=-1)
             ghat, e1, e2 = orthonormal_frames(g)
@@ -125,30 +131,27 @@ def _kernel_batch(model, pdf, r1, V1, quad, flavor, pair_occ=None,
             gdote = flux[..., None] * e
             v1p = v1[None, None, :] - gdote
             v2p = v2[:, None, :] + gdote
-            if flavor == "master":
+            base = w2[:, None] * w_ang[None, :] * flux
+            if master:
+                # rho_2 at contact = k2(r1, r2) rho_hat(r1) rho_hat(r2)
+                base = base * pair_occ.k2_contact(r1, e)
                 r2 = r1[None, None, :] + sigma * e
-                gamma = (
-                    pair_occ.g_contact(r1, e.reshape(-1, 3)).reshape(m2, -1)
-                    if rho2_form == "pair_over_k1sq" else 1.0
-                )
-                part_gain = hat(r2, v2p)
-                part_loss = hat(r2, v2[:, None, :])
-                f1_gain = hat(r1, v1p)
-                f1_loss = hat(r1, v1)
+                f1_gain = _rho_hat(model, pdf, r1, v1p, z1, t)
+                f1_loss = _rho_hat(model, pdf, r1, v1, z1, t)
+                part_gain = _rho_hat(model, pdf, r2, v2p, z1, t)
+                part_loss = _rho_hat(model, pdf, r2, v2[:, None, :], z1, t)
             else:
-                gamma = 1.0
-                part_gain = pdf.density(r1, v2p, t)
-                part_loss = pdf.density(r1, v2[:, None, :], t)
                 f1_gain = pdf.density(r1, v1p, t)
                 f1_loss = pdf.density(r1, v1, t)
-            base = w2[:, None] * w_ang[None, :] * flux
-            gain[i] += float((base * gamma * f1_gain * part_gain).sum())
-            loss[i] += float((base * gamma * f1_loss * part_loss).sum())
+                part_gain = pdf.density(r1, v2p, t)
+                part_loss = pdf.density(r1, v2[:, None, :], t)
+            gain[i] += float((base * f1_gain * part_gain).sum())
+            loss[i] += float((base * f1_loss * part_loss).sum())
     return prefactor * gain, prefactor * loss
 
 
-def _kernel_mc(model, pdf, r1, v1, quad, flavor, pair_occ=None,
-               rho2_form="pair_over_k1sq", z1=None, t=0.0):
+def _kernel_mc(model, pdf, r1, v1, quad, flavor, pair_occ=None, z1=None,
+               t=0.0):
     """Monte Carlo estimate: v2 from the local Maxwell law, e uniform."""
     r1 = np.asarray(r1, dtype=float)
     v1 = np.asarray(v1, dtype=float)
@@ -168,20 +171,13 @@ def _kernel_mc(model, pdf, r1, v1, quad, flavor, pair_occ=None,
     proj = np.abs(proj)
     v1p, v2p = elastic_map(np.broadcast_to(v1, v2.shape), v2, e)
     if flavor == "master":
-        if z1 is None:
-            z1 = hat_normalization(model, pdf, pair_occ.k1_field,
-                                   quad.position_nodes)
         prefactor = (n_part - 1) * sigma ** 2
-
-        def hat(r, v):
-            return (pdf.density(r, v, t) * (wall_theta(r, model) > 0)
-                    * pair_occ.k1_field.interp(r) / z1)
-
+        k2 = pair_occ.k2_contact(r1, e)
         r2 = r1 + sigma * e
-        gamma = (pair_occ.g_contact(r1, e)
-                 if rho2_form == "pair_over_k1sq" else 1.0)
-        gains = gamma * hat(np.broadcast_to(r1, r2.shape), v1p) * hat(r2, v2p)
-        losses = gamma * float(hat(r1, v1)) * hat(r2, v2)
+        gains = (k2 * _rho_hat(model, pdf, r1, v1p, z1, t)
+                 * _rho_hat(model, pdf, r2, v2p, z1, t))
+        losses = (k2 * float(_rho_hat(model, pdf, r1, v1, z1, t))
+                  * _rho_hat(model, pdf, r2, v2, z1, t))
     else:
         prefactor = n_part * sigma ** 2
         gains = pdf.density(r1, v1p, t) * pdf.density(r1, v2p, t)
@@ -197,20 +193,16 @@ def _kernel_mc(model, pdf, r1, v1, quad, flavor, pair_occ=None,
 
 
 def _operator(model, pdf, r1, v1, quad, flavor, pair_occ=None,
-              rho2_form="pair_over_k1sq", rule_variant=(0, 0.0), z1=None,
-              t=0.0) -> OperatorValue:
+              rule_variant=(0, 0.0), z1=None, t=0.0) -> OperatorValue:
     if quad.mode == "mc":
         value, error, gain, loss = _kernel_mc(
-            model, pdf, r1, v1, quad, flavor, pair_occ, rho2_form, z1, t)
+            model, pdf, r1, v1, quad, flavor, pair_occ, z1, t)
         return OperatorValue(value=value, error=error, gain=gain, loss=loss,
                              flavor=flavor, details={"mode": "mc"})
-    if flavor == "master" and z1 is None and pair_occ is not None:
-        z1 = hat_normalization(model, pdf, pair_occ.k1_field,
-                               quad.position_nodes)
     gain, loss = _kernel_batch(model, pdf, r1, [v1], quad, flavor, pair_occ,
-                               rho2_form, rule_variant, z1, t)
+                               rule_variant, z1, t)
     g_c, l_c = _kernel_batch(model, pdf, r1, [v1], quad.coarsened(), flavor,
-                             pair_occ, rho2_form, rule_variant, z1, t)
+                             pair_occ, rule_variant, z1, t)
     value = float(gain[0] - loss[0])
     coarse = float(g_c[0] - l_c[0])
     floor = 1e-13 * (abs(gain[0]) + abs(loss[0]))
@@ -221,8 +213,7 @@ def _operator(model, pdf, r1, v1, quad, flavor, pair_occ=None,
 
 
 def boltzmann_op(model, pdf, r1, v1, quad: QuadratureSpec, t: float = 0.0,
-                 hemisphere: str = "outgoing",
-                 rule_variant=None) -> OperatorValue:
+                 hemisphere: str = "outgoing") -> OperatorValue:
     """Local binary collision operator at phase point (r1, v1).
 
     The elastic map and the flux factor are both even under e -> -e, so one
@@ -233,26 +224,22 @@ def boltzmann_op(model, pdf, r1, v1, quad: QuadratureSpec, t: float = 0.0,
     """
     if hemisphere not in ("outgoing", "incoming"):
         raise ValueError(f"unknown hemisphere {hemisphere!r}")
-    if rule_variant is None:
-        rule_variant = (0, 0.0) if hemisphere == "outgoing" else (1, 0.5)
+    rule_variant = (0, 0.0) if hemisphere == "outgoing" else (1, 0.5)
     return _operator(model, pdf, r1, v1, quad, "boltzmann",
                      rule_variant=rule_variant, t=t)
 
 
 def master_op(model, pdf, r1, v1, quad: QuadratureSpec,
-              pair_occ: ContactOccupancy, rho2_form: str = "pair_over_k1sq",
-              t: float = 0.0, rule_variant=(0, 0.0), z1=None) -> OperatorValue:
+              pair_occ: ContactOccupancy, t: float = 0.0) -> OperatorValue:
     """Contact-sphere collision operator with occupation weights.
 
     Integrates over the incoming hemisphere (closing pairs), the causal
-    convention for the contact form; pair_occ supplies k2 at contact and the
-    one-point field behind the hat normalization.
+    convention for the contact form; pair_occ supplies k2 at contact (its
+    mode selects the pair form) and the one-point field behind Z1.
     """
-    if rho2_form not in ("pair_over_k1sq", "hat_product"):
-        raise ValueError(f"unknown rho2_form {rho2_form!r}")
+    z1 = _master_z1(model, pdf, quad, "master", pair_occ)
     return _operator(model, pdf, r1, v1, quad, "master", pair_occ=pair_occ,
-                     rho2_form=rho2_form, rule_variant=rule_variant, z1=z1,
-                     t=t)
+                     z1=z1, t=t)
 
 
 MOMENT_WEIGHTS = ("mass", "momentum_x", "momentum_y", "momentum_z", "energy")
@@ -297,8 +284,8 @@ def _hermite_velocity_grid(nodes: int, scale: float, center):
 
 
 def moment_audit(model, pdf, r1, quad: QuadratureSpec, flavor: str,
-                 pair_occ=None, rho2_form="pair_over_k1sq",
-                 t: float = 0.0, outer_nodes: int | None = None) -> MomentAudit:
+                 pair_occ=None, t: float = 0.0,
+                 outer_nodes: int | None = None) -> MomentAudit:
     """Collision-invariant residuals of the implemented operator.
 
     Integrates the discrete operator itself over an outer velocity grid (no
@@ -316,12 +303,9 @@ def moment_audit(model, pdf, r1, quad: QuadratureSpec, flavor: str,
     drift = pdf.drift(np.asarray(r1, float), t)
     n_outer = quad.velocity_nodes if outer_nodes is None else int(outer_nodes)
     V1, W1 = _hermite_velocity_grid(n_outer, 1.3 * pdf.v_th, drift)
-    z1 = None
-    if flavor == "master" and pair_occ is not None:
-        z1 = hat_normalization(model, pdf, pair_occ.k1_field,
-                               quad.position_nodes)
+    z1 = _master_z1(model, pdf, quad, flavor, pair_occ)
     gain, loss = _kernel_batch(model, pdf, r1, V1, quad, flavor, pair_occ,
-                               rho2_form, z1=z1, t=t)
+                               z1=z1, t=t)
     cval = gain - loss
     phis = _moment_values(V1)
     residuals = {}
@@ -333,19 +317,16 @@ def moment_audit(model, pdf, r1, quad: QuadratureSpec, flavor: str,
 
 
 def operator_scan(model, pdf, probes, quad, flavor, pair_occ=None,
-                  rho2_form="pair_over_k1sq", t: float = 0.0):
+                  t: float = 0.0):
     """Evaluate an operator on a list of (r1, v1) probes.
 
     Returns rows [x, y, z, vx, vy, vz, C_value, C_error, gain, loss].
     """
-    z1 = None
-    if flavor == "master" and pair_occ is not None:
-        z1 = hat_normalization(model, pdf, pair_occ.k1_field,
-                               quad.position_nodes)
+    z1 = _master_z1(model, pdf, quad, flavor, pair_occ)
     rows = []
     for r1, v1 in probes:
         val = _operator(model, pdf, r1, v1, quad, flavor, pair_occ,
-                        rho2_form, z1=z1, t=t)
+                        z1=z1, t=t)
         rows.append(list(np.asarray(r1, float)) + list(np.asarray(v1, float))
                     + [val.value, val.error, val.gain, val.loss])
     return rows

@@ -568,7 +568,7 @@ def _k2_lens_profile(model: HardSphereModel, k2_contact=None, kbar2=None):
 
     def k2(r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        frac = np.array([lens_volume(x, sigma) for x in r]) / lens_c
+        frac = lens_volume(r, sigma) / lens_c
         return np.exp(log_far + (log_c - log_far) * frac)
 
     return k2, float(k2_contact), float(kbar2)

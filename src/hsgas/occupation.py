@@ -499,11 +499,14 @@ def estimate_ks(model: HardSphereModel, pdf, tuples, *, samples: int = 200_000,
     )
 
 
-def lens_volume(d: float, sigma: float) -> float:
-    """Overlap volume of two radius-sigma balls with centers d apart."""
-    if d >= 2.0 * sigma:
-        return 0.0
-    return math.pi / 12.0 * (4.0 * sigma + d) * (2.0 * sigma - d) ** 2
+def lens_volume(d, sigma: float):
+    """Overlap volume of two radius-sigma balls with centers d apart.
+
+    Elementwise over an array of distances d; a scalar d gives a 0-d array.
+    """
+    d = np.asarray(d, dtype=float)
+    return np.where(d >= 2.0 * sigma, 0.0,
+                    math.pi / 12.0 * (4.0 * sigma + d) * (2.0 * sigma - d) ** 2)
 
 
 def ball_fraction_from_k1(field: OccupationField, r, n: int):
@@ -523,12 +526,19 @@ class ContactOccupancy:
     their overlap counted once. Reproduces the closed uniform-density contact
     value (1 - 2.25 pi sigma^3 / wall_volume)^(N-2) in the bulk. mode
     "product" gives the k1(r1) k1(r2) factorization and "unit" the constant-1
-    approximation.
+    approximation. Any other mode is refused.
     """
+
+    MODES = ("insertion", "product", "unit")
 
     model: HardSphereModel
     k1_field: OccupationField
-    mode: str = "insertion"  # insertion | product | unit
+    mode: str = "insertion"
+
+    def __post_init__(self):
+        if self.mode not in self.MODES:
+            raise ValueError(f"unknown ContactOccupancy mode {self.mode!r}; "
+                             f"expected one of {self.MODES}")
 
     def k2(self, r1, r2):
         r1 = np.asarray(r1, dtype=float)
@@ -542,7 +552,7 @@ class ContactOccupancy:
         v2 = ball_fraction_from_k1(self.k1_field, r2, n)
         d = np.linalg.norm(r2 - r1, axis=-1)
         vball = 4.0 / 3.0 * math.pi * sigma ** 3
-        lens = np.vectorize(lambda x: lens_volume(x, sigma))(d) / vball
+        lens = lens_volume(d, sigma) / vball
         vmid = ball_fraction_from_k1(self.k1_field, 0.5 * (r1 + r2), n)
         vu = np.clip(v1 + v2 - lens * vmid, 0.0, 1.0 - 1e-12)
         return (1.0 - vu) ** (n - 2)
@@ -716,11 +726,12 @@ def l1_k1_contact_integral(pdf, pair_occ: ContactOccupancy,
         return ContactIntegralReport(0.0, 0.0, v1,
                                      {"reason": "zero diameter"})
     k1_field = pair_occ.k1_field
+    # the coarsened rule keeps position_nodes, so one Z1 serves both rules
+    z1 = hat_normalization(model, pdf, k1_field, quad.position_nodes)
 
     def evaluate(q):
         nodes, weights, _ = sphere_grid(q.angle_nodes)
         r2 = r1[None, :] + sigma * nodes
-        z1 = hat_normalization(model, pdf, k1_field, q.position_nodes)
         rho1 = (pdf.position_density(r2, t) * (wall_theta(r2, model) > 0)
                 * k1_field.interp(r2) / z1)
         u = np.stack([np.broadcast_to(pdf.drift(p, t), (3,)) for p in r2])

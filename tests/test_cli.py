@@ -21,6 +21,15 @@ CHAOS_CONFIG = {
 }
 
 
+OPS_CONFIG = {
+    "schema_version": 1, "experiment": "ops", "seed": 3,
+    "model": {"n": 8, "sigma": 0.05, "box": 1.0},
+    "k1": {"grid_nodes": 2, "samples_per_node": 20_000},
+    "ops": {"probes": 1},
+    "quadrature": {"velocity_nodes": 8, "angle_nodes": 8},
+}
+
+
 def run_cli(tmp_path, config, name, command=None):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -37,8 +46,8 @@ def test_one_experiment_registry():
     assert set(sub.choices) == set(runio.EXPERIMENTS) | {"validate-config"}
 
 
-@pytest.mark.parametrize("config", [K1_CONFIG, CHAOS_CONFIG],
-                         ids=["k1", "chaos"])
+@pytest.mark.parametrize("config", [K1_CONFIG, CHAOS_CONFIG, OPS_CONFIG],
+                         ids=["k1", "chaos", "ops"])
 def test_run_lists_its_artifacts_and_repeats_its_csvs(tmp_path, config):
     rc, out = run_cli(tmp_path, config, "a")
     assert rc == 0
@@ -62,7 +71,9 @@ def test_run_lists_its_artifacts_and_repeats_its_csvs(tmp_path, config):
     ({**K1_CONFIG, "k1": {**K1_CONFIG["k1"], "grid": 2}}, None),
     ({**K1_CONFIG, "extra": 1}, None),
     (K1_CONFIG, "ks"),
-], ids=["threads", "bg.probes", "unknown-nested", "unknown-top", "mismatch"])
+    ({**OPS_CONFIG, "ops": {"rho2_form": "geometric_mean"}}, None),
+], ids=["threads", "bg.probes", "unknown-nested", "unknown-top", "mismatch",
+        "rho2_form"])
 def test_schema_violations_exit_2(tmp_path, capsys, config, command):
     rc, out = run_cli(tmp_path, config, "bad", command)
     assert rc == 2
@@ -76,4 +87,18 @@ def test_chaos_honours_k1_tol(tmp_path, capsys):
     config = {**CHAOS_CONFIG, "k1": {**CHAOS_CONFIG["k1"], "tol": 1e-5}}
     rc, _ = run_cli(tmp_path, config, "tight")
     assert rc == 1
-    assert "raise samples_per_node" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "raise samples_per_node" in err
+    # the tag names the layer that raised, not the subcommand
+    assert err.startswith("error[occupation]: ")
+
+
+def test_ops_runs_and_echoes_the_product_pair_form(tmp_path):
+    config = {**OPS_CONFIG,
+              "ops": {"probes": 1, "flavor": "master",
+                      "rho2_form": "hat_product"}}
+    rc, out = run_cli(tmp_path, config, "product")
+    assert rc == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["rho2_form"] == "hat_product"
+    assert list(report["audits"]) == ["master"]

@@ -35,9 +35,9 @@ def mixture_pdf():
     )
 
 
-def unit_contact_occ(model, value=1.0):
+def unit_contact_occ(model, value=1.0, mode="insertion"):
     field = OccupationField.constant(4, model.box, value, model=model)
-    return ContactOccupancy(model, field, mode="insertion")
+    return ContactOccupancy(model, field, mode=mode)
 
 
 # --------------------------------------------------------------------------
@@ -153,22 +153,49 @@ def test_hemisphere_equivalence_on_mixture():
 
 
 def test_master_rejects_unknown_pair_form():
-    quad = QuadratureSpec(velocity_nodes=12, angle_nodes=26)
-    occ = unit_contact_occ(MODEL)
-    with pytest.raises(ValueError):
-        master_op(MODEL, UniformMaxwellian(1.0), BULK, np.zeros(3), quad, occ,
-                  rho2_form="geometric_mean")
+    # the ContactOccupancy mode is the only selector of the pair form
+    with pytest.raises(ValueError, match="geometric_mean"):
+        unit_contact_occ(MODEL, mode="geometric_mean")
 
 
-def test_mc_mode_cross_validates_deterministic():
+@pytest.mark.parametrize("mode, k1", [
+    ("product", 1.0), ("product", 0.7), ("insertion", 1.0), ("unit", 1.0),
+])
+def test_master_is_rescaled_boltzmann_on_uniform_positions(mode, k1):
+    # position-uniform law at a bulk probe: rho_hat = p / (k1 Vw / box^3) on
+    # both spheres, so k2 rho_hat rho_hat is p^2 (box^3 / Vw)^2 wherever
+    # k2 = k1^2 (the product form, or any form at k1 = 1), and the two
+    # operators differ only by their prefactors
+    quad = QuadratureSpec(velocity_nodes=10, angle_nodes=26)
     pdf = mixture_pdf()
     v1 = np.array([0.6, 0.2, 0.1])
-    det = boltzmann_op(MODEL, pdf, BULK, v1,
-                       QuadratureSpec(velocity_nodes=16, angle_nodes=75))
+    b = boltzmann_op(MODEL, pdf, BULK, v1, quad)
+    m = master_op(MODEL, pdf, BULK, v1, quad,
+                  unit_contact_occ(MODEL, k1, mode))
+    scale = ((MODEL.n - 1) / MODEL.n
+             * (MODEL.box ** 3 / MODEL.wall_volume) ** 2)
+    assert b.value != 0.0
+    for attr in ("value", "gain", "loss"):
+        assert getattr(m, attr) == pytest.approx(scale * getattr(b, attr),
+                                                 rel=1e-12)
+
+
+@pytest.mark.parametrize("flavor", ["boltzmann", "master"])
+def test_mc_mode_cross_validates_deterministic(flavor):
+    pdf = mixture_pdf()
+    v1 = np.array([0.6, 0.2, 0.1])
+    if flavor == "master":
+        occ = unit_contact_occ(MODEL, analytic_k1_uniform(MODEL))
+
+        def op(quad):
+            return master_op(MODEL, pdf, BULK, v1, quad, occ)
+    else:
+        def op(quad):
+            return boltzmann_op(MODEL, pdf, BULK, v1, quad)
+    det = op(QuadratureSpec(velocity_nodes=16, angle_nodes=75))
     # MC draws velocity_nodes**3 joint samples: 58^3 is about 195k
-    mc = boltzmann_op(MODEL, pdf, BULK, v1,
-                      QuadratureSpec(mode="mc", velocity_nodes=58,
-                                     angle_nodes=8, seed=4))
+    mc = op(QuadratureSpec(mode="mc", velocity_nodes=58, angle_nodes=8,
+                           seed=4))
     combined = math.hypot(det.error, mc.error)
     assert mc.error > 0.0
     assert abs(det.value - mc.value) <= 4.0 * combined

@@ -44,6 +44,12 @@ def test_lens_volume_literals():
                                               rel=1e-14)
     assert lens_volume(2.0 * s, s) == 0.0
     assert lens_volume(3.0 * s, s) == 0.0
+    # elementwise on arrays, bit for bit the scalar closed form
+    d = np.array([[0.0, 0.1, s], [0.59, 2.0 * s, 0.7]])
+    ref = [[0.0 if x >= 2.0 * s
+            else math.pi / 12.0 * (4.0 * s + x) * (2.0 * s - x) ** 2
+            for x in row] for row in d.tolist()]
+    assert np.array_equal(lens_volume(d, s), np.array(ref))
 
 
 def test_ball_fraction_inverts_k1():
