@@ -334,7 +334,7 @@ def _run_relax(config, seed, out_dir):
         "mass_drift_rel": float(abs(res.mass[-1] / res.mass[0] - 1.0)),
         "l1_to_moment_matched_maxwellian": l1_distance(
             lattice, res.f, target) / float(res.mass[-1]),
-        "info": res.info,
+        "info": {**res.info, "offsets_used": res.offsets_used},
     }
     return ["relax_trace.csv", "final_f.csv"], report
 

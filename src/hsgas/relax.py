@@ -16,6 +16,15 @@ contributing pair) and interpolated per axis with a quadratic stencil whose
 fractional offset is clamped to the covered range, so no large Lagrange
 weight ever acts on the jittery logs of nearly empty cells.
 
+The stencil of a shift along one axis depends only on the shift, never on
+f, so it is written as a banded (n, n) matrix with the three Lagrange
+weights of row i in columns j-1, j, j+1. The K angle-rule shifts of one
+offset (the a shifts, then separately the b shifts) form a stack of K
+matrices per axis, and the stack of shifted E fields is three batched
+matmuls, one per axis, against reshaped views of the stack. The matrices
+are rebuilt from the shifts for each offset in each step; a dense copy per
+table entry would cost 2*K*n^2 doubles per axis.
+
 Two exactness properties anchor the scheme:
 
 * |a|^2 + |d-a|^2 = |d|^2 for unit n; a Maxwellian state has quadratic E,
@@ -35,6 +44,14 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 LN_TINY = -700.0
+# Angle nodes per cosine node of the aligned contact-direction rule.
+PHI_NODES = 4
+# Largest partner offset |d| kept in the offset table.
+D_MAX = 4.5
+# An offset is skipped in a step when its largest pair product falls below
+# PRUNE_TOL times the squared peak density.
+PRUNE_TOL = 1e-10
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -147,44 +164,56 @@ def _integer_shift(A: np.ndarray, k, fill: float):
     return out
 
 
-def _batched_axis_shift(B: np.ndarray, axis: int, s: np.ndarray):
-    """Edge-persistent quadratic shift of a batch along one lattice axis.
+def _axis_operators(s: np.ndarray, n: int) -> np.ndarray:
+    """Banded (K, n, n) matrices of the edge-persistent quadratic shift.
 
-    B has shape (K, n, n, n); batch member k is shifted by the real node
-    count s[k]: out[k, i] = B[k, i + s[k]] on a 3-point stencil whose base
-    index clamps to the array interior and whose fractional offset t is
-    clamped to [-1, 1]. A target inside the stencil is quadratically
-    interpolated (exact on per-axis quadratics); a target beyond it reads
-    the nearest covered point instead of extrapolating, because the outer
-    Lagrange weights of a true extrapolation grow like the square of the
-    overshoot and amplify node-to-node jitter of nearly empty cells into
-    arbitrarily large logs of either sign.
+    Row i of matrix k reads an axis of n nodes at the real node i + s[k] on
+    a 3-point stencil whose base index clamps to the array interior and
+    whose fractional offset t is clamped to [-1, 1]. A target inside the
+    stencil is quadratically interpolated (exact on per-axis quadratics); a
+    target beyond it reads the nearest covered point instead of
+    extrapolating, because the outer Lagrange weights of a true
+    extrapolation grow like the square of the overshoot and amplify
+    node-to-node jitter of nearly empty cells into arbitrarily large logs
+    of either sign.
     """
-    n = B.shape[axis + 1]
-    Bm = np.moveaxis(B, axis + 1, 1)
     x = np.arange(n, dtype=float)[None, :] + s[:, None]
     j = np.clip(np.rint(x).astype(int), 1, n - 2)
     t = np.clip(x - j, -1.0, 1.0)
-    w_m = 0.5 * t * (t - 1.0)
-    w_0 = 1.0 - t * t
-    w_p = 0.5 * t * (t + 1.0)
-    shp = j.shape + (1,) * (Bm.ndim - 2)
-    out = (w_m.reshape(shp) * np.take_along_axis(Bm, (j - 1).reshape(shp), 1)
-           + w_0.reshape(shp) * np.take_along_axis(Bm, j.reshape(shp), 1)
-           + w_p.reshape(shp) * np.take_along_axis(Bm, (j + 1).reshape(shp), 1))
-    return np.moveaxis(out, 1, axis + 1)
+    ops = np.zeros(s.shape + (n, n))
+    k = np.arange(len(s))[:, None]
+    i = np.arange(n)[None, :]
+    ops[k, i, j - 1] = 0.5 * t * (t - 1.0)
+    ops[k, i, j] = 1.0 - t * t
+    ops[k, i, j + 1] = 0.5 * t * (t + 1.0)
+    return ops
 
 
-def _batched_vector_shift(A: np.ndarray, shifts: np.ndarray):
-    """Stack of vector shifts of one 3d array: out[k] = A(. + shifts[k])."""
-    K = shifts.shape[0]
-    out = np.broadcast_to(A, (K,) + A.shape)
-    for ax in range(3):
-        s = shifts[:, ax]
-        if not s.any():
-            continue
-        out = _batched_axis_shift(out, ax, s)
-    return out
+def _batched_shift(A: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Stack of vector shifts of one 3d array: out[k] = A(. + shifts[k]).
+
+    shifts[k] is in real node counts per axis. Each axis is one batched
+    matmul of its (K, n, n) operators against a reshaped view of the
+    stack, so no axis is moved in memory: the first axis acts from the
+    left on (n, n*n) slabs, the middle one from the left on (n, n) slabs,
+    the last from the right on (n*n, n) slabs. An axis whose shifts are all
+    zero is the identity and is skipped.
+    """
+    n = A.shape[0]
+    out = A[None]
+    s = shifts[:, 0]
+    if s.any():
+        out = np.matmul(_axis_operators(s, n), out.reshape(1, n, n * n))
+    s = shifts[:, 1]
+    if s.any():
+        out = np.matmul(_axis_operators(s, n)[:, None],
+                        out.reshape(-1, n, n, n))
+    s = shifts[:, 2]
+    if s.any():
+        out = np.matmul(out.reshape(-1, n * n, n),
+                        _axis_operators(s, n).transpose(0, 2, 1))
+    return np.broadcast_to(out.reshape(-1, n, n, n),
+                           (len(shifts), n, n, n))
 
 
 def _pair_spine(lattice: VelocityLattice, a_shifts: np.ndarray,
@@ -216,18 +245,17 @@ _U_PAIRED = ((4.0 - math.sqrt(2.0)) / 6.0, (4.0 + math.sqrt(2.0)) / 6.0)
 _WU_PAIRED = tuple(1.0 / (4.0 * u) for u in _U_PAIRED)
 
 
-def _offset_table(lattice: VelocityLattice, stride: int, d_max: float,
-                  phi_nodes: int):
+def _offset_table(lattice: VelocityLattice, stride: int):
     """Half-space partner offsets with their aligned angle rules.
 
     Only one offset of each +-d pair is stored; the mirrored gain field is
     recovered by an integer shift (see _U_PAIRED). Offsets are the strided
-    sublattice points with 0 < |d| <= d_max.
+    sublattice points with 0 < |d| <= D_MAX.
     """
     h = lattice.h
-    reach = int(math.floor(d_max / (stride * h)))
-    wphi = 2.0 * math.pi / phi_nodes
-    phi = (np.arange(phi_nodes) + 0.5) * wphi
+    reach = int(math.floor(D_MAX / (stride * h)))
+    wphi = 2.0 * math.pi / PHI_NODES
+    phi = (np.arange(PHI_NODES) + 0.5) * wphi
     cell = (stride * h) ** 3
     table = []
     for ix in range(-reach, reach + 1):
@@ -238,7 +266,7 @@ def _offset_table(lattice: VelocityLattice, stride: int, d_max: float,
                 d_idx = (stride * ix, stride * iy, stride * iz)
                 d = h * np.array(d_idx, dtype=float)
                 dn = float(np.linalg.norm(d))
-                if dn > d_max:
+                if dn > D_MAX:
                     continue
                 dhat = d / dn
                 ref = np.zeros(3)
@@ -285,16 +313,15 @@ class RelaxResult:
 
 def homogeneous_relax(model, f0: np.ndarray, lattice: VelocityLattice, *,
                       t_end: float, cfl: float = 0.1, dt: float = None,
-                      stride: int = 3, d_max: float = 4.5,
-                      phi_nodes: int = 4, prune_tol: float = 1e-10,
-                      max_steps: int = 100_000) -> RelaxResult:
+                      stride: int = 3) -> RelaxResult:
     """Relax f0 under the homogeneous binary collision dynamics.
 
     model supplies the collision rate scale N sigma^2 / box^3. The time step
     adapts to cfl over the largest collision frequency on occupied nodes; a
     fixed dt overrides the adaptive choice (the final step is still clipped
-    to land on t_end). Raises if any density drops below -1e-10 of the peak
-    (blow-up guard).
+    to land on t_end, and a remainder within 1e-12 relative of t_end, as
+    summed roundoff leaves, is not stepped). Raises if any density drops
+    below -1e-10 of the peak (blow-up guard).
     """
     f = np.array(f0, dtype=float)
     if f.shape != (lattice.nodes,) * 3:
@@ -302,7 +329,7 @@ def homogeneous_relax(model, f0: np.ndarray, lattice: VelocityLattice, *,
     pref = model.n * model.sigma ** 2 / model.box ** 3
     if pref == 0.0:
         raise ValueError("free streaming only: collision scale is zero")
-    table = _offset_table(lattice, stride, d_max, phi_nodes)
+    table = _offset_table(lattice, stride)
     vx, vy, vz = lattice.grid()
     psi = np.stack([
         np.ones_like(vx), vx, vy, vz, vx ** 2 + vy ** 2 + vz ** 2,
@@ -318,7 +345,7 @@ def homogeneous_relax(model, f0: np.ndarray, lattice: VelocityLattice, *,
 
     t = 0.0
     steps = 0
-    while t < t_end and steps < max_steps:
+    while t_end - t > 1e-12 * t_end and steps < MAX_STEPS:
         peak = float(f.max())
         # Maxwellian spine at the current moments (tracked since last step)
         mass_c, mom_c, en_c = mass_tr[-1], mom_tr[-1], en_tr[-1]
@@ -342,7 +369,7 @@ def homogeneous_relax(model, f0: np.ndarray, lattice: VelocityLattice, *,
         for entry in table:
             fd_p = _integer_shift(f, entry["d_idx"], 0.0)
             reach = float((f * fd_p).max())
-            if reach < prune_tol * peak * peak:
+            if reach < PRUNE_TOL * peak * peak:
                 continue
             kept += 2
             fd_m = _integer_shift(f, entry["neg_idx"], 0.0)
@@ -353,8 +380,8 @@ def homogeneous_relax(model, f0: np.ndarray, lattice: VelocityLattice, *,
             # lie beyond the lattice edge, where the analytic spine takes
             # over
             pair_mask = _integer_shift(ones, entry["d_idx"], 0.0)
-            s = (_batched_vector_shift(E, entry["a_shifts"])
-                 + _batched_vector_shift(E, entry["b_shifts"])
+            s = (_batched_shift(E, entry["a_shifts"])
+                 + _batched_shift(E, entry["b_shifts"])
                  + _pair_spine(lattice, entry["a_shifts"],
                                entry["b_shifts"], u_c, T_c))
             s += 2.0 * ln_norm
@@ -401,8 +428,8 @@ def homogeneous_relax(model, f0: np.ndarray, lattice: VelocityLattice, *,
         momentum=np.array(mom_tr), energy=np.array(en_tr), steps=steps,
         dt_history=np.array(dts), offsets_used=offsets_used,
         info={
-            "stride": stride, "d_max": d_max, "phi_nodes": phi_nodes,
-            "cfl": cfl, "prune_tol": prune_tol,
+            "stride": stride, "d_max": D_MAX, "phi_nodes": PHI_NODES,
+            "cfl": cfl, "prune_tol": PRUNE_TOL,
             "table_size": len(table), "prefactor": pref,
         },
     )

@@ -29,6 +29,15 @@ OPS_CONFIG = {
     "quadrature": {"velocity_nodes": 8, "angle_nodes": 8},
 }
 
+RELAX_CONFIG = {
+    "schema_version": 1, "experiment": "relax", "seed": 3,
+    "model": {"n": 50, "sigma": 0.05, "box": 1.0},
+    "pdf": {"family": "velocity_mixture",
+            "components": [[0.5, [1.0, 0.0, 0.0], 0.6],
+                           [0.5, [-1.0, 0.0, 0.0], 0.6]]},
+    "relax": {"grid_nodes": 10, "dt": 0.05, "t_end": 0.1},
+}
+
 
 def run_cli(tmp_path, config, name, command=None):
     path = tmp_path / f"{name}.json"
@@ -46,8 +55,9 @@ def test_one_experiment_registry():
     assert set(sub.choices) == set(runio.EXPERIMENTS) | {"validate-config"}
 
 
-@pytest.mark.parametrize("config", [K1_CONFIG, CHAOS_CONFIG, OPS_CONFIG],
-                         ids=["k1", "chaos", "ops"])
+@pytest.mark.parametrize("config",
+                         [K1_CONFIG, CHAOS_CONFIG, OPS_CONFIG, RELAX_CONFIG],
+                         ids=["k1", "chaos", "ops", "relax"])
 def test_run_lists_its_artifacts_and_repeats_its_csvs(tmp_path, config):
     rc, out = run_cli(tmp_path, config, "a")
     assert rc == 0
@@ -72,13 +82,34 @@ def test_run_lists_its_artifacts_and_repeats_its_csvs(tmp_path, config):
     ({**K1_CONFIG, "extra": 1}, None),
     (K1_CONFIG, "ks"),
     ({**OPS_CONFIG, "ops": {"rho2_form": "geometric_mean"}}, None),
+    ({**RELAX_CONFIG, "relax": {**RELAX_CONFIG["relax"], "phi_nodes": 8}},
+     None),
 ], ids=["threads", "bg.probes", "unknown-nested", "unknown-top", "mismatch",
-        "rho2_form"])
+        "rho2_form", "relax.phi_nodes"])
 def test_schema_violations_exit_2(tmp_path, capsys, config, command):
     rc, out = run_cli(tmp_path, config, "bad", command)
     assert rc == 2
     assert "schema error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_relax_reports_offsets_kept_per_step(tmp_path):
+    rc, out = run_cli(tmp_path, RELAX_CONFIG, "relax")
+    assert rc == 0
+    report = json.loads((out / "report.json").read_text())
+    used = report["info"]["offsets_used"]
+    assert len(used) == report["steps"] == 2
+    assert all(0 < k <= 2 * report["info"]["table_size"] for k in used)
+
+
+def test_relax_blow_up_exits_1_and_names_the_time_step(tmp_path, capsys):
+    config = {**RELAX_CONFIG, "relax": {"grid_nodes": 10, "dt": 50.0,
+                                        "t_end": 50.0}}
+    rc, _ = run_cli(tmp_path, config, "blowup")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[relax]: negative density")
+    assert "reduce the time step" in err
 
 
 def test_chaos_honours_k1_tol(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hsgas.geometry import HardSphereModel
 from hsgas.pdfs import VelocityMixture
 from hsgas.relax import (
     VelocityLattice,
+    _batched_shift,
     homogeneous_relax,
     initial_from_pdf,
     l1_distance,
@@ -100,6 +101,80 @@ def test_relax_respects_fixed_dt_and_t_end():
     assert res.dt_history[0] == pytest.approx(0.02, rel=1e-12)
     assert res.times[-1] == pytest.approx(0.05, rel=1e-12)
     assert res.dt_history[-1] == pytest.approx(0.01, rel=1e-9)  # clipped
+
+
+def test_relax_stops_at_t_end_despite_roundoff():
+    # eight steps of 0.1 sum to 0.7999999999999999; no ninth micro-step
+    lat = VelocityLattice(v_max=4.2, nodes=12)
+    f0 = maxwellian_on_lattice(lat, mass=1.0, u=np.zeros(3), T=0.77)
+    res = homogeneous_relax(MODEL, f0, lat, t_end=0.8, dt=0.1)
+    assert res.steps == 8
+    assert len(res.offsets_used) == 8
+    assert np.all(np.diff(res.times) > 0.0)
+
+
+def _loop_shift(A, shift):
+    """out[i] = A(i + shift), one node at a time: per axis a 3-point
+    Lagrange stencil at base j = rint(x) clamped to [1, n-2], with the
+    fractional offset t = x - j clamped to [-1, 1]."""
+    n = A.shape[0]
+    out = np.empty_like(A)
+    for idx in np.ndindex(A.shape):
+        stencils = []
+        for ax in range(3):
+            x = idx[ax] + shift[ax]
+            j = min(max(int(np.rint(x)), 1), n - 2)
+            t = min(max(x - j, -1.0), 1.0)
+            stencils.append(((j - 1, 0.5 * t * (t - 1.0)),
+                             (j, 1.0 - t * t),
+                             (j + 1, 0.5 * t * (t + 1.0))))
+        out[idx] = sum(wx * wy * wz * A[jx, jy, jz]
+                       for jx, wx in stencils[0]
+                       for jy, wy in stencils[1]
+                       for jz, wz in stencils[2])
+    return out
+
+
+SHIFTS = np.array([
+    [0.0, 0.0, 0.0],        # identity
+    [2.0, 0.0, -1.0],       # integer
+    [0.3, -0.7, 1.5],       # fractional
+    [-2.4, 0.5, -0.25],     # negative
+    [9.5, -12.0, 0.49],     # beyond both edges
+    [-0.5, 0.5, -8.75],
+])
+
+
+@pytest.mark.parametrize("shifts", [SHIFTS, SHIFTS * [1.0, 0.0, 1.0]],
+                         ids=["all-axes", "y-axis-unshifted"])
+def test_batched_shift_matches_the_per_node_rule(shifts):
+    E = np.random.default_rng(11).normal(size=(9, 9, 9))
+    got = _batched_shift(E, shifts)
+    assert got.shape == (len(shifts),) + E.shape
+    for k, shift in enumerate(shifts):
+        assert np.abs(got[k] - _loop_shift(E, shift)).max() < 1e-13
+    assert np.array_equal(_batched_shift(E, np.zeros((2, 3)))[1], E)
+
+
+def test_batched_shift_is_exact_on_quadratics_at_interior_targets():
+    n = 10
+    i = np.arange(n, dtype=float)
+    px = 0.3 * i * i - 1.1 * i + 2.0
+    py = -0.05 * i * i + 0.4 * i + 1.0
+    pz = 0.02 * i * i + 0.5
+    A = px[:, None, None] * py[None, :, None] * pz[None, None, :]
+    shifts = np.array([[0.3, -0.7, 1.5], [-2.4, 0.5, 0.0], [1.0, 2.25, -3.6]])
+    got = _batched_shift(A, shifts)
+    for k, s in enumerate(shifts):
+        x, y, z = (i + c for c in s)
+        want = ((0.3 * x * x - 1.1 * x + 2.0)[:, None, None]
+                * (-0.05 * y * y + 0.4 * y + 1.0)[None, :, None]
+                * (0.02 * z * z + 0.5)[None, None, :])
+        inside = [(c >= 0.0) & (c <= n - 1.0) for c in (x, y, z)]
+        mask = (inside[0][:, None, None] & inside[1][None, :, None]
+                & inside[2][None, None, :])
+        assert mask.sum() > 100
+        assert np.abs(got[k] - want)[mask].max() < 1e-12
 
 
 def test_relax_guards():
