@@ -201,7 +201,6 @@ def _run_md(config, seed, out_dir):
         model, derive_child_seed(seed, "cli", "md", "init"), v_th=v_th)
     traj = run(model, config0, t_end=t_end, max_events=max_events,
                snapshot_times=snap_times,
-               record_cap=p.get("record_cap", 1000),
                audit_every=p.get("audit_every", 1), v_th_ref=v_th)
     traj.to_event_csv(artifact_path(out_dir, "events.csv"))
     final = traj.config
@@ -340,12 +339,12 @@ def _run_relax(config, seed, out_dir):
 
 
 def _run_entropy(config, seed, out_dir):
-    from .pdfs import bs_entropy, scale_length
+    from .pdfs import scale_length
 
     box = _box_of(config)
     pdf = _pdf_from(config, box)
     quad = _quad_from(config)
-    rep = bs_entropy(pdf, quad)
+    rep = pdf.entropy(quad)
     report = {
         "entropy": rep.S,
         "quadrature_error": rep.quadrature_error,

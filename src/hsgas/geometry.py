@@ -8,7 +8,7 @@ inadmissible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,36 +85,8 @@ class NBodyConfig:
     def n(self) -> int:
         return self.positions.shape[0]
 
-    def points(self):
-        return [PhasePoint(r, v) for r, v in zip(self.positions, self.velocities)]
-
     def copy(self) -> "NBodyConfig":
         return NBodyConfig(self.positions.copy(), self.velocities.copy())
-
-
-@dataclass(frozen=True)
-class ContactGeometry:
-    """Unit normals and relative velocity of a touching pair.
-
-    n12 points from particle 2 toward particle 1; the second particle sits at
-    contact_point = r1 + sigma * n21.
-    """
-
-    n12: np.ndarray
-    v12: np.ndarray
-    contact_point: np.ndarray
-
-    @property
-    def n21(self) -> np.ndarray:
-        return -self.n12
-
-    @classmethod
-    def at_contact(cls, r1, v1, r2, v2, sigma: float) -> "ContactGeometry":
-        r1 = np.asarray(r1, float)
-        r2 = np.asarray(r2, float)
-        n12 = (r1 - r2) / sigma
-        return cls(n12=n12, v12=np.asarray(v1, float) - np.asarray(v2, float),
-                   contact_point=r2)
 
 
 def wall_theta(r, model: HardSphereModel):
@@ -139,23 +111,19 @@ def pair_theta(r_i, r_j, sigma: float):
     return out if out.ndim else int(out)
 
 
-def per_particle_theta(positions, model: HardSphereModel) -> np.ndarray:
-    """Per-particle factors: wall clearance times pair thetas against j < i.
+def pair_sq_distances(positions) -> np.ndarray:
+    """Squared distances |r_i - r_j|^2 of all pairs i < j.
 
-    The product over i of these factors equals ensemble_theta; the split is
-    exposed so tests can assert the factorization identity.
+    Pairs come in row-major upper-triangle order: (0, 1), (0, 2), ...,
+    (1, 2), ... This is the one place the pair geometry of a configuration
+    is computed; each caller applies its own comparison (strict overlap,
+    contact tolerance, near-contact shell). Only the C(n, 2) differences are
+    formed, never an n x n x 3 array.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    n = pos.shape[0]
-    fac = np.asarray(wall_theta(pos, model), dtype=int)
-    if fac.ndim == 0:
-        fac = fac[None]
-    fac = fac.copy()
-    for i in range(1, n):
-        d2 = ((pos[i] - pos[:i]) ** 2).sum(axis=-1)
-        if not np.all(d2 > model.sigma ** 2):
-            fac[i] = 0
-    return fac
+    i, j = np.triu_indices(pos.shape[0], k=1)
+    d = pos[i] - pos[j]
+    return (d * d).sum(axis=-1)
 
 
 def ensemble_theta(config, model: HardSphereModel) -> int:
@@ -163,13 +131,8 @@ def ensemble_theta(config, model: HardSphereModel) -> int:
     pos = config.positions if isinstance(config, NBodyConfig) else np.atleast_2d(config)
     if not np.all(wall_theta(pos, model)):
         return 0
-    n = pos.shape[0]
-    if n > 1 and model.sigma > 0:
-        diff = pos[:, None, :] - pos[None, :, :]
-        d2 = (diff ** 2).sum(axis=-1)
-        iu = np.triu_indices(n, k=1)
-        if not np.all(d2[iu] > model.sigma ** 2):
-            return 0
+    if model.sigma > 0 and not np.all(pair_sq_distances(pos) > model.sigma ** 2):
+        return 0
     return 1
 
 
@@ -193,17 +156,10 @@ def uniform_admissible_sample(
     rng = derive_rng(seed, "geometry", "uniform_admissible_sample")
     lo, hi = model.wall_box
     sig2 = model.sigma ** 2
-    for attempt in range(1, max_tries + 1):
+    for _ in range(max_tries):
         pos = rng.uniform(lo, hi, size=(model.n, 3))
-        if model.sigma > 0 and model.n > 1:
-            diff = pos[:, None, :] - pos[None, :, :]
-            d2 = (diff ** 2).sum(axis=-1)
-            iu = np.triu_indices(model.n, k=1)
-            if not np.all(d2[iu] > sig2):
-                # acceptance-rate diagnostic: bail out well before the heat death
-                if attempt >= 1_000_000 or (attempt >= max_tries):
-                    break
-                continue
+        if model.sigma > 0 and not np.all(pair_sq_distances(pos) > sig2):
+            continue
         if velocity_sampler is not None:
             vel = velocity_sampler(rng)
         else:

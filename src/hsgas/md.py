@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .collision import elastic_map
-from .geometry import HardSphereModel, NBodyConfig
+from .geometry import HardSphereModel, NBodyConfig, pair_sq_distances
 from .occupation import lens_volume
 from .quadrature import gauss_legendre, sphere_grid
 
@@ -32,39 +32,17 @@ class Event:
 
     kind "pair" carries the colliding indices (i < j_or_face) and the unit
     contact normal from i toward j; kind "wall" carries the particle index
-    and the face index (axis*2, lower; axis*2+1, upper); kind "none" is the
-    no-future-event sentinel: infinite time, states unchanged. x_minus and
-    x_plus share one positions array; only velocities differ across a
-    collision.
+    and the face index (axis*2, lower; axis*2+1, upper). x_minus and x_plus
+    share one positions array; only velocities differ across a collision.
     """
 
     t: float
-    kind: str                 # "pair", "wall", or "none"
+    kind: str                 # "pair" or "wall"
     i: int
     j_or_face: int
     x_minus: NBodyConfig = None
     x_plus: NBodyConfig = None
     normal: np.ndarray = None
-
-    @property
-    def face_axis(self) -> int:
-        return self.j_or_face // 2
-
-
-def pair_collision_time(ri, vi, rj, vj, sigma: float):
-    """Time until spheres i and j touch, or inf if they never do."""
-    r = np.asarray(ri, float) - np.asarray(rj, float)
-    v = np.asarray(vi, float) - np.asarray(vj, float)
-    b = float(r @ v)
-    if b >= 0.0:
-        return math.inf
-    v2 = float(v @ v)
-    if v2 == 0.0:
-        return math.inf
-    disc = b * b - v2 * (float(r @ r) - sigma * sigma)
-    if disc <= 0.0:
-        return math.inf
-    return (-b - math.sqrt(disc)) / v2
 
 
 def _pair_times_against(positions, velocities, i, sigma):
@@ -93,63 +71,6 @@ def wall_times(r, v, model: HardSphereModel):
     return out
 
 
-def _resolve(config_pos, config_vel, model, t_abs, dt, kind, i, jf):
-    """Build a resolved Event by streaming to t and applying the collision."""
-    sigma = model.sigma
-    p = config_pos + config_vel * dt
-    v_minus = config_vel.copy()
-    v_plus = config_vel.copy()
-    normal = None
-    if kind == "pair":
-        d = p[jf] - p[i]
-        dist = float(np.linalg.norm(d))
-        normal = d / dist
-        # project to exact contact, preserving the midpoint
-        mid = 0.5 * (p[i] + p[jf])
-        p[i] = mid - 0.5 * sigma * normal
-        p[jf] = mid + 0.5 * sigma * normal
-        v_plus[i], v_plus[jf] = elastic_map(v_minus[i], v_minus[jf], normal)
-    else:
-        axis, side = jf // 2, jf % 2
-        lo, hi = model.wall_box
-        p[i, axis] = hi if side else lo
-        v_plus[i, axis] *= -1.0
-    return Event(t=t_abs, kind=kind, i=i, j_or_face=jf,
-                 x_minus=NBodyConfig(p, v_minus), x_plus=NBodyConfig(p, v_plus),
-                 normal=normal)
-
-
-def next_event(config: NBodyConfig, model: HardSphereModel,
-               t_now: float = 0.0, v_th_ref: float = 1.0):
-    """All soonest events from the given state, resolved.
-
-    Returns every candidate within 1e-12 box/v_th of the earliest time,
-    sorted by (i, j_or_face) -- the deterministic execution order -- each
-    with x_minus (all particles streamed to the event time) and x_plus (the
-    event's own collision applied). With no finite candidate the list holds
-    a single "none" sentinel at infinite time.
-    """
-    pos, vel = config.positions, config.velocities
-    sigma = model.sigma
-    cands = []
-    for i in range(config.n):
-        tp = _pair_times_against(pos, vel, i, sigma)
-        for j in np.nonzero(np.isfinite(tp))[0]:
-            if int(j) > i:
-                cands.append((float(tp[j]), "pair", i, int(j)))
-        for dt, face in wall_times(pos[i], vel[i], model):
-            cands.append((dt, "wall", i, face))
-    if not cands:
-        return [Event(t=math.inf, kind="none", i=-1, j_or_face=-1,
-                      x_minus=config, x_plus=config)]
-    t_min = min(c[0] for c in cands)
-    tie_tol = 1e-12 * model.box / max(v_th_ref, 1e-300)
-    tied = sorted((c for c in cands if c[0] <= t_min + tie_tol),
-                  key=lambda c: (c[2], c[3], c[0]))
-    return [_resolve(pos, vel, model, t_now + dt, dt, kind, i, jf)
-            for dt, kind, i, jf in tied]
-
-
 # ---------------------------------------------------------------------------
 # the simulator
 
@@ -166,29 +87,26 @@ class Trajectory:
     snapshots: list           # (t, positions, velocities)
     audits: dict
 
-    def event_csv_rows(self):
-        return [list(r) for r in self.event_rows]
-
     def to_event_csv(self, path):
         from .runio import write_csv
 
         write_csv(path, ["t", "kind", "i", "j_or_face", "KE_delta",
                          "Px_delta", "Py_delta", "Pz_delta"],
-                  self.event_csv_rows())
+                  self.event_rows)
 
 
 def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
-        max_events: int = None, snapshot_times=None, record_cap: int = 1000,
-        audit_every: int = 1, v_th_ref: float = 1.0,
-        keep_event_rows: bool = True) -> Trajectory:
+        max_events: int = None, snapshot_times=None, record_cap: int = 0,
+        audit_every: int = 1, v_th_ref: float = 1.0) -> Trajectory:
     """Advance the configuration by event-driven dynamics.
 
-    Stops at t_end, after max_events, or both (first reached). Snapshot
-    times must be ascending. Audits: exact-contact residual at every pair
-    event, monotone event times, and full ensemble admissibility every
-    audit_every events (default: after every event) and at the end. The
-    first record_cap pair events are kept as resolved Events for boundary-
-    condition evaluation.
+    Stops at t_end, after max_events, or both (first reached). When no
+    further event exists the state streams freely to t_end; without t_end
+    that is an error. Snapshot times must be ascending. Audits: exact-
+    contact residual at every pair event, monotone event times, and full
+    ensemble admissibility every audit_every events (default: after every
+    event) and at the end. The first record_cap pair events (none by
+    default) are kept as resolved Events for boundary-condition evaluation.
     """
     if t_end is None and max_events is None:
         raise ValueError("need t_end and/or max_events")
@@ -255,11 +173,8 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
     def full_audit():
         nonlocal max_pair_gap
         if n >= 2:
-            d = pos[:, None, :] - pos[None, :, :]
-            d2 = (d * d).sum(axis=-1)
-            iu = np.triu_indices(n, k=1)
-            gap = np.sqrt(d2[iu]).min() - sigma
-            max_pair_gap = min(max_pair_gap, float(gap))
+            gap = math.sqrt(pair_sq_distances(pos).min()) - sigma
+            max_pair_gap = min(max_pair_gap, gap)
             if gap < -1e-9 * sigma:
                 raise RuntimeError(f"overlap detected: pair gap {gap:.3e}")
         if np.any(pos < lo - 1e-9 * sigma) or np.any(pos > hi + 1e-9 * sigma):
@@ -280,7 +195,11 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
                 entry = cand
                 break
         if entry is None:
-            raise RuntimeError("event queue exhausted")
+            if t_end is None:
+                raise RuntimeError(
+                    f"no further event exists after {events_done} events "
+                    f"at t={t}; set t_end to stream past it")
+            break
         t_ev = entry[0]
         if t_end is not None and t_ev > t_end:
             heapq.heappush(heap, entry)
@@ -320,14 +239,15 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
             mid = 0.5 * (pos[i] + pos[j])
             pos[i] = mid - 0.5 * sigma * nhat
             pos[j] = mid + 0.5 * sigma * nhat
-            if record_cap and len(records) < record_cap:
+            keep = len(records) < record_cap
+            if keep:
                 v_in = vel.copy()
             vi_new, vj_new = elastic_map(vel[i], vel[j], nhat)
             vel[i] = vi_new
             vel[j] = vj_new
             counters[i] += 1
             counters[j] += 1
-            if record_cap and len(records) <= record_cap - 1:
+            if keep:
                 contact = pos.copy()
                 records.append(Event(
                     t=t, kind="pair", i=i, j_or_face=j,
@@ -349,11 +269,10 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
             touched = (i,)
         events_done += 1
 
-        if keep_event_rows:
-            ke_after = 0.5 * float((vel * vel).sum())
-            dp = vel.sum(axis=0) - p_before
-            event_rows.append([t, kind, i, j_or_face, ke_after - ke_before,
-                               float(dp[0]), float(dp[1]), float(dp[2])])
+        ke_after = 0.5 * float((vel * vel).sum())
+        dp = vel.sum(axis=0) - p_before
+        event_rows.append([t, kind, i, j_or_face, ke_after - ke_before,
+                           float(dp[0]), float(dp[1]), float(dp[2])])
         # local admissibility of the touched particles
         for a in touched:
             d2 = ((pos - pos[a]) ** 2).sum(axis=1)
@@ -478,11 +397,9 @@ def measure(traj: Trajectory, spec: MeasureSpec = None) -> Observables:
     # near-contact shell occupancy
     sigma = traj.model.sigma
     shell_hi = sigma * (1.0 + spec.shell_eta)
-    iu = np.triu_indices(n, k=1)
     counts = []
     for (_, p, _) in snaps:
-        d = p[:, None, :] - p[None, :, :]
-        dd = np.sqrt((d * d).sum(axis=-1)[iu])
+        dd = np.sqrt(pair_sq_distances(p))
         counts.append(int(((dd >= sigma) & (dd <= shell_hi)).sum()))
     shell_counts = np.array(counts, dtype=float)
     shell_mean = float(shell_counts.mean())
@@ -773,10 +690,7 @@ class FactorizedNBodyForm:
         lo, hi = m.wall_box
         if np.any(pos < lo - tol) or np.any(pos > hi + tol):
             return -math.inf
-        d = pos[:, None, :] - pos[None, :, :]
-        d2 = (d * d).sum(axis=-1)
-        iu = np.triu_indices(m.n, k=1)
-        if np.any(d2[iu] < (sigma - tol) ** 2):
+        if np.any(pair_sq_distances(pos) < (sigma - tol) ** 2):
             return -math.inf
         if self.position_profile is None:
             log_pos = -m.n * 3.0 * math.log(m.box)

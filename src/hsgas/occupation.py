@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import HardSphereModel, pair_theta, wall_theta
+from .geometry import HardSphereModel, ensemble_theta, wall_theta
 from .quadrature import gauss_legendre
 from .seeding import derive_rng
 
@@ -628,15 +628,11 @@ def correlation_delta(model: HardSphereModel, pdf,
     z1 = hat_normalization(model, pdf, k1_field)
     deltas = np.empty(len(tuples))
     errors = np.empty(len(tuples))
-    for i, tp in enumerate(tuples):
-        theta_bar = 1.0
+    for i, (tp, pos) in enumerate(zip(tuples, positions)):
+        theta_bar = float(ensemble_theta(pos, model))
         fac = 1.0
-        for a, p in enumerate(tp):
-            thw = float(wall_theta(p.r, model))
-            theta_bar *= thw
-            fac *= float(pdf.density(p.r, p.v, t)) * thw / z1
-            for b in range(a):
-                theta_bar *= float(pair_theta(p.r, tp[b].r, model.sigma))
+        for p in tp:
+            fac *= float(pdf.density(p.r, p.v, t)) / z1
         ks = float(pair_occ.ks_values[i])
         delta = theta_bar * fac * (ks - 1.0)
         direct = theta_bar * fac * ks - theta_bar * fac

@@ -13,7 +13,7 @@ Gaussian tails below 1e-7).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +33,7 @@ class EntropyReport:
 @dataclass
 class SmoothnessReport:
     L_rho: float
-    L_rho_initial: float
     delta: float
-    delta_initial: float
     probe_count: int
 
 
@@ -50,7 +48,6 @@ class OneBodyPdf:
     """Base interface. Subclasses must set family_tag, box, v_th."""
 
     family_tag = "abstract"
-    time_dependent = False
 
     def density(self, r, v, t: float = 0.0):
         raise NotImplementedError
@@ -631,33 +628,8 @@ def _cell_masses(axes, values):
     return acc * vol
 
 
-def tabulate_pdf(pdf: OneBodyPdf, pos_axes, vel_axes, t: float = 0.0) -> TabulatedPdf:
-    """Sample an analytic family onto a rectilinear grid."""
-    pos_axes = [np.asarray(a, float) for a in pos_axes]
-    vel_axes = [np.asarray(a, float) for a in vel_axes]
-    P = np.stack(np.meshgrid(*pos_axes, indexing="ij"), axis=-1)
-    V = np.stack(np.meshgrid(*vel_axes, indexing="ij"), axis=-1)
-    vals = np.empty(P.shape[:-1] + V.shape[:-1])
-    flatP = P.reshape(-1, 3)
-    flatV = V.reshape(-1, 3)
-    for i, rr in enumerate(flatP):
-        vals.reshape(flatP.shape[0], -1)[i] = pdf.density(rr, flatV, t)
-    return TabulatedPdf(pos_axes, vel_axes, vals, box=pdf.box, v_th=pdf.v_th)
-
-
 # ---------------------------------------------------------------------------
 # module-level diagnostics
-
-
-def normalization_integral(pdf: OneBodyPdf, quad: QuadratureSpec):
-    """Integral of the density over the full phase space, with error estimate."""
-    val, err = pdf.normalization(quad)
-    return val, err
-
-
-def bs_entropy(pdf: OneBodyPdf, quad: QuadratureSpec) -> EntropyReport:
-    """Differential entropy -int rho ln rho over phase space."""
-    return pdf.entropy(quad)
 
 
 def fd_log_position_gradient(pdf, r, v, t=0.0, h=None):
@@ -677,7 +649,7 @@ def fd_log_position_gradient(pdf, r, v, t=0.0, h=None):
 
 
 def scale_length(pdf: OneBodyPdf, t: float, probes: int, seed: int,
-                 model=None, t_initial: float = 0.0) -> SmoothnessReport:
+                 model=None) -> SmoothnessReport:
     """Probe-maximization estimate of the density's spatial scale length.
 
     L_rho is the reciprocal of the largest |grad ln rho| seen over probe
@@ -694,53 +666,22 @@ def scale_length(pdf: OneBodyPdf, t: float, probes: int, seed: int,
     r_all = np.concatenate([r_s, r_g], axis=0)
     v_all = np.concatenate([v_s, v_g], axis=0)
 
-    def max_grad(tt):
-        g = pdf.log_position_gradient(r_all, v_all, tt)
-        if g is None:
-            g = np.stack(
-                [fd_log_position_gradient(pdf, r, v, tt) for r, v in zip(r_all, v_all)]
-            )
-        mag = np.linalg.norm(np.asarray(g, dtype=float), axis=-1)
-        mag = mag[np.isfinite(mag)]
-        return float(mag.max()) if mag.size else 0.0
-
-    g_now = max_grad(t)
-    g_init = g_now if t == t_initial and not pdf.time_dependent else max_grad(t_initial)
-    L_now = math.inf if g_now == 0.0 else 1.0 / g_now
-    L_init = math.inf if g_init == 0.0 else 1.0 / g_init
+    g = pdf.log_position_gradient(r_all, v_all, t)
+    if g is None:
+        g = np.stack(
+            [fd_log_position_gradient(pdf, r, v, t) for r, v in zip(r_all, v_all)]
+        )
+    mag = np.linalg.norm(np.asarray(g, dtype=float), axis=-1)
+    mag = mag[np.isfinite(mag)]
+    g_max = float(mag.max()) if mag.size else 0.0
+    L_now = math.inf if g_max == 0.0 else 1.0 / g_max
     sigma = model.sigma if model is not None else 0.0
     delta = 0.0 if math.isinf(L_now) else sigma / L_now
-    delta_init = 0.0 if math.isinf(L_init) else sigma / L_init
     return SmoothnessReport(
         L_rho=L_now,
-        L_rho_initial=L_init,
         delta=delta,
-        delta_initial=delta_init,
         probe_count=int(r_all.shape[0]),
     )
-
-
-def mc_normalization(pdf: OneBodyPdf, samples: int, seed: int):
-    """Monte Carlo cross-check of the normalization integral.
-
-    Uses a uniform-position, wide-Gaussian-velocity proposal.
-    """
-    rng = derive_rng(seed, "pdf", "mc_normalization")
-    width = 3.0 * pdf.v_th + float(np.abs(pdf.drift(np.zeros(3))).max(initial=0.0))
-    r = rng.uniform(0.0, pdf.box, size=(samples, 3))
-    v = rng.normal(scale=width, size=(samples, 3))
-    q = pdf.box ** -3 * _maxwell(v, 0.0, width)
-    w = pdf.density(r, v) / q
-    return float(w.mean()), float(w.std(ddof=1) / math.sqrt(samples))
-
-
-FAMILY_BUILTINS = (
-    "uniform_maxwell",
-    "drifted_maxwell",
-    "tilted_exponential",
-    "sinusoidal_maxwell",
-    "tabulated",
-)
 
 
 def build_family(spec: dict, box: float) -> OneBodyPdf:

@@ -182,7 +182,6 @@ CONFIG_SCHEMA = {
                 "snapshots": {"type": "integer", "minimum": 0},
                 "equilibration_fraction": {"type": "number", "minimum": 0,
                                            "maximum": 0.9},
-                "record_cap": {"type": "integer", "minimum": 0},
                 "audit_every": {"type": "integer", "minimum": 0},
                 "windows": {"type": "integer", "minimum": 2},
             },

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -38,6 +39,18 @@ RELAX_CONFIG = {
     "relax": {"grid_nodes": 10, "dt": 0.05, "t_end": 0.1},
 }
 
+MD_CONFIG = {
+    "schema_version": 1, "experiment": "md", "seed": 3,
+    "model": {"n": 8, "sigma": 0.05, "box": 1.0},
+    "md": {"t_end": 0.5, "snapshots": 12, "windows": 4},
+}
+
+ENTROPY_CONFIG = {
+    "schema_version": 1, "experiment": "entropy", "seed": 3,
+    "model": {"n": 8, "sigma": 0.05, "box": 1.0},
+    "pdf": {"family": "sinusoidal_maxwell", "alpha": 0.3},
+}
+
 
 def run_cli(tmp_path, config, name, command=None):
     path = tmp_path / f"{name}.json"
@@ -56,8 +69,9 @@ def test_one_experiment_registry():
 
 
 @pytest.mark.parametrize("config",
-                         [K1_CONFIG, CHAOS_CONFIG, OPS_CONFIG, RELAX_CONFIG],
-                         ids=["k1", "chaos", "ops", "relax"])
+                         [K1_CONFIG, CHAOS_CONFIG, OPS_CONFIG, RELAX_CONFIG,
+                          MD_CONFIG],
+                         ids=["k1", "chaos", "ops", "relax", "md"])
 def test_run_lists_its_artifacts_and_repeats_its_csvs(tmp_path, config):
     rc, out = run_cli(tmp_path, config, "a")
     assert rc == 0
@@ -75,6 +89,24 @@ def test_run_lists_its_artifacts_and_repeats_its_csvs(tmp_path, config):
         assert (out / name).read_bytes() == (again / name).read_bytes()
 
 
+def test_entropy_lists_its_artifacts_and_repeats_its_report(tmp_path):
+    # entropy writes no CSV; its report is the deterministic output
+    rc, out = run_cli(tmp_path, ENTROPY_CONFIG, "a")
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == ["report.json"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json",
+                                                     "report.json"]
+    assert manifest["config"] == ENTROPY_CONFIG
+    report = json.loads((out / "report.json").read_text())
+    assert math.isfinite(report["scale_length"]) and report["delta"] > 0
+
+    rc, again = run_cli(tmp_path, ENTROPY_CONFIG, "b")
+    assert rc == 0
+    assert ((out / "report.json").read_bytes()
+            == (again / "report.json").read_bytes())
+
+
 @pytest.mark.parametrize("config, command", [
     ({**K1_CONFIG, "threads": 2}, None),
     ({**CHAOS_CONFIG, "bg": {**CHAOS_CONFIG["bg"], "probes": 4}}, None),
@@ -84,8 +116,9 @@ def test_run_lists_its_artifacts_and_repeats_its_csvs(tmp_path, config):
     ({**OPS_CONFIG, "ops": {"rho2_form": "geometric_mean"}}, None),
     ({**RELAX_CONFIG, "relax": {**RELAX_CONFIG["relax"], "phi_nodes": 8}},
      None),
+    ({**MD_CONFIG, "md": {**MD_CONFIG["md"], "record_cap": 10}}, None),
 ], ids=["threads", "bg.probes", "unknown-nested", "unknown-top", "mismatch",
-        "rho2_form", "relax.phi_nodes"])
+        "rho2_form", "relax.phi_nodes", "md.record_cap"])
 def test_schema_violations_exit_2(tmp_path, capsys, config, command):
     rc, out = run_cli(tmp_path, config, "bad", command)
     assert rc == 2

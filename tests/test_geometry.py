@@ -10,13 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hsgas.geometry import (
-    ContactGeometry,
     HardSphereModel,
     NBodyConfig,
     ensemble_theta,
     maxwell_velocities,
     pair_theta,
-    per_particle_theta,
+    pair_sq_distances,
     uniform_admissible_sample,
     wall_theta,
 )
@@ -80,8 +79,21 @@ def test_ensemble_theta_permutation_invariant(seed):
     base = ensemble_theta(cfg, m)
     perm = rng.permutation(6)
     assert ensemble_theta(NBodyConfig(pos[perm], np.zeros_like(pos)), m) == base
-    # factorization identity: product of per-particle factors
-    assert int(np.prod(per_particle_theta(pos, m))) == base
+
+
+def test_pair_sq_distances_order_and_values():
+    pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0],
+                    [0.0, 4.0, 0.0], [0.0, 0.0, 0.5]])
+    # pairs (0,1) (0,2) (0,3) (1,2) (1,3) (2,3)
+    np.testing.assert_array_equal(pair_sq_distances(pos),
+                                  [9.0, 16.0, 0.25, 25.0, 9.25, 16.25])
+    assert pair_sq_distances(pos[:1]).shape == (0,)
+    # bitwise equal to the dense n x n form it replaces
+    rng = np.random.default_rng(5)
+    pos = rng.uniform(0.0, 1.0, size=(30, 3))
+    d = pos[:, None, :] - pos[None, :, :]
+    dense = (d * d).sum(axis=-1)[np.triu_indices(30, k=1)]
+    np.testing.assert_array_equal(pair_sq_distances(pos), dense)
 
 
 def test_ensemble_theta_point_particles_ignore_pairs():
@@ -128,16 +140,6 @@ def test_bulk_clearance_probability_matches_analytic():
         phat = hits.mean()
         se = math.sqrt(phat * (1 - phat) / len(pts))
         assert abs(phat - frozen) < 4 * se
-
-
-def test_contact_geometry_directions():
-    g = ContactGeometry.at_contact(
-        r1=[0.6, 0.5, 0.5], v1=[0.0, 1.0, 0.0],
-        r2=[0.5, 0.5, 0.5], v2=[0.0, -1.0, 0.0], sigma=0.1)
-    np.testing.assert_allclose(g.n12, [1.0, 0.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(g.n21, [-1.0, 0.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(g.v12, [0.0, 2.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(g.contact_point, [0.5, 0.5, 0.5], atol=1e-12)
 
 
 def test_maxwell_velocities_shape_and_scale():

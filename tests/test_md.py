@@ -48,14 +48,12 @@ from hsgas.md import (
     is_grazing,
     measure,
     near_contact_pair_prediction,
-    next_event,
-    pair_collision_time,
     run,
     wall_contact_rate_prediction,
     wall_rate_prediction,
     wall_times,
 )
-from hsgas.md import _clipped_ball_volume
+from hsgas.md import _clipped_ball_volume, _pair_times_against
 
 # model used by the frozen-constant checks: 100 spheres at packing
 # fraction 0.01 in the unit box, sigma = (6 * 0.01 / (100 pi))^(1/3)
@@ -110,40 +108,47 @@ def eq_traj():
 # contact and wall times
 
 
+def _contact_time(ri, vi, rj, vj, sigma):
+    """Contact time of sphere i against sphere j, by the scheduler's kernel."""
+    pos = np.array([ri, rj], dtype=float)
+    vel = np.array([vi, vj], dtype=float)
+    return _pair_times_against(pos, vel, 0, sigma)[1]
+
+
 def test_pair_collision_time_head_on_exact():
     # distance 2, sigma 0.5, closing speed 1: disc = 4 - 3.75 = 0.25,
     # every term binary-exact, t = (2 - 0.5) / 1 = 1.5 exactly
-    t = pair_collision_time([0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                            [2.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.5)
+    t = _contact_time([0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                      [2.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.5)
     assert t == 1.5
     # both moving: closing speed 2, b = -4, v2 = 4, disc = 16 - 15 = 1,
     # t = (4 - 1) / 4 = 0.75 exactly
-    t2 = pair_collision_time([0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                             [2.0, 0.0, 0.0], [-1.0, 0.0, 0.0], 0.5)
+    t2 = _contact_time([0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                       [2.0, 0.0, 0.0], [-1.0, 0.0, 0.0], 0.5)
     assert t2 == 0.75
 
 
 def test_pair_collision_time_never_touching():
     # receding (b > 0)
-    assert pair_collision_time([1.0, 0, 0], [1.0, 0, 0],
-                               [0.0, 0, 0], [0.0, 0, 0], 0.5) == math.inf
+    assert _contact_time([1.0, 0, 0], [1.0, 0, 0],
+                         [0.0, 0, 0], [0.0, 0, 0], 0.5) == math.inf
     # zero relative velocity
-    assert pair_collision_time([0.0, 0, 0], [1.0, 1, 0],
-                               [2.0, 0, 0], [1.0, 1, 0], 0.5) == math.inf
+    assert _contact_time([0.0, 0, 0], [1.0, 1, 0],
+                         [2.0, 0, 0], [1.0, 1, 0], 0.5) == math.inf
     # impact parameter 1 with sigma 0.5: closest approach misses
-    assert pair_collision_time([0.0, 1.0, 0], [1.0, 0, 0],
-                               [3.0, 0.0, 0], [0.0, 0, 0], 0.5) == math.inf
+    assert _contact_time([0.0, 1.0, 0], [1.0, 0, 0],
+                         [3.0, 0.0, 0], [0.0, 0, 0], 0.5) == math.inf
     # impact parameter exactly sigma: disc = 0, tangential graze excluded
-    assert pair_collision_time([0.0, 1.0, 0], [1.0, 0, 0],
-                               [3.0, 0.0, 0], [0.0, 0, 0], 1.0) == math.inf
+    assert _contact_time([0.0, 1.0, 0], [1.0, 0, 0],
+                         [3.0, 0.0, 0], [0.0, 0, 0], 1.0) == math.inf
     # at contact and receding
-    assert pair_collision_time([0.5, 0, 0], [1.0, 0, 0],
-                               [0.0, 0, 0], [0.0, 0, 0], 0.5) == math.inf
+    assert _contact_time([0.5, 0, 0], [1.0, 0, 0],
+                         [0.0, 0, 0], [0.0, 0, 0], 0.5) == math.inf
 
 
 def test_pair_collision_time_at_contact_approaching_is_zero():
-    assert pair_collision_time([0.5, 0, 0], [-1.0, 0, 0],
-                               [0.0, 0, 0], [0.0, 0, 0], 0.5) == 0.0
+    assert _contact_time([0.5, 0, 0], [-1.0, 0, 0],
+                         [0.0, 0, 0], [0.0, 0, 0], 0.5) == 0.0
 
 
 @settings(max_examples=120, deadline=None)
@@ -157,9 +162,10 @@ def test_pair_collision_time_contact_residual_property(coords, vels):
     vi, vj = np.array(vels[:3]), np.array(vels[3:])
     if float(np.linalg.norm(ri - rj)) <= sigma * (1 + 1e-9):
         return
-    t = pair_collision_time(ri, vi, rj, vj, sigma)
+    pos, vel = np.array([ri, rj]), np.array([vi, vj])
+    t = _pair_times_against(pos, vel, 0, sigma)[1]
     # swapping the particle labels leaves every inner product unchanged
-    assert pair_collision_time(rj, vj, ri, vi, sigma) == t
+    assert _pair_times_against(pos, vel, 1, sigma)[0] == t
     if math.isfinite(t):
         assert t >= 0.0
         gap = float(np.linalg.norm((ri - rj) + (vi - vj) * t)) - sigma
@@ -179,7 +185,7 @@ def test_wall_times_faces_and_values():
 
 
 # ---------------------------------------------------------------------------
-# next_event resolution
+# resolving the next event
 
 
 def test_next_event_pair_resolution():
@@ -188,9 +194,8 @@ def test_next_event_pair_resolution():
         [[4.0, 5.0, 5.0], [6.0, 5.0, 5.0], [1.0, 1.0, 1.0]],
         [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
     )
-    events = next_event(cfg, model)
-    assert len(events) == 1
-    ev = events[0]
+    traj = run(model, cfg, max_events=1, record_cap=1)
+    (ev,) = traj.records
     assert (ev.kind, ev.i, ev.j_or_face) == ("pair", 0, 1)
     assert ev.t == 0.75
     np.testing.assert_allclose(ev.normal, [1.0, 0.0, 0.0], atol=1e-15)
@@ -215,27 +220,18 @@ def test_next_event_pair_resolution():
 def test_next_event_wall_resolution():
     model = HardSphereModel(n=1, sigma=0.5, box=10.0)
     cfg = NBodyConfig([[5.0, 5.0, 5.0]], [[0.0, 0.0, -2.0]])
-    (ev,) = next_event(cfg, model)
-    assert (ev.kind, ev.i, ev.j_or_face, ev.face_axis) == ("wall", 0, 4, 2)
+    traj = run(model, cfg, max_events=1)
     lo, _ = model.wall_box
-    assert ev.t == (lo - 5.0) / -2.0
-    assert ev.x_minus.positions[0][2] == lo
-    np.testing.assert_array_equal(ev.x_plus.velocities[0], [0.0, 0.0, 2.0])
-    np.testing.assert_array_equal(ev.x_minus.velocities[0], [0.0, 0.0, -2.0])
-
-
-def test_next_event_sentinel_when_nothing_moves():
-    model = HardSphereModel(n=1, sigma=0.5, box=10.0)
-    cfg = NBodyConfig([[5.0, 5.0, 5.0]], [[0.0, 0.0, 0.0]])
-    (ev,) = next_event(cfg, model)
-    assert ev.kind == "none"
-    assert ev.t == math.inf
-    assert ev.i == -1
+    (row,) = traj.event_rows
+    assert row[:4] == [(lo - 5.0) / -2.0, "wall", 0, 4]
+    assert traj.config.positions[0][2] == lo
+    np.testing.assert_array_equal(traj.config.velocities[0], [0.0, 0.0, 2.0])
+    np.testing.assert_array_equal(cfg.velocities[0], [0.0, 0.0, -2.0])
 
 
 def test_next_event_simultaneous_pairs_ordered_by_index():
     # two disjoint head-on pairs with identical geometry collide at the
-    # same instant; the tie must come back sorted by particle index
+    # same instant; the tie must be executed in particle-index order
     model = HardSphereModel(n=4, sigma=0.5, box=10.0)
     cfg = NBodyConfig(
         [[4.0, 3.0, 5.0], [6.0, 3.0, 5.0],
@@ -243,9 +239,25 @@ def test_next_event_simultaneous_pairs_ordered_by_index():
         [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
          [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
     )
-    events = next_event(cfg, model)
-    assert [(ev.i, ev.j_or_face) for ev in events] == [(0, 1), (2, 3)]
-    assert events[0].t == events[1].t == 0.75
+    rows = run(model, cfg, max_events=2).event_rows
+    assert [tuple(r[1:4]) for r in rows] == [("pair", 0, 1), ("pair", 2, 3)]
+    assert rows[0][0] == rows[1][0] == 0.75
+
+
+def test_run_without_any_event_streams_to_t_end():
+    model = HardSphereModel(n=1, sigma=0.5, box=10.0)
+    cfg = NBodyConfig([[5.0, 5.0, 5.0]], [[0.0, 0.0, 0.0]])
+    traj = run(model, cfg, t_end=1.0, snapshot_times=[0.5])
+    assert traj.t_final == 1.0
+    assert traj.event_rows == [] and traj.n_pair == traj.n_wall == 0
+    assert [ts for ts, _, _ in traj.snapshots] == [0.5]
+    np.testing.assert_array_equal(traj.config.positions, cfg.positions)
+    with pytest.raises(RuntimeError, match="no further event exists"):
+        run(model, cfg, max_events=1)
+    # the final audit still runs on a state where nothing can happen
+    at_rest = NBodyConfig([[5.0, 5.0, 5.0], [5.2, 5.0, 5.0]], np.zeros((2, 3)))
+    with pytest.raises(RuntimeError, match="overlap detected"):
+        run(HardSphereModel(n=2, sigma=0.5, box=10.0), at_rest, t_end=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +570,7 @@ def test_cbc_scan_matches_elementwise(eq_traj):
 
 def test_cbc_evaluate_guards(eq_traj):
     form = FactorizedNBodyForm(EQ_MODEL)
-    model = HardSphereModel(n=1, sigma=0.5, box=10.0)
-    (wall_ev,) = next_event(
-        NBodyConfig([[5.0, 5.0, 5.0]], [[0.0, 0.0, -2.0]]), model)
+    wall_ev = Event(t=0.0, kind="wall", i=0, j_or_face=4)
     with pytest.raises(ValueError):
         cbc_evaluate(wall_ev, form, "mcbc")
     with pytest.raises(ValueError):

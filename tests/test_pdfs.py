@@ -15,15 +15,13 @@ from hsgas.pdfs import (
     TiltedExponential,
     UniformMaxwellian,
     VelocityMixture,
-    bs_entropy,
+    _maxwell,
     build_family,
     fd_log_position_gradient,
-    mc_normalization,
-    normalization_integral,
     scale_length,
-    tabulate_pdf,
 )
 from hsgas.quadrature import QuadratureSpec
+from hsgas.seeding import derive_rng
 
 QUAD = QuadratureSpec(velocity_nodes=32, angle_nodes=26, position_nodes=16)
 
@@ -34,6 +32,34 @@ MAXWELL_ENTROPY_UNIT = 4.2568155996140185
 TILTED_AXIS_NORM_15 = 2.321126046892043
 SINUSOIDAL_L_RHO_02 = 0.7796968012336761
 TWO_BEAM_VTH = 0.8779711460710616
+
+
+def tabulate_pdf(pdf, pos_axes, vel_axes, t=0.0):
+    """Sample an analytic family onto a rectilinear grid."""
+    pos_axes = [np.asarray(a, float) for a in pos_axes]
+    vel_axes = [np.asarray(a, float) for a in vel_axes]
+    P = np.stack(np.meshgrid(*pos_axes, indexing="ij"), axis=-1)
+    V = np.stack(np.meshgrid(*vel_axes, indexing="ij"), axis=-1)
+    vals = np.empty(P.shape[:-1] + V.shape[:-1])
+    flatP = P.reshape(-1, 3)
+    flatV = V.reshape(-1, 3)
+    for i, rr in enumerate(flatP):
+        vals.reshape(flatP.shape[0], -1)[i] = pdf.density(rr, flatV, t)
+    return TabulatedPdf(pos_axes, vel_axes, vals, box=pdf.box, v_th=pdf.v_th)
+
+
+def mc_normalization(pdf, samples, seed):
+    """Monte Carlo cross-check of the normalization integral.
+
+    Uses a uniform-position, wide-Gaussian-velocity proposal.
+    """
+    rng = derive_rng(seed, "pdf", "mc_normalization")
+    width = 3.0 * pdf.v_th + float(np.abs(pdf.drift(np.zeros(3))).max(initial=0.0))
+    r = rng.uniform(0.0, pdf.box, size=(samples, 3))
+    v = rng.normal(scale=width, size=(samples, 3))
+    q = pdf.box ** -3 * _maxwell(v, 0.0, width)
+    w = pdf.density(r, v) / q
+    return float(w.mean()), float(w.std(ddof=1) / math.sqrt(samples))
 
 
 def two_beam_mixture(box=1.0):
@@ -54,7 +80,7 @@ ALL_FAMILIES = {
 @pytest.mark.parametrize("name", sorted(ALL_FAMILIES))
 def test_normalization_is_one(name):
     pdf = ALL_FAMILIES[name]()
-    val, err = normalization_integral(pdf, QUAD)
+    val, err = pdf.normalization(QUAD)
     assert abs(val - 1.0) < 1e-6
     assert err >= 0.0
 
@@ -75,16 +101,16 @@ def test_tilted_axis_normalizer_frozen():
 
 
 def test_uniform_entropy_frozen():
-    rep = bs_entropy(UniformMaxwellian(1.0, v_th=1.0), QUAD)
+    rep = UniformMaxwellian(1.0, v_th=1.0).entropy(QUAD)
     assert abs(rep.S - MAXWELL_ENTROPY_UNIT) < 5e-7
     assert abs(rep.S - MAXWELL_ENTROPY_UNIT) < 3 * rep.quadrature_error + 1e-9
-    rep2 = bs_entropy(UniformMaxwellian(2.0, v_th=1.0), QUAD)
+    rep2 = UniformMaxwellian(2.0, v_th=1.0).entropy(QUAD)
     assert abs((rep2.S - rep.S) - 3.0 * math.log(2.0)) < 1e-9
 
 
 def test_entropy_is_drift_invariant():
-    s0 = bs_entropy(UniformMaxwellian(1.0), QUAD).S
-    s1 = bs_entropy(DriftedMaxwellian(1.0, u0=(0.7, -0.2, 0.1)), QUAD).S
+    s0 = UniformMaxwellian(1.0).entropy(QUAD).S
+    s1 = DriftedMaxwellian(1.0, u0=(0.7, -0.2, 0.1)).entropy(QUAD).S
     assert s0 == pytest.approx(s1, abs=1e-12)
 
 
