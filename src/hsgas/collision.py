@@ -17,6 +17,13 @@ e = u ghat + sqrt(1-u^2)(cos phi e1 + sin phi e2) with u in [0, 1], so the
 flux factor |g . e| = |g| u is polynomial on the rule and the incoming
 hemisphere is resolved exactly (no indicator kink). Under the elastic map
 v1' = v1 - (g.e)e, v2' = v2 + (g.e)e the same rule covers gain and loss.
+
+The deterministic kernel walks the v2 grid in chunks of _V2_CHUNK nodes and,
+inside each chunk, evaluates a block of v1 values per numpy pass, sized to a
+fixed budget of _BLOCK_POINTS (v1, v2, angle) points. Every v1 row is summed
+over its own (v2, angle) points in the same order as a lone v1, and the
+chunks are added in grid order, so the result for a v1 does not depend on
+which others share its batch.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import numpy as np
 from .geometry import wall_theta
 from .occupation import ContactOccupancy, hat_normalization
 from .quadrature import (QuadratureSpec, hemisphere_rule, orthonormal_frames,
-                         velocity_grid)
+                         row_norm, velocity_grid)
 from .seeding import derive_rng
 
 
@@ -68,6 +75,7 @@ class OperatorValue:
 
 
 _V2_CHUNK = 2048
+_BLOCK_POINTS = 1 << 16  # kernel points (v1, v2, angle) per numpy pass
 
 
 def _master_z1(model, pdf, quad, flavor, pair_occ):
@@ -82,9 +90,13 @@ def _master_z1(model, pdf, quad, flavor, pair_occ):
                              quad.position_nodes)
 
 
-def _rho_hat(model, pdf, r, v, z1, t):
-    """Occupation-stripped one-body density p theta_w / Z1."""
-    return pdf.density(r, v, t) * (wall_theta(r, model) > 0) / z1
+def _rho_hat(pdf, r, v, is_open, z1, t):
+    """Occupation-stripped one-body density p theta_w / Z1.
+
+    is_open is wall_theta(r) > 0, passed in so that one evaluation at r
+    serves several velocity arguments.
+    """
+    return pdf.density(r, v, t) * is_open / z1
 
 
 def _kernel_batch(model, pdf, r1, V1, quad, flavor, pair_occ=None,
@@ -92,7 +104,8 @@ def _kernel_batch(model, pdf, r1, V1, quad, flavor, pair_occ=None,
     """Gain and loss of the chosen operator at r1 for a batch of v1 values.
 
     The master flavor needs z1 from _master_z1. Returns (gain, loss) arrays
-    of shape (len(V1),).
+    of shape (len(V1),), each entry bitwise independent of the rest of the
+    batch (see the module docstring for the blocking).
     """
     r1 = np.asarray(r1, dtype=float)
     V1 = np.atleast_2d(np.asarray(V1, dtype=float))
@@ -108,45 +121,53 @@ def _kernel_batch(model, pdf, r1, V1, quad, flavor, pair_occ=None,
     cosphi, sinphi = np.cos(phi), np.sin(phi)
     su = np.sqrt(np.clip(1.0 - u_nodes ** 2, 0.0, 1.0))
     w_ang = (wu[:, None] * wphi).reshape(-1)
+    u_ang = np.repeat(u_nodes, len(phi))
+    if master:
+        open1 = wall_theta(r1, model) > 0
+        f1_loss = _rho_hat(pdf, r1, V1, open1, z1, t)
+    else:
+        f1_loss = pdf.density(r1, V1, t)
 
     gain = np.zeros(V1.shape[0])
     loss = np.zeros(V1.shape[0])
-    for i, v1 in enumerate(V1):
-        for lo in range(0, V2.shape[0], _V2_CHUNK):
-            v2 = V2[lo:lo + _V2_CHUNK]
-            w2 = W2[lo:lo + _V2_CHUNK]
-            g = v1 - v2
-            gnorm = np.linalg.norm(g, axis=-1)
+    for lo in range(0, V2.shape[0], _V2_CHUNK):
+        v2 = V2[lo:lo + _V2_CHUNK]
+        m2 = v2.shape[0]
+        w2_ang = W2[lo:lo + _V2_CHUNK, None] * w_ang
+        if not master:
+            part_loss = pdf.density(r1, v2[:, None, :], t)
+        block = max(1, _BLOCK_POINTS // w2_ang.size)
+        for b0 in range(0, V1.shape[0], block):
+            v1 = V1[b0:b0 + block]
+            nb = v1.shape[0]
+            g = v1[:, None, :] - v2
             ghat, e1, e2 = orthonormal_frames(g)
-            # contact directions per (v2, angle); e has g.e = |g| u >= 0
-            e = (
-                u_nodes[None, :, None, None] * ghat[:, None, None, :]
-                + su[None, :, None, None]
-                * (cosphi[None, None, :, None] * e1[:, None, None, :]
-                   + sinphi[None, None, :, None] * e2[:, None, None, :])
-            )
-            m2 = v2.shape[0]
-            e = e.reshape(m2, -1, 3)
-            flux = gnorm[:, None] * np.repeat(u_nodes, len(phi))[None, :]
+            # contact directions per (v1, v2, angle); e has g.e = |g| u >= 0
+            e = (u_nodes[:, None, None] * ghat[..., None, None, :]
+                 + su[:, None, None]
+                 * (cosphi[:, None] * e1[..., None, None, :]
+                    + sinphi[:, None] * e2[..., None, None, :]))
+            e = e.reshape(nb, m2, -1, 3)
+            flux = row_norm(g)[..., None] * u_ang
             gdote = flux[..., None] * e
-            v1p = v1[None, None, :] - gdote
+            v1p = v1[:, None, None, :] - gdote
             v2p = v2[:, None, :] + gdote
-            base = w2[:, None] * w_ang[None, :] * flux
+            base = w2_ang * flux
             if master:
                 # rho_2 at contact = k2(r1, r2) rho_hat(r1) rho_hat(r2)
-                base = base * pair_occ.k2_contact(r1, e)
-                r2 = r1[None, None, :] + sigma * e
-                f1_gain = _rho_hat(model, pdf, r1, v1p, z1, t)
-                f1_loss = _rho_hat(model, pdf, r1, v1, z1, t)
-                part_gain = _rho_hat(model, pdf, r2, v2p, z1, t)
-                part_loss = _rho_hat(model, pdf, r2, v2[:, None, :], z1, t)
+                r2 = r1 + sigma * e
+                base = base * pair_occ.k2(r1, r2)
+                open2 = wall_theta(r2, model) > 0
+                f1_gain = _rho_hat(pdf, r1, v1p, open1, z1, t)
+                part_gain = _rho_hat(pdf, r2, v2p, open2, z1, t)
+                part_loss = _rho_hat(pdf, r2, v2[:, None, :], open2, z1, t)
             else:
                 f1_gain = pdf.density(r1, v1p, t)
-                f1_loss = pdf.density(r1, v1, t)
                 part_gain = pdf.density(r1, v2p, t)
-                part_loss = pdf.density(r1, v2[:, None, :], t)
-            gain[i] += float((base * f1_gain * part_gain).sum())
-            loss[i] += float((base * f1_loss * part_loss).sum())
+            rows = slice(b0, b0 + nb)
+            gain[rows] += (base * f1_gain * part_gain).reshape(nb, -1).sum(1)
+            loss[rows] += (base * f1_loss[rows, None, None]
+                           * part_loss).reshape(nb, -1).sum(1)
     return prefactor * gain, prefactor * loss
 
 
@@ -172,12 +193,14 @@ def _kernel_mc(model, pdf, r1, v1, quad, flavor, pair_occ=None, z1=None,
     v1p, v2p = elastic_map(np.broadcast_to(v1, v2.shape), v2, e)
     if flavor == "master":
         prefactor = (n_part - 1) * sigma ** 2
-        k2 = pair_occ.k2_contact(r1, e)
         r2 = r1 + sigma * e
-        gains = (k2 * _rho_hat(model, pdf, r1, v1p, z1, t)
-                 * _rho_hat(model, pdf, r2, v2p, z1, t))
-        losses = (k2 * float(_rho_hat(model, pdf, r1, v1, z1, t))
-                  * _rho_hat(model, pdf, r2, v2, z1, t))
+        k2 = pair_occ.k2(r1, r2)
+        open1 = wall_theta(r1, model) > 0
+        open2 = wall_theta(r2, model) > 0
+        gains = (k2 * _rho_hat(pdf, r1, v1p, open1, z1, t)
+                 * _rho_hat(pdf, r2, v2p, open2, z1, t))
+        losses = (k2 * float(_rho_hat(pdf, r1, v1, open1, z1, t))
+                  * _rho_hat(pdf, r2, v2, open2, z1, t))
     else:
         prefactor = n_part * sigma ** 2
         gains = pdf.density(r1, v1p, t) * pdf.density(r1, v2p, t)

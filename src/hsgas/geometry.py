@@ -97,7 +97,8 @@ def wall_theta(r, model: HardSphereModel):
     """
     r = np.asarray(r, dtype=float)
     half = model.sigma / 2.0
-    near = np.minimum(r, model.box - r).min(axis=-1)
+    d = np.minimum(r, model.box - r)
+    near = np.minimum(np.minimum(d[..., 0], d[..., 1]), d[..., 2])
     out = (near > half).astype(int)
     return out if out.ndim else int(out)
 

@@ -100,13 +100,15 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
         audit_every: int = 1, v_th_ref: float = 1.0) -> Trajectory:
     """Advance the configuration by event-driven dynamics.
 
-    Stops at t_end, after max_events, or both (first reached). When no
-    further event exists the state streams freely to t_end; without t_end
-    that is an error. Snapshot times must be ascending. Audits: exact-
-    contact residual at every pair event, monotone event times, and full
-    ensemble admissibility every audit_every events (default: after every
-    event) and at the end. The first record_cap pair events (none by
-    default) are kept as resolved Events for boundary-condition evaluation.
+    Stops at t_end, after max_events, or both (first reached). When the
+    event queue empties or the next event lies past t_end, the state
+    streams freely to t_end (without t_end an empty queue is an error);
+    after max_events it stays at the last executed event's time. Snapshot
+    times must be ascending. Audits: exact-contact residual at every pair
+    event, monotone event times, and full ensemble admissibility every
+    audit_every events (default: after every event) and at the end. The
+    first record_cap pair events (none by default) are kept as resolved
+    Events for boundary-condition evaluation.
     """
     if t_end is None and max_events is None:
         raise ValueError("need t_end and/or max_events")
@@ -181,6 +183,7 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
             raise RuntimeError("wall clearance violated")
 
     compact_at = max(200_000, 30 * n * n)
+    stream_to_t_end = False  # set when no event is left before t_end
     while True:
         if max_events is not None and events_done >= max_events:
             break
@@ -199,10 +202,12 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
                 raise RuntimeError(
                     f"no further event exists after {events_done} events "
                     f"at t={t}; set t_end to stream past it")
+            stream_to_t_end = True
             break
         t_ev = entry[0]
         if t_end is not None and t_ev > t_end:
             heapq.heappush(heap, entry)
+            stream_to_t_end = True
             break
         # collect near-simultaneous valid events, execute the lowest-index one
         buffer = [entry]
@@ -284,7 +289,7 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
         if audit_every and events_done % audit_every == 0:
             full_audit()
 
-    if t_end is not None and t < t_end:
+    if stream_to_t_end and t < t_end:
         take_snapshots(t_end)
         pos += vel * (t_end - t)
         t = t_end

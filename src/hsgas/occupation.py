@@ -28,11 +28,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import HardSphereModel, ensemble_theta, wall_theta
-from .quadrature import gauss_legendre
+from .quadrature import gauss_legendre, row_norm
 from .seeding import derive_rng
 
 BALL_MIX_FRACTION = 0.1  # share of each node's sample count drawn in-ball
 SHARDS = 16  # independent sub-estimates behind each Monte Carlo stderr
+INTERP_BLOCK = 1 << 16  # points per pass of OccupationField.interp
 
 
 # ---------------------------------------------------------------------------
@@ -67,28 +68,50 @@ class OccupationField:
         return np.stack(g, axis=-1).reshape(-1, 3)
 
     def interp(self, r) -> np.ndarray:
-        """Multilinear interpolation, clamped to the outermost cell centers."""
+        """Multilinear interpolation, clamped to the outermost cell centers.
+
+        Points are handled INTERP_BLOCK at a time, which bounds the
+        temporaries for large inputs.
+        """
         r = np.asarray(r, dtype=float)
         flat = r.reshape(-1, 3)
+        out = np.empty(flat.shape[0])
+        for lo in range(0, flat.shape[0], INTERP_BLOCK):
+            out[lo:lo + INTERP_BLOCK] = self._interp_rows(
+                flat[lo:lo + INTERP_BLOCK])
+        return out.reshape(r.shape[:-1])
+
+    def _interp_rows(self, flat):
+        """interp for an (n, 3) array of points.
+
+        Each point's cell comes from counting the interior centers at or
+        below it (searchsorted on the sorted axis, clamped to the last
+        cell). The eight corners are gathered from the flat value array and
+        summed in corner order, corner bit k selecting the upper node on
+        axis k, each with weight (w_x * w_y) * w_z.
+        """
         ax = self.axis
-        out = np.zeros(flat.shape[0])
-        idx = np.empty((flat.shape[0], 3), dtype=np.intp)
-        frac = np.empty((flat.shape[0], 3))
+        m = len(ax)
+        cell = np.zeros(flat.shape[0], dtype=np.intp)
+        lo_hi = []
         for k in range(3):
             x = np.clip(flat[:, k], ax[0], ax[-1])
-            i = np.clip(np.searchsorted(ax, x, side="right") - 1, 0, len(ax) - 2)
-            idx[:, k] = i
-            frac[:, k] = (x - ax[i]) / (ax[i + 1] - ax[i])
-        frac = np.clip(frac, 0.0, 1.0)
+            i = np.zeros(flat.shape[0], dtype=np.intp)
+            for center in ax[1:-1]:
+                i += x >= center
+            left = ax.take(i)
+            f = np.clip((x - left) / (ax.take(i + 1) - left), 0.0, 1.0)
+            lo_hi.append((1.0 - f, f))
+            cell *= m
+            cell += i
+        values = self.values.ravel()
+        out = np.zeros(flat.shape[0])
+        wxy = [lo_hi[0][c & 1] * lo_hi[1][c >> 1] for c in range(4)]
         for corner in range(8):
-            w = np.ones(flat.shape[0])
-            ind = []
-            for k in range(3):
-                hi = (corner >> k) & 1
-                w = w * (frac[:, k] if hi else 1.0 - frac[:, k])
-                ind.append(idx[:, k] + hi)
-            out += w * self.values[tuple(ind)]
-        return out.reshape(r.shape[:-1])
+            hx, hy, hz = corner & 1, (corner >> 1) & 1, corner >> 2
+            w = wxy[corner & 3] * lo_hi[2][hz]
+            out += w * values[(hx * m + hy) * m + hz:].take(cell)
+        return out
 
     def sup_abs_deviation(self, mask=None) -> float:
         dev = np.abs(self.values - 1.0)
@@ -330,7 +353,8 @@ def solve_k1(model: HardSphereModel, pdf, *, grid_nodes: int = 8,
     field = OccupationField.constant(grid_nodes, box, 1.0, model=model)
     if sigma == 0.0:
         field.info.update(iterations=0, converged=True, bank_size=0,
-                          samples_per_node=0, seed=seed)
+                          samples_per_node=0, seed=seed,
+                          sup_change_history=[])
         return field
 
     bank = _Bank(pdf, model, samples_per_node,
@@ -377,13 +401,14 @@ def solve_k1(model: HardSphereModel, pdf, *, grid_nodes: int = 8,
     if worst > 0.5 * tol:
         raise RuntimeError(
             f"occupation Monte Carlo error {worst:.3e} exceeds tol/2 "
-            f"({0.5 * tol:.3e}); raise samples_per_node"
+            f"({0.5 * tol:.3e}); raise k1.samples_per_node"
         )
     field.info.update(
         iterations=iterations, converged=converged, seed=seed,
         bank_size=len(bank.pts), ball_per_node=bank.ball_count,
         shards=SHARDS, z_w=bank.z_w, z_w_stderr=bank.z_w_se,
-        sup_change=history[-1], samples_per_node=samples_per_node,
+        sup_change=history[-1], sup_change_history=history,
+        samples_per_node=samples_per_node,
     )
     return field
 
@@ -550,7 +575,7 @@ class ContactOccupancy:
             return self.k1_field.interp(r1) * self.k1_field.interp(r2)
         v1 = ball_fraction_from_k1(self.k1_field, r1, n)
         v2 = ball_fraction_from_k1(self.k1_field, r2, n)
-        d = np.linalg.norm(r2 - r1, axis=-1)
+        d = row_norm(r2 - r1)
         vball = 4.0 / 3.0 * math.pi * sigma ** 3
         lens = lens_volume(d, sigma) / vball
         vmid = ball_fraction_from_k1(self.k1_field, 0.5 * (r1 + r2), n)

@@ -39,9 +39,19 @@ class SmoothnessReport:
 
 def _maxwell(v, mean, v_th):
     v = np.asarray(v, dtype=float)
-    w = v - mean
-    q = (w * w).sum(axis=-1)
+    mean = np.asarray(mean, dtype=float)
+    if mean.ndim == 0:
+        mean = np.full(3, mean)
+    # componentwise: one pass per axis, no (..., 3) difference array
+    w0, w1, w2 = (v[..., k] - mean[..., k] for k in range(3))
+    q = w0 * w0 + w1 * w1 + w2 * w2
     return (_TWO_PI * v_th ** 2) ** -1.5 * np.exp(-0.5 * q / v_th ** 2)
+
+
+def _in_box(r, box):
+    """True where all three coordinates of r lie in [0, box]."""
+    ok = (r >= 0) & (r <= box)
+    return ok[..., 0] & ok[..., 1] & ok[..., 2]
 
 
 class OneBodyPdf:
@@ -123,7 +133,7 @@ class UniformMaxwellian(_GaussianVelocityMixin, OneBodyPdf):
 
     def position_density(self, r, t=0.0):
         r = np.asarray(r, dtype=float)
-        inside = np.all((r >= 0) & (r <= self.box), axis=-1)
+        inside = _in_box(r, self.box)
         return self.scale * inside / self.box ** 3
 
     def density(self, r, v, t=0.0):
@@ -179,7 +189,7 @@ class DriftedMaxwellian(_GaussianVelocityMixin, OneBodyPdf):
 
     def position_density(self, r, t=0.0):
         r = np.asarray(r, dtype=float)
-        inside = np.all((r >= 0) & (r <= self.box), axis=-1)
+        inside = _in_box(r, self.box)
         return inside / self.box ** 3
 
     def density(self, r, v, t=0.0):
@@ -233,7 +243,7 @@ class TiltedExponential(_GaussianVelocityMixin, OneBodyPdf):
 
     def position_density(self, r, t=0.0):
         r = np.asarray(r, dtype=float)
-        inside = np.all((r >= 0) & (r <= self.box), axis=-1)
+        inside = _in_box(r, self.box)
         val = np.exp((r * self.tilt).sum(axis=-1)) / self._axis_norm.prod()
         return val * inside
 
@@ -313,7 +323,7 @@ class SinusoidalMaxwellian(_GaussianVelocityMixin, OneBodyPdf):
 
     def position_density(self, r, t=0.0):
         r = np.asarray(r, dtype=float)
-        inside = np.all((r >= 0) & (r <= self.box), axis=-1)
+        inside = _in_box(r, self.box)
         return self._profile(r[..., self.axis]) / self.box ** 3 * inside
 
     def density(self, r, v, t=0.0):
@@ -399,7 +409,7 @@ class VelocityMixture(OneBodyPdf):
 
     def position_density(self, r, t=0.0):
         r = np.asarray(r, dtype=float)
-        inside = np.all((r >= 0) & (r <= self.box), axis=-1)
+        inside = _in_box(r, self.box)
         return inside / self.box ** 3
 
     def density(self, r, v, t=0.0):

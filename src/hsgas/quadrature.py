@@ -144,6 +144,17 @@ def sphere_grid(angle_nodes: int, rotation=None):
     return nodes, weights, n_u * n_phi
 
 
+def row_norm(a) -> np.ndarray:
+    """Euclidean norm over the last axis (length 3), component by component.
+
+    Same value as np.linalg.norm(a, axis=-1), without a reduction over a
+    length-3 axis.
+    """
+    a = np.asarray(a, dtype=float)
+    x, y, z = a[..., 0], a[..., 1], a[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
 def orthonormal_frames(g: np.ndarray):
     """Right-handed frames (ghat, e1, e2) for rows of g, shape (...,3).
 
@@ -151,7 +162,7 @@ def orthonormal_frames(g: np.ndarray):
     factors that vanish anyway.
     """
     g = np.asarray(g, dtype=float)
-    norm = np.linalg.norm(g, axis=-1, keepdims=True)
+    norm = row_norm(g)[..., None]
     safe = np.where(norm > 0, norm, 1.0)
     ghat = g / safe
     zero = (norm.squeeze(-1) == 0)
@@ -163,6 +174,6 @@ def orthonormal_frames(g: np.ndarray):
     ref = np.zeros_like(ghat)
     np.put_along_axis(ref, ref_idx[..., None], 1.0, axis=-1)
     e1 = np.cross(ghat, ref)
-    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+    e1 /= row_norm(e1)[..., None]
     e2 = np.cross(ghat, e1)
     return ghat, e1, e2

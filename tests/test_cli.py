@@ -39,6 +39,13 @@ RELAX_CONFIG = {
     "relax": {"grid_nodes": 10, "dt": 0.05, "t_end": 0.1},
 }
 
+KS_CONFIG = {
+    "schema_version": 1, "experiment": "ks", "seed": 3,
+    "model": {"n": 8, "sigma": 0.05, "box": 1.0},
+    "k1": {"grid_nodes": 2, "samples_per_node": 20_000},
+    "ks": {"tuple_count": 2, "samples": 20_000},
+}
+
 MD_CONFIG = {
     "schema_version": 1, "experiment": "md", "seed": 3,
     "model": {"n": 8, "sigma": 0.05, "box": 1.0},
@@ -69,9 +76,9 @@ def test_one_experiment_registry():
 
 
 @pytest.mark.parametrize("config",
-                         [K1_CONFIG, CHAOS_CONFIG, OPS_CONFIG, RELAX_CONFIG,
-                          MD_CONFIG],
-                         ids=["k1", "chaos", "ops", "relax", "md"])
+                         [K1_CONFIG, KS_CONFIG, CHAOS_CONFIG, OPS_CONFIG,
+                          RELAX_CONFIG, MD_CONFIG],
+                         ids=["k1", "ks", "chaos", "ops", "relax", "md"])
 def test_run_lists_its_artifacts_and_repeats_its_csvs(tmp_path, config):
     rc, out = run_cli(tmp_path, config, "a")
     assert rc == 0
@@ -117,8 +124,9 @@ def test_entropy_lists_its_artifacts_and_repeats_its_report(tmp_path):
     ({**RELAX_CONFIG, "relax": {**RELAX_CONFIG["relax"], "phi_nodes": 8}},
      None),
     ({**MD_CONFIG, "md": {**MD_CONFIG["md"], "record_cap": 10}}, None),
+    ({**KS_CONFIG, "ks": {**KS_CONFIG["ks"], "probes": 4}}, None),
 ], ids=["threads", "bg.probes", "unknown-nested", "unknown-top", "mismatch",
-        "rho2_form", "relax.phi_nodes", "md.record_cap"])
+        "rho2_form", "relax.phi_nodes", "md.record_cap", "ks.probes"])
 def test_schema_violations_exit_2(tmp_path, capsys, config, command):
     rc, out = run_cli(tmp_path, config, "bad", command)
     assert rc == 2
@@ -152,9 +160,30 @@ def test_chaos_honours_k1_tol(tmp_path, capsys):
     rc, _ = run_cli(tmp_path, config, "tight")
     assert rc == 1
     err = capsys.readouterr().err
-    assert "raise samples_per_node" in err
+    assert "raise k1.samples_per_node" in err
     # the tag names the layer that raised, not the subcommand
     assert err.startswith("error[occupation]: ")
+
+
+def test_k1_report_carries_the_picard_history(tmp_path):
+    rc, out = run_cli(tmp_path, K1_CONFIG, "k1")
+    assert rc == 0
+    solver = json.loads((out / "report.json").read_text())["solver"]
+    history = solver["sup_change_history"]
+    assert len(history) == solver["iterations"] > 1
+    assert history[-1] == solver["sup_change"]
+
+
+def test_md_stops_at_the_last_event_after_max_events(tmp_path):
+    # max_events is reached long before t_end; the state must stay at the
+    # last event instead of streaming through pending events to t_end
+    config = {**MD_CONFIG, "md": {"t_end": 5.0, "max_events": 20}}
+    rc, out = run_cli(tmp_path, config, "capped")
+    assert rc == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["audits"]["events"] == 20
+    assert report["n_pair"] + report["n_wall"] == 20
+    assert report["t_final"] < 5.0
 
 
 def test_ops_runs_and_echoes_the_product_pair_form(tmp_path):

@@ -16,6 +16,7 @@ from hsgas.collision import (
     moment_audit,
     operator_scan,
 )
+from hsgas.collision import _BLOCK_POINTS, _V2_CHUNK, _kernel_batch, _master_z1
 from hsgas.geometry import HardSphereModel
 from hsgas.occupation import (
     ContactOccupancy,
@@ -213,6 +214,31 @@ def test_operator_scan_rows():
         value, error, gain, loss = row[6:]
         assert value == pytest.approx(gain - loss, rel=1e-12, abs=1e-300)
         assert error >= 0.0 and loss > 0.0
+
+
+@pytest.mark.parametrize("flavor", ["boltzmann", "master"])
+def test_kernel_blocks_match_single_v1_evaluations(flavor):
+    # 14^3 v2 nodes make two v2 chunks; 13 v1 values are no multiple of the
+    # block in either chunk. Blocking must not move a single bit.
+    quad = QuadratureSpec(velocity_nodes=14, angle_nodes=8)
+    angles = 8  # hemisphere_rule(8): 4 polar x 2 azimuthal nodes
+    assert quad.velocity_nodes ** 3 > _V2_CHUNK
+    assert 1 < _BLOCK_POINTS // (_V2_CHUNK * angles) < 13
+    assert 13 % (_BLOCK_POINTS // (_V2_CHUNK * angles)) != 0
+    pdf = mixture_pdf()
+    model = HardSphereModel(n=30, sigma=0.08, box=1.0)
+    field = OccupationField.constant(4, model.box, model=model)
+    field.values = np.random.default_rng(2).uniform(0.8, 1.0, (4, 4, 4))
+    occ = ContactOccupancy(model, field) if flavor == "master" else None
+    z1 = _master_z1(model, pdf, quad, flavor, occ)
+    r1 = np.array([0.3, 0.55, 0.06])  # within sigma of a wall
+    V1 = np.random.default_rng(5).normal(size=(13, 3))
+    gain, loss = _kernel_batch(model, pdf, r1, V1, quad, flavor, occ, z1=z1)
+    assert np.all(loss > 0.0)
+    for i, v1 in enumerate(V1):
+        g1, l1 = _kernel_batch(model, pdf, r1, [v1], quad, flavor, occ,
+                               z1=z1)
+        assert gain[i] == g1[0] and loss[i] == l1[0]
 
 
 # --------------------------------------------------------------------------

@@ -260,6 +260,20 @@ def test_run_without_any_event_streams_to_t_end():
         run(HardSphereModel(n=2, sigma=0.5, box=10.0), at_rest, t_end=1.0)
 
 
+def test_run_stops_at_the_last_event_after_max_events():
+    model = HardSphereModel(n=1, sigma=0.1, box=1.0)
+    cfg = NBodyConfig([[0.5, 0.5, 0.5]], [[1.0, 0.3, -0.7]])
+    traj = run(model, cfg, t_end=5.0, max_events=2)
+    assert traj.audits["events"] == len(traj.event_rows) == 2
+    assert traj.t_final == traj.event_rows[-1][0] < 5.0
+    lo, hi = model.wall_box
+    assert np.all((traj.config.positions >= lo)
+                  & (traj.config.positions <= hi))
+    # the first wall event is at t = 0.45: before it, t_end comes first
+    early = run(model, cfg, t_end=0.3, max_events=2)
+    assert early.t_final == 0.3 and early.event_rows == []
+
+
 # ---------------------------------------------------------------------------
 # the simulator
 

@@ -8,6 +8,7 @@ import pytest
 
 from hsgas.geometry import HardSphereModel, PhasePoint
 from hsgas.occupation import (
+    INTERP_BLOCK,
     ContactOccupancy,
     OccupationField,
     analytic_contact_k2_uniform,
@@ -80,6 +81,51 @@ def test_occupation_field_interp_and_roundtrip(tmp_path):
     assert np.allclose(back.values, field.values, rtol=0, atol=1e-12)
     assert np.allclose(back.stderr, field.stderr, rtol=0, atol=1e-12)
     assert np.allclose(back.axis, field.axis, rtol=0, atol=1e-12)
+
+
+def _interp_one_point(field, p):
+    """Multilinear rule for one point, corner by corner in corner order."""
+    ax = field.axis
+    idx, frac = [], []
+    for k in range(3):
+        x = min(max(p[k], ax[0]), ax[-1])
+        i = min(max(int(np.searchsorted(ax, x, side="right")) - 1, 0),
+                len(ax) - 2)
+        idx.append(i)
+        frac.append(min(max((x - ax[i]) / (ax[i + 1] - ax[i]), 0.0), 1.0))
+    out = 0.0
+    for corner in range(8):
+        w = 1.0
+        ind = []
+        for k in range(3):
+            hi = (corner >> k) & 1
+            w = w * (frac[k] if hi else 1.0 - frac[k])
+            ind.append(idx[k] + hi)
+        out += w * field.values[tuple(ind)]
+    return out
+
+
+@pytest.mark.parametrize("grid_nodes", [2, 5])
+def test_occupation_field_interp_matches_the_corner_rule_bitwise(grid_nodes):
+    rng = np.random.default_rng(grid_nodes)
+    field = OccupationField.constant(grid_nodes, 1.0)
+    field.values = rng.normal(size=(grid_nodes,) * 3)
+    faces = np.arange(grid_nodes + 1) / grid_nodes  # cell faces, walls too
+    points = np.concatenate([
+        rng.uniform(0.0, 1.0, size=(200, 3)),               # interior
+        field.nodes(),                                       # exact nodes
+        np.stack(np.meshgrid(faces, faces, faces, indexing="ij"),
+                 axis=-1).reshape(-1, 3),                    # cell faces
+        rng.uniform(-0.5, 1.5, size=(200, 3)),               # clamped
+    ])
+    got = field.interp(points)
+    want = np.array([_interp_one_point(field, p) for p in points])
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # inputs longer than one pass are split without moving a bit
+    reps = INTERP_BLOCK // len(points) + 2
+    tiled = np.tile(points, (reps, 1)).reshape(reps, len(points), 3)
+    assert np.array_equal(field.interp(tiled), np.tile(want, (reps, 1)))
 
 
 def test_wall_conditioned_positions_respect_clearance():
