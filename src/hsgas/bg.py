@@ -91,9 +91,6 @@ class RateFit:
     residuals: np.ndarray     # log-space residuals of the used rows
     info: dict = dataclass_field(default_factory=dict)
 
-    def slope_band(self, width: float = 2.0):
-        return self.slope - width * self.stderr, self.slope + width * self.stderr
-
 
 def fit_rate(epsilons, values, errors=None, *, min_points: int = 4,
              resolution_factor: float = 3.0) -> RateFit:
@@ -155,12 +152,6 @@ class ConvergenceReport:
     fit: RateFit | None
     decreasing: bool
     info: dict = dataclass_field(default_factory=dict)
-
-    def values(self):
-        return np.array([row["value"] for row in self.entries])
-
-    def errors(self):
-        return np.array([row["error"] for row in self.entries])
 
     def to_dict(self) -> dict:
         out = {

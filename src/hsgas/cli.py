@@ -191,8 +191,13 @@ def _run_md(config, seed, out_dir):
     t_end = p.get("t_end")
     max_events = p.get("max_events")
     snapshots = p.get("snapshots", 0)
+    windows = p.get("windows", 10)
     if snapshots and t_end is None:
         raise ValueError("snapshots need an explicit md.t_end")
+    if snapshots and snapshots < windows:
+        raise ValueError(f"md.snapshots={snapshots} but md.windows={windows} "
+                         f"needs {windows} snapshots; raise md.snapshots or "
+                         "lower md.windows")
     snap_times = None
     if snapshots:
         eq = p.get("equilibration_fraction", 0.2)
@@ -202,6 +207,12 @@ def _run_md(config, seed, out_dir):
     traj = run(model, config0, t_end=t_end, max_events=max_events,
                snapshot_times=snap_times,
                audit_every=p.get("audit_every", 1), v_th_ref=v_th)
+    if snapshots and len(traj.snapshots) < windows:
+        raise ValueError(
+            f"the run stopped at t={traj.t_final:.6g} after "
+            f"{len(traj.snapshots)} of {snapshots} snapshots, and "
+            f"md.windows={windows} needs {windows}; raise md.max_events or "
+            "lower md.t_end")
     traj.to_event_csv(artifact_path(out_dir, "events.csv"))
     final = traj.config
     rows = [[i] + list(final.positions[i]) + list(final.velocities[i])
@@ -214,7 +225,7 @@ def _run_md(config, seed, out_dir):
         "n_wall": traj.n_wall, "audits": traj.audits,
     }
     if snapshots:
-        obs = measure(traj, MeasureSpec(windows=p.get("windows", 10)))
+        obs = measure(traj, MeasureSpec(windows=windows))
         obs.tabulated.to_csv(artifact_path(out_dir, "histogram.csv"))
         artifacts.append("histogram.csv")
         enskog = enskog_frequency_prediction(model, T=obs.temperature)

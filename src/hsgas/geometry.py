@@ -144,7 +144,6 @@ def maxwell_velocities(n: int, v_th: float, rng: np.random.Generator) -> np.ndar
 def uniform_admissible_sample(
     model: HardSphereModel,
     seed: int,
-    velocity_sampler=None,
     v_th: float = 1.0,
     max_tries: int = 200_000,
 ) -> NBodyConfig:
@@ -161,11 +160,7 @@ def uniform_admissible_sample(
         pos = rng.uniform(lo, hi, size=(model.n, 3))
         if model.sigma > 0 and not np.all(pair_sq_distances(pos) > sig2):
             continue
-        if velocity_sampler is not None:
-            vel = velocity_sampler(rng)
-        else:
-            vel = maxwell_velocities(model.n, v_th, rng)
-        return NBodyConfig(pos, vel)
+        return NBodyConfig(pos, maxwell_velocities(model.n, v_th, rng))
     raise RuntimeError(
         f"rejection sampling failed after {max_tries} proposals "
         f"(n={model.n}, sigma={model.sigma}); packing too dense for naive rejection"

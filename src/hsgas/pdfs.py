@@ -1,17 +1,34 @@
 """One-body phase-space density families and their diagnostics.
 
 Every family lives on the cube [0, box]^3 times velocity space and exposes a
-vectorized ``density(r, v, t)``. The analytic families carry enough structure
-(per-axis factorization, Gaussian velocity parts) that normalization and
-entropy reduce to small 1-D/3-D Gauss-Legendre compositions; the tabulated
-family integrates on its own grid.
+vectorized ``density(r, v, t)``. The tabulated family integrates on its own
+grid; the five analytic families share one base.
 
+The base is ``UniformMaxwellian``. It writes a family as the product of a
+position law and a velocity law, f(r, v) = rho(r) M(r, v), and holds the
+only ``density``, ``normalization`` and ``entropy`` of the analytic
+families, with the uniform position law and the isotropic Maxwell velocity
+law at zero mean. A family overrides only the law it changes:
+
+* position law: ``_position_law`` (rho inside the cube), ``sample_positions``,
+  ``log_position_gradient``, and its integrals on a quadrature,
+  ``_position_mass`` and ``_position_entropy``;
+* velocity law: ``_velocity_density``, ``sample_velocities`` and
+  ``_velocity_mass``/``_velocity_entropy``.
+
+Normalization is position mass times velocity mass and entropy the sum of
+the two entropies; each error is the change under ``quad.coarsened()``.
 Velocity-space integrals truncate at v_max thermal speeds per axis (default 6,
 Gaussian tails below 1e-7).
+
+``FAMILIES`` maps a config ``family`` tag to its factory, which is called as
+``factory(box=box, **params)``. The factory's parameters other than box are
+the only pdf keys the family takes (``family_keys``).
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -55,15 +72,15 @@ def _in_box(r, box):
 
 
 class OneBodyPdf:
-    """Base interface. Subclasses must set family_tag, box, v_th."""
+    """Interface of a one-body pdf on [0, box]^3 times velocity space.
+
+    A family sets family_tag, box and v_th and provides density(r, v, t),
+    position_density(r, t), sample_positions(count, rng),
+    sample(count, seed, t), normalization(quad) and entropy(quad). The
+    defaults here are a zero drift and no analytic position gradient.
+    """
 
     family_tag = "abstract"
-
-    def density(self, r, v, t: float = 0.0):
-        raise NotImplementedError
-
-    def position_density(self, r, t: float = 0.0):
-        raise NotImplementedError
 
     def drift(self, r, t: float = 0.0):
         """Mean velocity at position r, broadcast to r's shape."""
@@ -74,26 +91,6 @@ class OneBodyPdf:
         """Analytic d(ln rho)/dr, or None when only FD is available."""
         return None
 
-    def sample_positions(self, count: int, rng):
-        """Draw positions from the spatial marginal using a live Generator."""
-        raise NotImplementedError
-
-    def sample_velocities(self, positions, rng):
-        """Draw velocities conditional on the given positions."""
-        raise NotImplementedError
-
-    def sample(self, count: int, seed: int, t: float = 0.0):
-        rng = derive_rng(seed, "pdf", self.family_tag)
-        r = self.sample_positions(count, rng)
-        return r, self.sample_velocities(r, rng)
-
-    # -- quadrature hooks -------------------------------------------------
-    def normalization(self, quad: QuadratureSpec):
-        raise NotImplementedError
-
-    def entropy(self, quad: QuadratureSpec) -> EntropyReport:
-        raise NotImplementedError
-
 
 def _axis_entropy(fvals, w):
     # -sum w f ln f, guarding zeros
@@ -103,80 +100,101 @@ def _axis_entropy(fvals, w):
     return -float((w * out).sum())
 
 
-class _GaussianVelocityMixin:
-    """Velocity part = isotropic Maxwell at a (possibly position-bound) drift."""
+class UniformMaxwellian(OneBodyPdf):
+    """Spatially uniform density with an isotropic Maxwell velocity law.
 
-    def _velocity_normalization_1d(self, quad: QuadratureSpec):
-        # per-axis integral of the standard Gaussian over the truncated box
-        x, w = gauss_legendre(quad.velocity_nodes, -quad.v_max * self.v_th,
-                              quad.v_max * self.v_th)
-        g = np.exp(-0.5 * (x / self.v_th) ** 2) / (math.sqrt(_TWO_PI) * self.v_th)
-        return float((w * g).sum())
-
-    def _velocity_entropy(self, quad: QuadratureSpec):
-        x, w = gauss_legendre(quad.velocity_nodes, -quad.v_max * self.v_th,
-                              quad.v_max * self.v_th)
-        g = np.exp(-0.5 * (x / self.v_th) ** 2) / (math.sqrt(_TWO_PI) * self.v_th)
-        # 3 independent axes: S_vel = 3 * S_axis
-        return 3.0 * _axis_entropy(g, w)
-
-
-class UniformMaxwellian(_GaussianVelocityMixin, OneBodyPdf):
-    """Spatially uniform density with an isotropic Maxwell velocity law."""
+    The base of the analytic families: see the module docstring for the
+    position-law and velocity-law hooks a family overrides.
+    """
 
     family_tag = "uniform_maxwell"
 
-    def __init__(self, box: float, v_th: float = 1.0, scale: float = 1.0):
+    def __init__(self, box: float, v_th: float = 1.0):
         self.box = float(box)
         self.v_th = float(v_th)
-        self.scale = float(scale)  # overall multiplier, for linearity tests
+
+    # -- position law: uniform on the cube --------------------------------
+    def _position_law(self, r):
+        return 1.0 / self.box ** 3
 
     def position_density(self, r, t=0.0):
         r = np.asarray(r, dtype=float)
-        inside = _in_box(r, self.box)
-        return self.scale * inside / self.box ** 3
-
-    def density(self, r, v, t=0.0):
-        return self.position_density(r) * _maxwell(v, 0.0, self.v_th)
+        return self._position_law(r) * _in_box(r, self.box)
 
     def log_position_gradient(self, r, v, t=0.0):
-        r = np.asarray(r, dtype=float)
-        return np.zeros_like(r)
+        return np.zeros_like(np.asarray(r, dtype=float))
 
     def sample_positions(self, count, rng):
         return rng.uniform(0.0, self.box, size=(count, 3))
 
+    def _position_mass(self, quad):
+        return 1.0
+
+    def _position_entropy(self, quad):
+        return 3.0 * math.log(self.box)
+
+    # -- velocity law: isotropic Maxwell at zero mean ----------------------
+    def _velocity_density(self, r, v):
+        # a scalar mean keeps the Gaussian on v's shape, not r's
+        return _maxwell(v, 0.0, self.v_th)
+
     def sample_velocities(self, positions, rng):
         return rng.normal(scale=self.v_th, size=(len(positions), 3))
 
-    def normalization(self, quad):
-        j = self._velocity_normalization_1d(quad)
-        coarse = self._velocity_normalization_1d(quad.coarsened())
-        val = self.scale * j ** 3
-        return val, abs(val - self.scale * coarse ** 3) + 1e-15 * abs(val)
+    def _axis_gaussian(self, quad):
+        # per-axis Maxwell factor on the truncated interval, with GL weights
+        x, w = gauss_legendre(quad.velocity_nodes, -quad.v_max * self.v_th,
+                              quad.v_max * self.v_th)
+        g = np.exp(-0.5 * (x / self.v_th) ** 2) / (math.sqrt(_TWO_PI) * self.v_th)
+        return g, w
 
-    def entropy(self, quad):
-        if self.scale != 1.0:
-            raise ValueError("entropy defined for normalized densities only")
-        s_pos = 3.0 * math.log(self.box)
-        s_vel = self._velocity_entropy(quad)
-        err = abs(s_vel - self._velocity_entropy(quad.coarsened()))
-        return EntropyReport(S=s_pos + s_vel, quadrature_error=err + 1e-14)
+    def _velocity_mass(self, quad):
+        g, w = self._axis_gaussian(quad)
+        return float((w * g).sum()) ** 3
+
+    def _velocity_entropy(self, quad):
+        g, w = self._axis_gaussian(quad)
+        # 3 independent axes: S_vel = 3 * S_axis
+        return 3.0 * _axis_entropy(g, w)
+
+    # -- the product of the two laws ---------------------------------------
+    def density(self, r, v, t=0.0):
+        return self.position_density(r) * self._velocity_density(r, v)
+
+    def sample(self, count: int, seed: int, t: float = 0.0):
+        rng = derive_rng(seed, "pdf", self.family_tag)
+        r = self.sample_positions(count, rng)
+        return r, self.sample_velocities(r, rng)
+
+    def normalization(self, quad: QuadratureSpec):
+        def mass(q):
+            return self._position_mass(q) * self._velocity_mass(q)
+
+        val = mass(quad)
+        return val, abs(val - mass(quad.coarsened())) + 1e-15
+
+    def entropy(self, quad: QuadratureSpec) -> EntropyReport:
+        def total(q):
+            return self._position_entropy(q) + self._velocity_entropy(q)
+
+        s = total(quad)
+        err = abs(s - total(quad.coarsened()))
+        return EntropyReport(S=s, quadrature_error=err + 1e-14)
 
 
-class DriftedMaxwellian(_GaussianVelocityMixin, OneBodyPdf):
+class DriftedMaxwellian(UniformMaxwellian):
     """Uniform position density, Maxwell velocities around a drift field.
 
     drift(r) = u0 + shear_rate * (x - box/2) * yhat. With shear_rate = 0 this
     is the constant-drift family; a nonzero shear gives the drift a spatial
-    gradient while keeping the local velocity law Maxwellian.
+    gradient while keeping the local velocity law Maxwellian. The velocity
+    integrals are taken in the local drift frame, so they do not depend on r.
     """
 
     family_tag = "drifted_maxwell"
 
     def __init__(self, box, v_th=1.0, u0=(0.0, 0.0, 0.0), shear_rate: float = 0.0):
-        self.box = float(box)
-        self.v_th = float(v_th)
+        super().__init__(box, v_th)
         self.u0 = np.asarray(u0, dtype=float)
         self.shear_rate = float(shear_rate)
 
@@ -187,14 +205,6 @@ class DriftedMaxwellian(_GaussianVelocityMixin, OneBodyPdf):
             u[..., 1] = u[..., 1] + self.shear_rate * (r[..., 0] - self.box / 2.0)
         return u
 
-    def position_density(self, r, t=0.0):
-        r = np.asarray(r, dtype=float)
-        inside = _in_box(r, self.box)
-        return inside / self.box ** 3
-
-    def density(self, r, v, t=0.0):
-        return self.position_density(r) * _maxwell(v, self.drift(r), self.v_th)
-
     def log_position_gradient(self, r, v, t=0.0):
         r = np.asarray(r, dtype=float)
         v = np.asarray(v, dtype=float)
@@ -204,35 +214,20 @@ class DriftedMaxwellian(_GaussianVelocityMixin, OneBodyPdf):
             grad[..., 0] = w[..., 1] * self.shear_rate / self.v_th ** 2
         return grad
 
-    def sample_positions(self, count, rng):
-        return rng.uniform(0.0, self.box, size=(count, 3))
+    def _velocity_density(self, r, v):
+        return _maxwell(v, self.drift(r), self.v_th)
 
     def sample_velocities(self, positions, rng):
-        return self.drift(positions) + rng.normal(
-            scale=self.v_th, size=(len(positions), 3))
-
-    def normalization(self, quad):
-        # velocity box recentered on the local drift makes the integral
-        # position independent; the residual is the fixed-frame truncation
-        j = self._velocity_normalization_1d(quad)
-        coarse = self._velocity_normalization_1d(quad.coarsened())
-        return j ** 3, abs(j ** 3 - coarse ** 3) + 1e-15
-
-    def entropy(self, quad):
-        s_pos = 3.0 * math.log(self.box)
-        s_vel = self._velocity_entropy(quad)
-        err = abs(s_vel - self._velocity_entropy(quad.coarsened()))
-        return EntropyReport(S=s_pos + s_vel, quadrature_error=err + 1e-14)
+        return self.drift(positions) + super().sample_velocities(positions, rng)
 
 
-class TiltedExponential(_GaussianVelocityMixin, OneBodyPdf):
+class TiltedExponential(UniformMaxwellian):
     """Position density proportional to exp(a . r) on the cube, Maxwell velocities."""
 
     family_tag = "tilted_exponential"
 
     def __init__(self, box, tilt=(1.0, 0.0, 0.0), v_th=1.0):
-        self.box = float(box)
-        self.v_th = float(v_th)
+        super().__init__(box, v_th)
         self.tilt = np.asarray(tilt, dtype=float)
         self._axis_norm = np.array(
             [
@@ -241,17 +236,8 @@ class TiltedExponential(_GaussianVelocityMixin, OneBodyPdf):
             ]
         )
 
-    def position_density(self, r, t=0.0):
-        r = np.asarray(r, dtype=float)
-        inside = _in_box(r, self.box)
-        val = np.exp((r * self.tilt).sum(axis=-1)) / self._axis_norm.prod()
-        return val * inside
-
-    def density(self, r, v, t=0.0):
-        return self.position_density(r) * _maxwell(v, 0.0, self.v_th)
-
-    def drift(self, r, t=0.0):
-        return np.zeros_like(np.asarray(r, dtype=float))
+    def _position_law(self, r):
+        return np.exp((r * self.tilt).sum(axis=-1)) / self._axis_norm.prod()
 
     def log_position_gradient(self, r, v, t=0.0):
         r = np.asarray(r, dtype=float)
@@ -268,9 +254,6 @@ class TiltedExponential(_GaussianVelocityMixin, OneBodyPdf):
                 r[:, i] = np.log1p(u[:, i] * math.expm1(a * self.box)) / a
         return r
 
-    def sample_velocities(self, positions, rng):
-        return rng.normal(scale=self.v_th, size=(len(positions), 3))
-
     def _axis_position_quads(self, quad):
         out = []
         for i, a in enumerate(self.tilt):
@@ -279,31 +262,15 @@ class TiltedExponential(_GaussianVelocityMixin, OneBodyPdf):
             out.append((p, w))
         return out
 
-    def normalization(self, quad):
-        jv = self._velocity_normalization_1d(quad)
-        pos = 1.0
-        for p, w in self._axis_position_quads(quad):
-            pos *= float((w * p).sum())
-        val = pos * jv ** 3
-        coarse_pos = 1.0
-        for p, w in self._axis_position_quads(quad.coarsened()):
-            coarse_pos *= float((w * p).sum())
-        coarse = coarse_pos * self._velocity_normalization_1d(quad.coarsened()) ** 3
-        return val, abs(val - coarse) + 1e-15
+    def _position_mass(self, quad):
+        return math.prod(float((w * p).sum())
+                         for p, w in self._axis_position_quads(quad))
 
-    def entropy(self, quad):
-        def s_pos(q):
-            total = 0.0
-            for p, w in self._axis_position_quads(q):
-                total += _axis_entropy(p, w)
-            return total
-
-        s = s_pos(quad) + self._velocity_entropy(quad)
-        err = abs(s - (s_pos(quad.coarsened()) + self._velocity_entropy(quad.coarsened())))
-        return EntropyReport(S=s, quadrature_error=err + 1e-14)
+    def _position_entropy(self, quad):
+        return sum(_axis_entropy(p, w) for p, w in self._axis_position_quads(quad))
 
 
-class SinusoidalMaxwellian(_GaussianVelocityMixin, OneBodyPdf):
+class SinusoidalMaxwellian(UniformMaxwellian):
     """Density (1 + alpha sin(2 pi x/box + phase))/box^3 times a Maxwell law."""
 
     family_tag = "sinusoidal_maxwell"
@@ -311,9 +278,8 @@ class SinusoidalMaxwellian(_GaussianVelocityMixin, OneBodyPdf):
     def __init__(self, box, alpha=0.2, v_th=1.0, phase: float = 0.0, axis: int = 0):
         if not 0 <= alpha < 1:
             raise ValueError("alpha must be in [0, 1) for strict positivity")
-        self.box = float(box)
+        super().__init__(box, v_th)
         self.alpha = float(alpha)
-        self.v_th = float(v_th)
         self.phase = float(phase)
         self.axis = int(axis)
 
@@ -321,13 +287,8 @@ class SinusoidalMaxwellian(_GaussianVelocityMixin, OneBodyPdf):
         k = _TWO_PI / self.box
         return 1.0 + self.alpha * np.sin(k * x + self.phase)
 
-    def position_density(self, r, t=0.0):
-        r = np.asarray(r, dtype=float)
-        inside = _in_box(r, self.box)
-        return self._profile(r[..., self.axis]) / self.box ** 3 * inside
-
-    def density(self, r, v, t=0.0):
-        return self.position_density(r) * _maxwell(v, 0.0, self.v_th)
+    def _position_law(self, r):
+        return self._profile(r[..., self.axis]) / self.box ** 3
 
     def log_position_gradient(self, r, v, t=0.0):
         r = np.asarray(r, dtype=float)
@@ -353,33 +314,21 @@ class SinusoidalMaxwellian(_GaussianVelocityMixin, OneBodyPdf):
         out[:, other] = rng.uniform(0.0, self.box, size=(count, 2))
         return out
 
-    def sample_velocities(self, positions, rng):
-        return rng.normal(scale=self.v_th, size=(len(positions), 3))
-
     def _pos_quad(self, q):
         x, w = gauss_legendre(q.position_nodes * 4, 0.0, self.box)
         return self._profile(x) / self.box, w
 
-    def normalization(self, quad):
-        jv = self._velocity_normalization_1d(quad)
+    def _position_mass(self, quad):
         p, w = self._pos_quad(quad)
-        val = float((w * p).sum()) * jv ** 3
-        pc, wc = self._pos_quad(quad.coarsened())
-        coarse = float((wc * pc).sum()) * self._velocity_normalization_1d(quad.coarsened()) ** 3
-        return val, abs(val - coarse) + 1e-15
+        return float((w * p).sum())
 
-    def entropy(self, quad):
-        def s_pos(q):
-            p, w = self._pos_quad(q)
-            # remaining two axes are uniform over box
-            return _axis_entropy(p, w) + 2.0 * math.log(self.box)
-
-        s = s_pos(quad) + self._velocity_entropy(quad)
-        err = abs(s - (s_pos(quad.coarsened()) + self._velocity_entropy(quad.coarsened())))
-        return EntropyReport(S=s, quadrature_error=err + 1e-14)
+    def _position_entropy(self, quad):
+        p, w = self._pos_quad(quad)
+        # remaining two axes are uniform over box
+        return _axis_entropy(p, w) + 2.0 * math.log(self.box)
 
 
-class VelocityMixture(OneBodyPdf):
+class VelocityMixture(UniformMaxwellian):
     """Uniform position density with a mixture-of-Maxwellians velocity law.
 
     components: sequence of (weight, mean(3,), v_th). Covers two-beam and
@@ -389,42 +338,27 @@ class VelocityMixture(OneBodyPdf):
     family_tag = "velocity_mixture"
 
     def __init__(self, box, components):
-        self.box = float(box)
-        self.components = [
+        components = [
             (float(w), np.asarray(m, dtype=float), float(s)) for w, m, s in components
         ]
-        wsum = sum(w for w, _, _ in self.components)
+        wsum = sum(w for w, _, _ in components)
         if abs(wsum - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1")
-        self.v_th = math.sqrt(
-            sum(w * (s ** 2 + (m * m).sum() / 3.0) for w, m, s in self.components)
-        )
+        super().__init__(box, v_th=math.sqrt(
+            sum(w * (s ** 2 + (m * m).sum() / 3.0) for w, m, s in components)))
+        self.components = components
 
-    def mixture_velocity_density(self, v):
+    def _velocity_density(self, r, v):
         v = np.asarray(v, dtype=float)
         out = np.zeros(v.shape[:-1], dtype=float)
         for w, m, s in self.components:
             out = out + w * _maxwell(v, m, s)
         return out
 
-    def position_density(self, r, t=0.0):
-        r = np.asarray(r, dtype=float)
-        inside = _in_box(r, self.box)
-        return inside / self.box ** 3
-
-    def density(self, r, v, t=0.0):
-        return self.position_density(r) * self.mixture_velocity_density(v)
-
     def drift(self, r, t=0.0):
         r = np.asarray(r, dtype=float)
         u = sum(w * m for w, m, _ in self.components)
         return np.broadcast_to(u, r.shape).copy()
-
-    def log_position_gradient(self, r, v, t=0.0):
-        return np.zeros_like(np.asarray(r, dtype=float))
-
-    def sample_positions(self, count, rng):
-        return rng.uniform(0.0, self.box, size=(count, 3))
 
     def sample_velocities(self, positions, rng):
         count = len(positions)
@@ -445,22 +379,13 @@ class VelocityMixture(OneBodyPdf):
         weights = (w[:, None, None] * w[None, :, None] * w[None, None, :]).reshape(-1)
         return nodes, weights
 
-    def normalization(self, quad):
+    def _velocity_mass(self, quad):
         nodes, w = self._vel_grid(quad)
-        val = float((w * self.mixture_velocity_density(nodes)).sum())
-        nc, wc = self._vel_grid(quad.coarsened())
-        coarse = float((wc * self.mixture_velocity_density(nc)).sum())
-        return val, abs(val - coarse) + 1e-15
+        return float((w * self._velocity_density(None, nodes)).sum())
 
-    def entropy(self, quad):
-        def s_vel(q):
-            nodes, w = self._vel_grid(q)
-            f = self.mixture_velocity_density(nodes)
-            return _axis_entropy(f, w)
-
-        s = 3.0 * math.log(self.box) + s_vel(quad)
-        err = abs(s - (3.0 * math.log(self.box) + s_vel(quad.coarsened())))
-        return EntropyReport(S=s, quadrature_error=err + 1e-14)
+    def _velocity_entropy(self, quad):
+        nodes, w = self._vel_grid(quad)
+        return _axis_entropy(self._velocity_density(None, nodes), w)
 
 
 class TabulatedPdf(OneBodyPdf):
@@ -694,27 +619,30 @@ def scale_length(pdf: OneBodyPdf, t: float, probes: int, seed: int,
     )
 
 
+# ---------------------------------------------------------------------------
+# the family registry: the only list of families and of their config keys
+
+
+FAMILIES = {
+    **{cls.family_tag: cls for cls in (UniformMaxwellian, DriftedMaxwellian,
+                                       TiltedExponential, SinusoidalMaxwellian,
+                                       VelocityMixture)},
+    TabulatedPdf.family_tag: TabulatedPdf.from_csv,
+}
+
+
+def family_keys(family: str):
+    """(keys, required keys) of a family: its factory's parameters but box."""
+    params = inspect.signature(FAMILIES[family]).parameters
+    keys = tuple(k for k in params if k != "box")
+    return keys, tuple(k for k in keys
+                       if params[k].default is inspect.Parameter.empty)
+
+
 def build_family(spec: dict, box: float) -> OneBodyPdf:
     """Construct a pdf family from a config dictionary."""
-    kind = spec.get("family")
-    p = {k: v for k, v in spec.items() if k != "family"}
-    if kind == "uniform_maxwell":
-        return UniformMaxwellian(box, v_th=p.get("v_th", 1.0))
-    if kind == "drifted_maxwell":
-        return DriftedMaxwellian(
-            box, v_th=p.get("v_th", 1.0), u0=p.get("u0", (0.0, 0.0, 0.0)),
-            shear_rate=p.get("shear_rate", 0.0),
-        )
-    if kind == "tilted_exponential":
-        return TiltedExponential(box, tilt=p.get("tilt", (1.0, 0, 0)),
-                                 v_th=p.get("v_th", 1.0))
-    if kind == "sinusoidal_maxwell":
-        return SinusoidalMaxwellian(
-            box, alpha=p.get("alpha", 0.2), v_th=p.get("v_th", 1.0),
-            phase=p.get("phase", 0.0), axis=p.get("axis", 0),
-        )
-    if kind == "velocity_mixture":
-        return VelocityMixture(box, p["components"])
-    if kind == "tabulated":
-        return TabulatedPdf.from_csv(p["path"], box=box, v_th=p.get("v_th", 1.0))
-    raise ValueError(f"unknown pdf family {kind!r}")
+    params = dict(spec)
+    family = params.pop("family", None)
+    if family not in FAMILIES:
+        raise ValueError(f"unknown pdf family {family!r}")
+    return FAMILIES[family](box=box, **params)

@@ -81,14 +81,6 @@ def velocity_grid(spec: QuadratureSpec, v_th: float, center=None):
     return nodes, weights
 
 
-def position_grid(n: int, box: float):
-    """Tensor GL nodes (m,3) and weights (m,) on the cube [0, box]^3."""
-    x, w = gauss_legendre(n, 0.0, box)
-    nodes = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
-    weights = (w[:, None, None] * w[None, :, None] * w[None, None, :]).reshape(-1)
-    return nodes, weights
-
-
 def _hemisphere_counts(angle_nodes: int) -> tuple[int, int]:
     # product counts n_u * n_phi >= angle_nodes / 2 with n_phi ~ 3 n_u
     target = max(8, (angle_nodes + 1) // 2)
@@ -113,12 +105,11 @@ def hemisphere_rule(angle_nodes: int, u_order_bump: int = 0, phi_offset: float =
     return u, wu, phi, wphi, n_u * n_phi
 
 
-def sphere_grid(angle_nodes: int, rotation=None):
+def sphere_grid(angle_nodes: int):
     """Antipodally symmetric full-sphere product grid.
 
     Returns (nodes (m,3), weights (m,), realized_count). Even GL order in
     cos(theta) keeps nodes off the equator and the set antipodally symmetric.
-    An optional rotation matrix is applied to all nodes.
     """
     target = max(8, int(angle_nodes))
     n_u = max(4, int(np.ceil(np.sqrt(target / 2.0) / 1.2)))
@@ -139,8 +130,6 @@ def sphere_grid(angle_nodes: int, rotation=None):
         axis=-1,
     ).reshape(-1, 3)
     weights = (wu[:, None] * np.full(n_phi, 2.0 * np.pi / n_phi)[None, :]).reshape(-1)
-    if rotation is not None:
-        nodes = nodes @ np.asarray(rotation, dtype=float).T
     return nodes, weights, n_u * n_phi
 
 

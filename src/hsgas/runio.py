@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .pdfs import FAMILIES, family_keys
+
 SCHEMA_VERSION = 1
 
 EXPERIMENTS = ("k1", "ks", "ops", "md", "bg-sweep", "noncomm", "chaos",
@@ -114,11 +116,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "required": ["family"],
             "properties": {
-                "family": {
-                    "enum": ["uniform_maxwell", "drifted_maxwell",
-                             "tilted_exponential", "sinusoidal_maxwell",
-                             "velocity_mixture", "tabulated"],
-                },
+                "family": {"enum": list(FAMILIES)},
                 "v_th": _POSITIVE,
                 "u0": {"type": "array", "items": {"type": "number"},
                        "minItems": 3, "maxItems": 3},
@@ -126,7 +124,7 @@ CONFIG_SCHEMA = {
                 "tilt": {"type": "array", "items": {"type": "number"},
                          "minItems": 3, "maxItems": 3},
                 "alpha": {"type": "number",
-                          "exclusiveMinimum": -1, "exclusiveMaximum": 1},
+                          "minimum": 0, "exclusiveMaximum": 1},
                 "phase": {"type": "number"},
                 "axis": {"type": "integer", "minimum": 0, "maximum": 2},
                 "components": {"type": "array"},
@@ -213,14 +211,34 @@ CONFIG_SCHEMA = {
 }
 
 
+def _pdf_key_errors(pdf: dict) -> list:
+    """Keys the chosen family does not take, and required keys it lacks."""
+    family = pdf.get("family")
+    if not isinstance(family, str) or family not in FAMILIES:
+        return []  # the schema's enum already names it
+    keys, required = family_keys(family)
+    out = [f"$.pdf.{k}: family {family!r} takes no key {k!r} "
+           f"(it takes {', '.join(keys)})"
+           for k in pdf if k != "family" and k not in keys]
+    out += [f"$.pdf: family {family!r} needs key {k!r}"
+            for k in required if k not in pdf]
+    return out
+
+
 def validate_config(config: dict) -> list:
-    """Schema violations as '<json path>: <message>' strings (empty = valid)."""
+    """Schema violations as '<json path>: <message>' strings (empty = valid).
+
+    Beyond the schema, the pdf section must hold exactly the keys its
+    family's factory takes (pdfs.family_keys).
+    """
     import jsonschema
 
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     out = []
     for err in sorted(validator.iter_errors(config), key=lambda e: e.json_path):
         out.append(f"{err.json_path}: {err.message}")
+    if isinstance(config, dict) and isinstance(config.get("pdf"), dict):
+        out += _pdf_key_errors(config["pdf"])
     return out
 
 

@@ -3,10 +3,15 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from hsgas import cli, runio
+from hsgas import cli, pdfs, runio
+
+WORKLOADS = sorted(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "workloads")
+    .glob("*.json"))
 
 K1_CONFIG = {
     "schema_version": 1, "experiment": "k1", "seed": 3,
@@ -52,6 +57,20 @@ MD_CONFIG = {
     "md": {"t_end": 0.5, "snapshots": 12, "windows": 4},
 }
 
+BG_SWEEP_CONFIG = {
+    "schema_version": 1, "experiment": "bg-sweep", "seed": 3,
+    "sequence": {"c": 0.2, "box": 1.0, "ns": [20, 40, 80, 160]},
+    "k1": {"grid_nodes": 2, "samples_per_node": 100_000},
+}
+
+NONCOMM_CONFIG = {
+    "schema_version": 1, "experiment": "noncomm", "seed": 3,
+    "sequence": {"c": 0.2, "box": 1.0, "ns": [20, 40]},
+    "pdf": {"family": "tilted_exponential", "tilt": [1.0, 0.0, 0.0]},
+    "k1": {"grid_nodes": 2, "samples_per_node": 20_000, "tol": 0.01},
+    "quadrature": {"angle_nodes": 26},
+}
+
 ENTROPY_CONFIG = {
     "schema_version": 1, "experiment": "entropy", "seed": 3,
     "model": {"n": 8, "sigma": 0.05, "box": 1.0},
@@ -77,8 +96,10 @@ def test_one_experiment_registry():
 
 @pytest.mark.parametrize("config",
                          [K1_CONFIG, KS_CONFIG, CHAOS_CONFIG, OPS_CONFIG,
-                          RELAX_CONFIG, MD_CONFIG],
-                         ids=["k1", "ks", "chaos", "ops", "relax", "md"])
+                          RELAX_CONFIG, MD_CONFIG, BG_SWEEP_CONFIG,
+                          NONCOMM_CONFIG],
+                         ids=["k1", "ks", "chaos", "ops", "relax", "md",
+                              "bg-sweep", "noncomm"])
 def test_run_lists_its_artifacts_and_repeats_its_csvs(tmp_path, config):
     rc, out = run_cli(tmp_path, config, "a")
     assert rc == 0
@@ -114,24 +135,78 @@ def test_entropy_lists_its_artifacts_and_repeats_its_report(tmp_path):
             == (again / "report.json").read_bytes())
 
 
-@pytest.mark.parametrize("config, command", [
-    ({**K1_CONFIG, "threads": 2}, None),
-    ({**CHAOS_CONFIG, "bg": {**CHAOS_CONFIG["bg"], "probes": 4}}, None),
-    ({**K1_CONFIG, "k1": {**K1_CONFIG["k1"], "grid": 2}}, None),
-    ({**K1_CONFIG, "extra": 1}, None),
-    (K1_CONFIG, "ks"),
-    ({**OPS_CONFIG, "ops": {"rho2_form": "geometric_mean"}}, None),
+@pytest.mark.parametrize("config, command, named", [
+    ({**K1_CONFIG, "threads": 2}, None, "'threads'"),
+    ({**CHAOS_CONFIG, "bg": {**CHAOS_CONFIG["bg"], "probes": 4}}, None,
+     "$.bg: Additional properties are not allowed ('probes'"),
+    ({**K1_CONFIG, "k1": {**K1_CONFIG["k1"], "grid": 2}}, None, "'grid'"),
+    ({**K1_CONFIG, "extra": 1}, None, "'extra'"),
+    (K1_CONFIG, "ks", "$.experiment"),
+    ({**OPS_CONFIG, "ops": {"rho2_form": "geometric_mean"}}, None,
+     "$.ops.rho2_form"),
     ({**RELAX_CONFIG, "relax": {**RELAX_CONFIG["relax"], "phi_nodes": 8}},
-     None),
-    ({**MD_CONFIG, "md": {**MD_CONFIG["md"], "record_cap": 10}}, None),
-    ({**KS_CONFIG, "ks": {**KS_CONFIG["ks"], "probes": 4}}, None),
+     None, "'phi_nodes'"),
+    ({**MD_CONFIG, "md": {**MD_CONFIG["md"], "record_cap": 10}}, None,
+     "'record_cap'"),
+    ({**KS_CONFIG, "ks": {**KS_CONFIG["ks"], "probes": 4}}, None,
+     "$.ks: Additional properties are not allowed ('probes'"),
+    ({**BG_SWEEP_CONFIG, "k1": {**BG_SWEEP_CONFIG["k1"], "probes": 4}}, None,
+     "$.k1: Additional properties are not allowed ('probes'"),
+    ({**NONCOMM_CONFIG,
+      "sequence": {**NONCOMM_CONFIG["sequence"], "sigma": 0.1}}, None,
+     "'sigma'"),
+    ({**ENTROPY_CONFIG, "pdf": {**ENTROPY_CONFIG["pdf"], "alpha": -0.3}},
+     None, "$.pdf.alpha: -0.3 is less than the minimum of 0"),
+    ({**ENTROPY_CONFIG, "pdf": {"family": "uniform_maxwell",
+                                "tilt": [5.0, 0.0, 0.0]}}, None,
+     "$.pdf.tilt: family 'uniform_maxwell' takes no key 'tilt'"),
+    ({**RELAX_CONFIG, "pdf": {"family": "velocity_mixture"}}, None,
+     "$.pdf: family 'velocity_mixture' needs key 'components'"),
+    ({**ENTROPY_CONFIG, "pdf": {"family": "tabulated"}}, None,
+     "$.pdf: family 'tabulated' needs key 'path'"),
+    ({**ENTROPY_CONFIG, "pdf": {"family": ["uniform_maxwell"]}}, None,
+     "$.pdf.family: ['uniform_maxwell'] is not one of"),
 ], ids=["threads", "bg.probes", "unknown-nested", "unknown-top", "mismatch",
-        "rho2_form", "relax.phi_nodes", "md.record_cap", "ks.probes"])
-def test_schema_violations_exit_2(tmp_path, capsys, config, command):
+        "rho2_form", "relax.phi_nodes", "md.record_cap", "ks.probes",
+        "bg-sweep.k1.probes", "noncomm.sequence.sigma", "pdf.alpha-negative",
+        "pdf.tilt-on-uniform", "pdf.components-missing", "pdf.path-missing",
+        "pdf.family-list"])
+def test_schema_violations_exit_2(tmp_path, capsys, config, command, named):
     rc, out = run_cli(tmp_path, config, "bad", command)
     assert rc == 2
-    assert "schema error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: ")
+    assert named in err
     assert not out.exists()
+
+
+def test_pdf_schema_is_read_from_the_family_registry():
+    schema = runio.CONFIG_SCHEMA["properties"]["pdf"]["properties"]
+    assert schema["family"]["enum"] == list(pdfs.FAMILIES)
+    taken = {k for fam in pdfs.FAMILIES for k in pdfs.family_keys(fam)[0]}
+    assert set(schema) == taken | {"family"}
+
+
+@pytest.mark.parametrize("path", WORKLOADS, ids=lambda p: p.stem)
+def test_benchmark_workloads_pass_the_schema(path):
+    assert runio.validate_config(json.loads(path.read_text())) == []
+
+
+@pytest.mark.parametrize("md, names", [
+    ({"t_end": 5.0, "max_events": 20, "snapshots": 12, "windows": 4},
+     ("of 12 snapshots", "md.max_events", "md.t_end")),
+    ({"t_end": 0.5, "snapshots": 3, "windows": 4},
+     ("md.snapshots=3", "md.snapshots", "md.windows")),
+], ids=["stopped-early", "windows-exceed-snapshots"])
+def test_md_short_of_snapshots_exits_1_and_names_the_keys(tmp_path, capsys,
+                                                          md, names):
+    rc, _ = run_cli(tmp_path, {**MD_CONFIG, "md": md}, "short")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[md]: ")
+    assert "needs 4" in err
+    for name in names:
+        assert name in err
 
 
 def test_relax_reports_offsets_kept_per_step(tmp_path):

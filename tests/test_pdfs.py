@@ -202,9 +202,9 @@ def test_two_beam_mixture_frozen_width_and_drift():
     mix = two_beam_mixture()
     assert mix.v_th == pytest.approx(TWO_BEAM_VTH, rel=1e-14)
     assert np.allclose(mix.drift(np.zeros((2, 3))), 0.0)
+    r = np.full(3, 0.5)
     v = np.array([0.0, 0.4, 0.0])
-    assert mix.mixture_velocity_density(v) == pytest.approx(
-        mix.mixture_velocity_density(-v), rel=1e-14)
+    assert mix.density(r, v) == pytest.approx(mix.density(r, -v), rel=1e-14)
 
 
 def test_mixture_weights_must_sum_to_one():

@@ -12,7 +12,6 @@ from hsgas.quadrature import (
     gauss_legendre,
     hemisphere_rule,
     orthonormal_frames,
-    position_grid,
     sphere_grid,
     velocity_grid,
 )
@@ -61,11 +60,6 @@ def test_velocity_grid_integrates_maxwellian():
     g = (2 * math.pi) ** -1.5 * np.exp(
         -0.5 * ((V2 - np.array([0.7, -0.2, 0.1])) ** 2).sum(axis=1))
     assert (W2 * g).sum() == pytest.approx(1.0, abs=1e-7)
-
-
-def test_position_grid_total_weight():
-    _, W = position_grid(6, 1.5)
-    assert W.sum() == pytest.approx(1.5 ** 3, rel=1e-13)
 
 
 def test_hemisphere_rule_total_solid_angle():
