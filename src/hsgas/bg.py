@@ -330,18 +330,6 @@ class LimitOrderingReport:
     commutative: bool
     info: dict = dataclass_field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "entries": self.entries,
-            "plateau_rel_change": self.plateau_rel_change,
-            "plateau_ok": self.plateau_ok,
-            "nonzero_limit": self.nonzero_limit,
-            "sup_k1_final": self.sup_k1_final,
-            "limit_then_transport": self.limit_then_transport,
-            "commutative": self.commutative,
-            "info": self.info,
-        }
-
 
 def noncommutativity_report(c: float, box: float, ns, pdf, *,
                             r1=None, probe_velocity=None, quad=None,

@@ -1,10 +1,15 @@
 """Command-line orchestration: one subcommand per experiment.
 
-Every experiment reads a JSON config validated against the versioned schema
-in runio, derives all randomness from the single root seed, writes its CSV
-and JSON artifacts into the output directory, and finishes with a manifest
-echoing the config. CSV bodies are byte-identical across reruns of the same
-config; wall-clock lives only in the manifest.
+The subcommands are the entries of runio.EXPERIMENTS, and the runner of
+subcommand <name> is _run_<name> here (dashes become underscores). Every
+experiment reads a JSON config validated against the versioned schema in
+runio, which admits only the sections its runner reads and requires its
+geometry section (model or sequence). Section keys go straight to the
+library functions, whose signatures hold the defaults. Every experiment
+derives all randomness from the single root seed, writes its CSV and JSON
+artifacts into the output directory, and finishes with a manifest echoing
+the config. CSV bodies are byte-identical across reruns of the same config;
+wall-clock lives only in the manifest.
 
 Exit codes: 0 success, 1 runtime failure inside an experiment, 2 config or
 schema violation.
@@ -15,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -36,17 +41,13 @@ from .seeding import derive_child_seed
 
 
 def _model_from(config: dict) -> HardSphereModel:
-    m = config.get("model")
-    if m is None:
-        raise ValueError("this experiment needs a 'model' section")
+    m = config["model"]
     return HardSphereModel(n=int(m["n"]), sigma=float(m["sigma"]),
                            box=float(m["box"]))
 
 
 def _sequence_args(config: dict):
-    s = config.get("sequence")
-    if s is None:
-        raise ValueError("this experiment needs a 'sequence' section")
+    s = config["sequence"]
     return float(s["c"]), float(s["box"]), [int(n) for n in s["ns"]]
 
 
@@ -60,12 +61,26 @@ def _quad_from(config: dict) -> QuadratureSpec:
     return QuadratureSpec(**q)
 
 
-def _box_of(config: dict) -> float:
-    if "model" in config:
-        return float(config["model"]["box"])
-    if "sequence" in config:
-        return float(config["sequence"]["box"])
-    raise ValueError("config needs a 'model' or 'sequence' section")
+def _k1_field(config, model, pdf, seed, *labels, coarse=False):
+    """solve_k1 on the config's k1 section, seeded by the labels.
+
+    k1 keeps solve_k1's defaults; ks and ops use the field only as
+    importance weights and pass coarse=True for a 6 x 200,000 default.
+    """
+    from .occupation import solve_k1
+
+    k1 = dict(config.get("k1", {}))
+    if coarse:
+        k1 = {"grid_nodes": 6, "samples_per_node": 200_000, **k1}
+    return solve_k1(model, pdf, seed=derive_child_seed(seed, "cli", *labels),
+                    **k1)
+
+
+def _write_entries(out_dir, name, entries, columns):
+    """A sweep's per-entry rows as a CSV with the given columns."""
+    write_csv(artifact_path(out_dir, name), columns,
+              [[e[c] for c in columns] for e in entries])
+    return [name]
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +88,11 @@ def _box_of(config: dict) -> float:
 
 
 def _run_k1(config, seed, out_dir):
-    from .occupation import hat_normalization, solve_k1
+    from .occupation import hat_normalization
 
     model = _model_from(config)
     pdf = _pdf_from(config, model.box)
-    p = config.get("k1", {})
-    field = solve_k1(model, pdf, grid_nodes=p.get("grid_nodes", 8),
-                     samples_per_node=p.get("samples_per_node", 1_000_000),
-                     seed=derive_child_seed(seed, "cli", "k1"),
-                     tol=p.get("tol", 1e-3))
+    field = _k1_field(config, model, pdf, seed, "k1")
     field.to_csv(artifact_path(out_dir, "k1_field.csv"))
     report = {
         "sup_abs_k1_minus_1": field.sup_abs_deviation(),
@@ -92,16 +103,12 @@ def _run_k1(config, seed, out_dir):
 
 
 def _run_ks(config, seed, out_dir):
-    from .occupation import contact_pair_tuples, estimate_ks, solve_k1
+    from .occupation import contact_pair_tuples, estimate_ks
 
     model = _model_from(config)
     pdf = _pdf_from(config, model.box)
     p = config.get("ks", {})
-    k1p = config.get("k1", {})
-    field = solve_k1(model, pdf, grid_nodes=k1p.get("grid_nodes", 6),
-                     samples_per_node=k1p.get("samples_per_node", 200_000),
-                     seed=derive_child_seed(seed, "cli", "ks", "k1"),
-                     tol=k1p.get("tol", 1e-3))
+    field = _k1_field(config, model, pdf, seed, "ks", "k1", coarse=True)
     tuples = contact_pair_tuples(
         model, pdf, p.get("tuple_count", 20),
         derive_child_seed(seed, "cli", "ks", "tuples"),
@@ -133,17 +140,13 @@ _PAIR_MODES = {"pair_over_k1sq": "insertion", "hat_product": "product"}
 def _run_ops(config, seed, out_dir):
     from .bg import bulk_phase_probes
     from .collision import moment_audit, operator_scan
-    from .occupation import ContactOccupancy, solve_k1
+    from .occupation import ContactOccupancy
 
     model = _model_from(config)
     pdf = _pdf_from(config, model.box)
     quad = _quad_from(config)
     p = config.get("ops", {})
-    k1p = config.get("k1", {})
-    field = solve_k1(model, pdf, grid_nodes=k1p.get("grid_nodes", 6),
-                     samples_per_node=k1p.get("samples_per_node", 200_000),
-                     seed=derive_child_seed(seed, "cli", "ops", "k1"),
-                     tol=k1p.get("tol", 1e-3))
+    field = _k1_field(config, model, pdf, seed, "ops", "k1", coarse=True)
     rho2_form = p.get("rho2_form", "pair_over_k1sq")
     occ = ContactOccupancy(model, field, mode=_PAIR_MODES[rho2_form])
     probes = bulk_phase_probes(model, pdf, p.get("probes", 12),
@@ -181,13 +184,12 @@ def _run_ops(config, seed, out_dir):
 
 
 def _run_md(config, seed, out_dir):
-    from .md import MeasureSpec, enskog_frequency_prediction, measure, run
+    from .md import enskog_frequency_prediction, measure, run
     from .md import near_contact_pair_prediction, wall_rate_prediction
 
     model = _model_from(config)
     p = config.get("md", {})
-    pdf_spec = config.get("pdf", {"family": "uniform_maxwell"})
-    v_th = float(pdf_spec.get("v_th", 1.0))
+    v_th = _pdf_from(config, model.box).v_th
     t_end = p.get("t_end")
     max_events = p.get("max_events")
     snapshots = p.get("snapshots", 0)
@@ -225,7 +227,7 @@ def _run_md(config, seed, out_dir):
         "n_wall": traj.n_wall, "audits": traj.audits,
     }
     if snapshots:
-        obs = measure(traj, MeasureSpec(windows=windows))
+        obs = measure(traj, windows=windows)
         obs.tabulated.to_csv(artifact_path(out_dir, "histogram.csv"))
         artifacts.append("histogram.csv")
         enskog = enskog_frequency_prediction(model, T=obs.temperature)
@@ -254,59 +256,37 @@ def _run_bg_sweep(config, seed, out_dir):
     from .bg import sweep_k1
 
     c, box, ns = _sequence_args(config)
-    pdf = _pdf_from(config, box)
-    p = config.get("k1", {})
-    rep = sweep_k1(c, box, ns, pdf=pdf,
-                   grid_nodes=p.get("grid_nodes", 8),
-                   samples_per_node=p.get("samples_per_node", 1_000_000),
-                   tol=p.get("tol", 1e-3), seed=seed)
-    rows = [[r["n"], r["epsilon"], r["sigma"], r["value"], r["error"]]
-            for r in rep.entries]
-    write_csv(artifact_path(out_dir, "k1_sweep.csv"),
-              ["n", "epsilon", "sigma", "value", "error"], rows)
-    return ["k1_sweep.csv"], rep.to_dict()
+    rep = sweep_k1(c, box, ns, pdf=_pdf_from(config, box), seed=seed,
+                   **config.get("k1", {}))
+    return (_write_entries(out_dir, "k1_sweep.csv", rep.entries,
+                           ["n", "epsilon", "sigma", "value", "error"]),
+            rep.to_dict())
 
 
 def _run_noncomm(config, seed, out_dir):
     from .bg import noncommutativity_report
 
     c, box, ns = _sequence_args(config)
-    pdf = _pdf_from(config, box)
-    p = config.get("k1", {})
-    rep = noncommutativity_report(
-        c, box, ns, pdf, grid_nodes=p.get("grid_nodes", 8),
-        samples_per_node=p.get("samples_per_node", 400_000),
-        tol=p.get("tol", 1e-3), seed=seed)
-    rows = [[r["n"], r["epsilon"], r["sigma"], r["raw_value"],
-             r["raw_error"], r["rescaled_value"], r["rescaled_error"],
-             r["sup_abs_k1_minus_1"]] for r in rep.entries]
-    write_csv(artifact_path(out_dir, "noncomm.csv"),
-              ["n", "epsilon", "sigma", "raw_value", "raw_error",
-               "rescaled_value", "rescaled_error", "sup_abs_k1_minus_1"],
-              rows)
-    return ["noncomm.csv"], rep.to_dict()
+    rep = noncommutativity_report(c, box, ns, _pdf_from(config, box),
+                                  quad=_quad_from(config), seed=seed,
+                                  **config.get("k1", {}))
+    return (_write_entries(out_dir, "noncomm.csv", rep.entries,
+                           ["n", "epsilon", "sigma", "raw_value",
+                            "raw_error", "rescaled_value", "rescaled_error",
+                            "sup_abs_k1_minus_1"]),
+            asdict(rep))
 
 
 def _run_chaos(config, seed, out_dir):
     from .bg import chaos_sweep
 
     c, box, ns = _sequence_args(config)
-    pdf = _pdf_from(config, box)
-    p = config.get("bg", {})
-    k1p = config.get("k1", {})
-    rep = chaos_sweep(c, box, ns, pdf=pdf,
-                      tuple_count=p.get("tuple_count", 20),
-                      samples=p.get("samples", 200_000),
-                      grid_nodes=k1p.get("grid_nodes", 6),
-                      samples_per_node=k1p.get("samples_per_node", 200_000),
-                      tol=k1p.get("tol", 1e-3),
-                      oracle_samples=p.get("oracle_samples", 0), seed=seed)
-    rows = [[r["n"], r["epsilon"], r["sigma"], r["value"], r["error"],
-             r["sup_abs_k2_minus_1"]] for r in rep.entries]
-    write_csv(artifact_path(out_dir, "chaos.csv"),
-              ["n", "epsilon", "sigma", "value", "error",
-               "sup_abs_k2_minus_1"], rows)
-    return ["chaos.csv"], rep.to_dict()
+    rep = chaos_sweep(c, box, ns, pdf=_pdf_from(config, box), seed=seed,
+                      **config.get("bg", {}), **config.get("k1", {}))
+    return (_write_entries(out_dir, "chaos.csv", rep.entries,
+                           ["n", "epsilon", "sigma", "value", "error",
+                            "sup_abs_k2_minus_1"]),
+            rep.to_dict())
 
 
 def _run_relax(config, seed, out_dir):
@@ -352,37 +332,26 @@ def _run_relax(config, seed, out_dir):
 def _run_entropy(config, seed, out_dir):
     from .pdfs import scale_length
 
-    box = _box_of(config)
-    pdf = _pdf_from(config, box)
+    model = _model_from(config)
+    pdf = _pdf_from(config, model.box)
     quad = _quad_from(config)
     rep = pdf.entropy(quad)
+    sm = scale_length(pdf, 0.0, 64, derive_child_seed(seed, "cli", "entropy"),
+                      model=model)
     report = {
         "entropy": rep.S,
         "quadrature_error": rep.quadrature_error,
         "zero_fraction": rep.zero_fraction,
         "normalization": pdf.normalization(quad),
+        "scale_length": sm.L_rho,
+        "delta": sm.delta,
     }
-    if "model" in config:
-        model = _model_from(config)
-        sm = scale_length(pdf, 0.0, 64,
-                          derive_child_seed(seed, "cli", "entropy"),
-                          model=model)
-        report["scale_length"] = sm.L_rho
-        report["delta"] = sm.delta
     return [], report
 
 
-_RUNNERS = {
-    "k1": _run_k1,
-    "ks": _run_ks,
-    "ops": _run_ops,
-    "md": _run_md,
-    "bg-sweep": _run_bg_sweep,
-    "noncomm": _run_noncomm,
-    "chaos": _run_chaos,
-    "relax": _run_relax,
-    "entropy": _run_entropy,
-}
+def runner(name: str):
+    """The function that runs subcommand `name` of runio.EXPERIMENTS."""
+    return globals()["_run_" + name.replace("-", "_")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hsgas",
         description="hard-sphere kinetic-theory experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENTS + ("validate-config",):
+    for name in (*EXPERIMENTS, "validate-config"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True,
                        help="path to the JSON run config")
@@ -441,7 +410,7 @@ def main(argv=None) -> int:
     out_dir = resolve_out_dir(args.out or config.get("output_dir", "out"))
     t0 = time.time()
     try:
-        artifacts, report = _RUNNERS[args.command](config, seed, out_dir)
+        artifacts, report = runner(args.command)(config, seed, out_dir)
     except Exception as exc:
         print(f"error[{_error_origin(exc, args.command)}]: {exc}",
               file=sys.stderr)

@@ -49,21 +49,6 @@ def elastic_map(v1, v2, n):
     return v1 - s * n, v2 + s * n
 
 
-def classify_solid_angle(v12, n) -> str:
-    """Classify a contact direction against the relative velocity.
-
-    n points from sphere 1's center toward sphere 2's center and v12 = v1-v2.
-    Positive projection means the pair is closing (incoming, pre-collisional),
-    negative means separating (outgoing), exact zero is tangential.
-    """
-    s = float(np.dot(np.asarray(v12, float), np.asarray(n, float)))
-    if s > 0.0:
-        return "incoming"
-    if s < 0.0:
-        return "outgoing"
-    return "tangential"
-
-
 @dataclass
 class OperatorValue:
     value: float

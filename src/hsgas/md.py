@@ -310,14 +310,11 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
 # measurement
 
 
-@dataclass(frozen=True)
-class MeasureSpec:
-    vel_bins: int = 24        # 1-d marginal histogram bins (entropy trace)
-    windows: int = 10
-    pos_bins: int = 3         # per axis, for the 6-d phase histogram
-    pdf_vel_bins: int = 6     # per axis, for the 6-d phase histogram
-    shell_eta: float = 0.05   # near-contact shell [sigma, sigma(1+eta)]
-    min_bin_count: int = 5    # cells below this count as under-populated
+VEL_BINS = 24        # 1-d marginal histogram bins (entropy trace)
+POS_BINS = 3         # per axis, for the 6-d phase histogram
+PDF_VEL_BINS = 6     # per axis, for the 6-d phase histogram
+SHELL_ETA = 0.05     # near-contact shell [sigma, sigma(1+eta)]
+MIN_BIN_COUNT = 5    # cells below this count as under-populated
 
 
 @dataclass
@@ -340,7 +337,7 @@ class Observables:
     flags: list
 
 
-def measure(traj: Trajectory, spec: MeasureSpec = None) -> Observables:
+def measure(traj: Trajectory, *, windows: int) -> Observables:
     """Time-averaged moments, rates, entropy trace, and density estimates.
 
     Entropy per window is the sum of the three one-dimensional velocity
@@ -348,16 +345,15 @@ def measure(traj: Trajectory, spec: MeasureSpec = None) -> Observables:
     snapshots; the histogram bias is common to all windows, so the trace
     tests constancy, not the absolute value. The 6-d phase histogram is
     exported as a TabulatedPdf over cell centers; cells holding fewer than
-    min_bin_count samples are reported through underpopulated_fraction and a
+    MIN_BIN_COUNT samples are reported through underpopulated_fraction and a
     flag instead of passing silently as noise. Shell counts are pairs with
-    separation in [sigma, sigma(1+eta)] per snapshot; their stderr treats
+    separation in [sigma, sigma(1+SHELL_ETA)] per snapshot, the shell of
+    near_contact_pair_prediction's default; their stderr treats
     snapshots as independent, which holds when the snapshot spacing exceeds
     the collision time.
     """
-    if spec is None:
-        spec = MeasureSpec()
     snaps = traj.snapshots
-    if len(snaps) < max(spec.windows, 2):
+    if len(snaps) < max(windows, 2):
         raise ValueError("not enough snapshots for the requested windows")
     vel_all = np.concatenate([v for (_, _, v) in snaps], axis=0)
     pos_all = np.concatenate([p for (_, p, _) in snaps], axis=0)
@@ -372,9 +368,9 @@ def measure(traj: Trajectory, spec: MeasureSpec = None) -> Observables:
     wall_rate = traj.n_wall / duration / n
 
     vmax = float(np.abs(vel_all).max()) * 1.0001
-    edges = np.linspace(-vmax, vmax, spec.vel_bins + 1)
+    edges = np.linspace(-vmax, vmax, VEL_BINS + 1)
     width = edges[1] - edges[0]
-    per_window = np.array_split(np.arange(len(snaps)), spec.windows)
+    per_window = np.array_split(np.arange(len(snaps)), windows)
     w_times = []
     w_entropy = []
     for idx in per_window:
@@ -401,7 +397,7 @@ def measure(traj: Trajectory, spec: MeasureSpec = None) -> Observables:
 
     # near-contact shell occupancy
     sigma = traj.model.sigma
-    shell_hi = sigma * (1.0 + spec.shell_eta)
+    shell_hi = sigma * (1.0 + SHELL_ETA)
     counts = []
     for (_, p, _) in snaps:
         dd = np.sqrt(pair_sq_distances(p))
@@ -415,24 +411,24 @@ def measure(traj: Trajectory, spec: MeasureSpec = None) -> Observables:
     from .pdfs import TabulatedPdf
 
     box = traj.model.box
-    pos_edges = np.linspace(0.0, box, spec.pos_bins + 1)
-    vel_edges6 = np.linspace(-vmax, vmax, spec.pdf_vel_bins + 1)
+    pos_edges = np.linspace(0.0, box, POS_BINS + 1)
+    vel_edges6 = np.linspace(-vmax, vmax, PDF_VEL_BINS + 1)
     sample6 = np.concatenate([pos_all, vel_all], axis=1)
     hist, _ = np.histogramdd(sample6, bins=[pos_edges] * 3 + [vel_edges6] * 3)
     total = hist.sum()
-    cell_vol = ((box / spec.pos_bins) ** 3
-                * (2.0 * vmax / spec.pdf_vel_bins) ** 3)
+    cell_vol = ((box / POS_BINS) ** 3
+                * (2.0 * vmax / PDF_VEL_BINS) ** 3)
     values = hist / total / cell_vol
     pos_centers = 0.5 * (pos_edges[1:] + pos_edges[:-1])
     vel_centers = 0.5 * (vel_edges6[1:] + vel_edges6[:-1])
     tabulated = TabulatedPdf([pos_centers] * 3, [vel_centers] * 3, values,
                              box=box, v_th=math.sqrt(temperature))
-    under = float((hist < spec.min_bin_count).mean())
+    under = float((hist < MIN_BIN_COUNT).mean())
     flags = []
     if under > 0.2:
         flags.append(
             f"phase histogram under-populated: {under:.0%} of cells hold "
-            f"fewer than {spec.min_bin_count} samples; coarsen the bins or "
+            f"fewer than {MIN_BIN_COUNT} samples; coarsen the bins or "
             "pool more snapshots before trusting tabulated densities")
     return Observables(
         temperature=temperature, axis_second_moments=axis_m2,
@@ -542,7 +538,8 @@ def enskog_frequency_prediction(model: HardSphereModel, T: float = 1.0,
     }
 
 
-def near_contact_pair_prediction(model: HardSphereModel, eta: float = 0.05,
+def near_contact_pair_prediction(model: HardSphereModel,
+                                 eta: float = SHELL_ETA,
                                  angle_nodes: int = 302,
                                  radial_nodes: int = 16,
                                  k2_contact=None, kbar2=None):

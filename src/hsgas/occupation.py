@@ -457,12 +457,6 @@ def brute_force_ks(model: HardSphereModel, pdf, fixed_points, samples: int,
     return k, se
 
 
-def brute_force_k1(model: HardSphereModel, pdf, r1, samples: int, seed: int):
-    """One-point special case of brute_force_ks."""
-    return brute_force_ks(model, pdf, np.atleast_2d(np.asarray(r1, float)),
-                          samples, seed)
-
-
 # ---------------------------------------------------------------------------
 # s-point coefficients and pair structure
 

@@ -14,15 +14,39 @@ import math
 import platform
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .pdfs import FAMILIES, family_keys
+from .pdfs import FAMILIES, UniformMaxwellian, family_keys
 
 SCHEMA_VERSION = 1
 
-EXPERIMENTS = ("k1", "ks", "ops", "md", "bg-sweep", "noncomm", "chaos",
-               "relax", "entropy")
+
+class Experiment(NamedTuple):
+    """What one subcommand's runner reads from its config."""
+
+    sections: tuple            # the geometry section (required) first
+    pdf_families: tuple = tuple(FAMILIES)
+
+
+# the one table of subcommands: the schema's experiment enum, the CLI's
+# subparsers and its runners (cli._run_<name>) all read it, and a config
+# may hold only the sections its subcommand reads
+EXPERIMENTS = {
+    "k1": Experiment(("model", "pdf", "k1")),
+    "ks": Experiment(("model", "pdf", "k1", "ks")),
+    "ops": Experiment(("model", "pdf", "k1", "ops", "quadrature")),
+    # md starts from the uniform admissible law; it reads only pdf.v_th
+    "md": Experiment(("model", "pdf", "md"), (UniformMaxwellian.family_tag,)),
+    "bg-sweep": Experiment(("sequence", "pdf", "k1")),
+    "noncomm": Experiment(("sequence", "pdf", "k1", "quadrature")),
+    "chaos": Experiment(("sequence", "pdf", "k1", "bg")),
+    "relax": Experiment(("model", "pdf", "relax")),
+    "entropy": Experiment(("model", "pdf", "quadrature")),
+}
+SECTIONS = tuple(dict.fromkeys(s for e in EXPERIMENTS.values()
+                               for s in e.sections))
 
 
 def _format_cell(x) -> str:
@@ -225,11 +249,33 @@ def _pdf_key_errors(pdf: dict) -> list:
     return out
 
 
+def _section_errors(config: dict) -> list:
+    """Sections the subcommand does not read, or its geometry if missing."""
+    name = config.get("experiment")
+    if not isinstance(name, str) or name not in EXPERIMENTS:
+        return []  # the schema's enum already names it
+    sections, families = EXPERIMENTS[name]
+    out = [f"$.{s}: subcommand {name!r} does not read section {s!r} "
+           f"(it reads {', '.join(sections)})"
+           for s in SECTIONS if s in config and s not in sections]
+    if sections[0] not in config:
+        out.append(f"$: subcommand {name!r} needs section {sections[0]!r}")
+    pdf = config.get("pdf")
+    family = pdf.get("family") if isinstance(pdf, dict) else None
+    if isinstance(family, str) and family in FAMILIES \
+            and family not in families:
+        out.append(f"$.pdf.family: subcommand {name!r} takes only family "
+                   f"{', '.join(map(repr, families))}, not {family!r}")
+    return out
+
+
 def validate_config(config: dict) -> list:
     """Schema violations as '<json path>: <message>' strings (empty = valid).
 
-    Beyond the schema, the pdf section must hold exactly the keys its
-    family's factory takes (pdfs.family_keys).
+    Beyond the schema, the config must hold its subcommand's geometry
+    section and no section the subcommand does not read (EXPERIMENTS), and
+    the pdf section must name a family the subcommand admits and hold
+    exactly the keys that family's factory takes (pdfs.family_keys).
     """
     import jsonschema
 
@@ -237,8 +283,10 @@ def validate_config(config: dict) -> list:
     out = []
     for err in sorted(validator.iter_errors(config), key=lambda e: e.json_path):
         out.append(f"{err.json_path}: {err.message}")
-    if isinstance(config, dict) and isinstance(config.get("pdf"), dict):
-        out += _pdf_key_errors(config["pdf"])
+    if isinstance(config, dict):
+        out += _section_errors(config)
+        if isinstance(config.get("pdf"), dict):
+            out += _pdf_key_errors(config["pdf"])
     return out
 
 

@@ -88,10 +88,22 @@ def run_cli(tmp_path, config, name, command=None):
 
 
 def test_one_experiment_registry():
-    assert set(cli._RUNNERS) == set(runio.EXPERIMENTS)
+    # the table drives the schema's enum, the subparsers and the runners
+    props = runio.CONFIG_SCHEMA["properties"]
+    assert props["experiment"]["enum"] == list(runio.EXPERIMENTS)
     sub = next(a for a in cli.build_parser()._actions
                if a.dest == "command")
-    assert set(sub.choices) == set(runio.EXPERIMENTS) | {"validate-config"}
+    assert list(sub.choices) == [*runio.EXPERIMENTS, "validate-config"]
+    runners = {name for name in vars(cli) if name.startswith("_run_")}
+    assert runners == {cli.runner(name).__name__
+                       for name in runio.EXPERIMENTS}
+    # every section of the schema is read by some subcommand, and each
+    # subcommand's geometry comes first
+    assert set(runio.SECTIONS) == {k for k, v in props.items()
+                                   if v.get("type") == "object"}
+    for experiment in runio.EXPERIMENTS.values():
+        assert experiment.sections[0] in ("model", "sequence")
+        assert set(experiment.pdf_families) <= set(pdfs.FAMILIES)
 
 
 @pytest.mark.parametrize("config",
@@ -166,18 +178,57 @@ def test_entropy_lists_its_artifacts_and_repeats_its_report(tmp_path):
      "$.pdf: family 'tabulated' needs key 'path'"),
     ({**ENTROPY_CONFIG, "pdf": {"family": ["uniform_maxwell"]}}, None,
      "$.pdf.family: ['uniform_maxwell'] is not one of"),
+    ({**K1_CONFIG, "relax": RELAX_CONFIG["relax"],
+      "quadrature": OPS_CONFIG["quadrature"]}, None,
+     ("$.relax: subcommand 'k1' does not read section 'relax'",
+      "$.quadrature: subcommand 'k1' does not read section 'quadrature'")),
+    ({k: v for k, v in K1_CONFIG.items() if k != "model"}, None,
+     "$: subcommand 'k1' needs section 'model'"),
+    ({**BG_SWEEP_CONFIG, "model": K1_CONFIG["model"]}, None,
+     "$.model: subcommand 'bg-sweep' does not read section 'model'"),
+    ({**MD_CONFIG, "pdf": {"family": "tilted_exponential",
+                           "tilt": [5.0, 0.0, 0.0]}}, None,
+     "$.pdf.family: subcommand 'md' takes only family 'uniform_maxwell'"),
+    ({**{k: v for k, v in ENTROPY_CONFIG.items() if k != "model"},
+      "sequence": NONCOMM_CONFIG["sequence"]}, None,
+     ("$.sequence: subcommand 'entropy' does not read section 'sequence'",
+      "$: subcommand 'entropy' needs section 'model'")),
 ], ids=["threads", "bg.probes", "unknown-nested", "unknown-top", "mismatch",
         "rho2_form", "relax.phi_nodes", "md.record_cap", "ks.probes",
         "bg-sweep.k1.probes", "noncomm.sequence.sigma", "pdf.alpha-negative",
         "pdf.tilt-on-uniform", "pdf.components-missing", "pdf.path-missing",
-        "pdf.family-list"])
+        "pdf.family-list", "k1.relax-and-quadrature", "k1.no-model",
+        "bg-sweep.model", "md.pdf-family", "entropy.sequence"])
 def test_schema_violations_exit_2(tmp_path, capsys, config, command, named):
     rc, out = run_cli(tmp_path, config, "bad", command)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("schema error: ")
-    assert named in err
+    for name in (named,) if isinstance(named, str) else named:
+        assert name in err
     assert not out.exists()
+
+
+def test_entropy_with_a_missing_table_exits_1_and_names_the_layer(
+        tmp_path, capsys):
+    config = {**ENTROPY_CONFIG,
+              "pdf": {"family": "tabulated",
+                      "path": str(tmp_path / "absent.csv")}}
+    rc, _ = run_cli(tmp_path, config, "absent")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[pdfs]: ")
+    assert "absent.csv" in err
+
+
+def test_noncomm_reads_its_quadrature_section(tmp_path):
+    csvs = []
+    for nodes in (26, 80):
+        config = {**NONCOMM_CONFIG, "quadrature": {"angle_nodes": nodes}}
+        rc, out = run_cli(tmp_path, config, f"angles{nodes}")
+        assert rc == 0
+        csvs.append((out / "noncomm.csv").read_bytes())
+    assert csvs[0] != csvs[1]
 
 
 def test_pdf_schema_is_read_from_the_family_registry():

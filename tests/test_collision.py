@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from hsgas.collision import (
     MOMENT_WEIGHTS,
     boltzmann_op,
-    classify_solid_angle,
     elastic_map,
     master_op,
     moment_audit,
@@ -101,13 +100,6 @@ def test_elastic_map_galilean(v1, v2, n, w):
     ab, bb = elastic_map(v1 + w, v2 + w, n)
     assert np.allclose(ab, a + w, atol=1e-12)
     assert np.allclose(bb, b + w, atol=1e-12)
-
-
-def test_classify_solid_angle_cases():
-    v12 = np.array([1.0, 0.0, 0.0])
-    assert classify_solid_angle(v12, np.array([1.0, 0, 0])) == "incoming"
-    assert classify_solid_angle(v12, np.array([-1.0, 0, 0])) == "outgoing"
-    assert classify_solid_angle(v12, np.array([0.0, 1.0, 0])) == "tangential"
 
 
 # --------------------------------------------------------------------------

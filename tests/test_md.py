@@ -41,7 +41,6 @@ from hsgas.geometry import HardSphereModel, NBodyConfig, uniform_admissible_samp
 from hsgas.md import (
     Event,
     FactorizedNBodyForm,
-    MeasureSpec,
     cbc_evaluate,
     cbc_scan,
     enskog_frequency_prediction,
@@ -491,7 +490,7 @@ def test_pair_predictions_need_partners():
 
 
 def test_measure_observables(eq_traj):
-    obs = measure(eq_traj, MeasureSpec(windows=8))
+    obs = measure(eq_traj, windows=8)
     # kinetic energy is conserved exactly, and the initial velocities were
     # normalized to temperature 1
     assert abs(obs.temperature - 1.0) < 1e-9
@@ -526,7 +525,7 @@ def test_measure_rejects_too_few_snapshots():
                snapshot_times=[0.005, 0.01, 0.015])
     assert len(traj.snapshots) == 3
     with pytest.raises(ValueError):
-        measure(traj)   # default spec wants 10 windows
+        measure(traj, windows=10)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from hsgas.occupation import (
     analytic_contact_k2_uniform,
     analytic_k1_uniform,
     ball_fraction_from_k1,
-    brute_force_k1,
     brute_force_ks,
     contact_pair_tuples,
     correlation_delta,
@@ -163,7 +162,8 @@ def test_solve_k1_matches_brute_force_n16():
     pdf = UniformMaxwellian(1.0)
     field = solve_k1(model, pdf, grid_nodes=4, samples_per_node=50_000, seed=7)
     r = np.array([0.375, 0.375, 0.375])
-    k_bf, se_bf = brute_force_k1(model, pdf, r, samples=40_000, seed=11)
+    k_bf, se_bf = brute_force_ks(model, pdf, r[None, :], samples=40_000,
+                                 seed=11)
     i = 1  # grid node (0.375, 0.375, 0.375) on the 4-grid
     k_solver = field.values[i, i, i]
     se_solver = field.stderr[i, i, i]
