@@ -17,6 +17,7 @@ import numpy as np
 
 from .geometry import HardSphereModel
 from .occupation import (
+    PAIR_SEPARATION,
     ContactOccupancy,
     brute_force_ks,
     contact_pair_tuples,
@@ -26,6 +27,12 @@ from .occupation import (
     solve_k1,
 )
 from .seeding import derive_child_seed, derive_rng
+
+MIN_RESOLVED = 4  # resolved rows a rate fit needs
+RESOLUTION = 3.0  # a row is resolved when value >= RESOLUTION * error
+PROBE_CLEARANCE = 1.5  # bulk_phase_probes keep this many sigma from a face
+ORACLE_TUPLES = 3  # tuples chaos_sweep's oracle cross-check runs on
+PLATEAU_TOL = 0.05  # relative change of a noncomm plateau
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +99,16 @@ class RateFit:
     info: dict = dataclass_field(default_factory=dict)
 
 
-def fit_rate(epsilons, values, errors=None, *, min_points: int = 4,
-             resolution_factor: float = 3.0) -> RateFit:
+def fit_rate(epsilons, values, errors=None, *, sample_keys=()) -> RateFit:
     """Weighted least-squares power-law fit ln(value) = q ln(eps) + b.
 
     Rows whose value is not resolved against its own error bar (value <
-    resolution_factor * error) carry no rate information and are dropped;
-    fewer than min_points resolved rows is an error, not a fit. Weights are
-    inverse variances of ln(value); with no errors given the fit is ordinary
-    least squares and the stderr comes from the residual scatter.
+    RESOLUTION * error) carry no rate information and are dropped; fewer
+    than MIN_RESOLVED resolved rows is an error, not a fit, whose message
+    names sequence.ns and, when some rows are unresolved, the config keys
+    sample_keys that set the error bars. Weights are inverse variances of
+    ln(value); with no errors given the fit is ordinary least squares and
+    the stderr comes from the residual scatter.
     """
     eps = np.asarray(epsilons, dtype=float)
     val = np.asarray(values, dtype=float)
@@ -108,11 +116,15 @@ def fit_rate(epsilons, values, errors=None, *, min_points: int = 4,
            else np.asarray(errors, dtype=float))
     if eps.shape != val.shape or err.shape != val.shape:
         raise ValueError("epsilons, values, errors must share one shape")
-    used = (val > 0) & (val >= resolution_factor * err) & (eps > 0)
-    if used.sum() < min_points:
+    used = (val > 0) & (val >= RESOLUTION * err) & (eps > 0)
+    if used.sum() < MIN_RESOLVED:
+        remedy = "add entries to sequence.ns"
+        if used.sum() < len(val) and sample_keys:
+            remedy = f"raise {' or '.join(sample_keys)}, or {remedy}"
         raise ValueError(
             f"only {int(used.sum())} of {len(val)} rows are resolved "
-            f"(value >= {resolution_factor} x error); need {min_points}")
+            f"(value >= {RESOLUTION} x error); need {MIN_RESOLVED}: "
+            f"{remedy}")
     x = np.log(eps[used])
     y = np.log(val[used])
     rel = err[used] / val[used]
@@ -147,43 +159,30 @@ def fit_rate(epsilons, values, errors=None, *, min_points: int = 4,
 
 @dataclass
 class ConvergenceReport:
-    metric_name: str
+    metric: str
     entries: list             # dict rows: n, epsilon, sigma, value, error, ...
-    fit: RateFit | None
+    fit: RateFit
     decreasing: bool
     info: dict = dataclass_field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        out = {
-            "metric": self.metric_name,
-            "entries": self.entries,
-            "decreasing": self.decreasing,
-            "info": self.info,
-        }
-        if self.fit is not None:
-            out["fit"] = {
-                "slope": self.fit.slope,
-                "stderr": self.fit.stderr,
-                "intercept": self.fit.intercept,
-                "used": [bool(u) for u in self.fit.used],
-                "residuals": [float(r) for r in self.fit.residuals],
-                "info": self.fit.info,
-            }
-        return out
 
-
-def _strictly_decreasing(values) -> bool:
-    v = np.asarray(values, dtype=float)
-    return bool(np.all(np.diff(v) < 0))
+def _convergence_report(metric, seq, rows, info, sample_keys):
+    """The rate fit of a sweep's rows and whether their values decrease."""
+    values = [r["value"] for r in rows]
+    fit = fit_rate(seq.epsilons(), values, [r["error"] for r in rows],
+                   sample_keys=sample_keys)
+    return ConvergenceReport(metric=metric, entries=rows, fit=fit,
+                             decreasing=bool(np.all(np.diff(values) < 0)),
+                             info=info)
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 
 
-def sweep_k1(c: float, box: float, ns, *, pdf=None, grid_nodes: int = 8,
+def sweep_k1(c: float, box: float, ns, *, pdf, grid_nodes: int = 8,
              samples_per_node: int = 1_000_000, tol: float = 1e-3,
-             seed: int = 0, fit: bool = True) -> ConvergenceReport:
+             seed: int = 0) -> ConvergenceReport:
     """Sup-node deviation of the one-point occupation field over the sequence.
 
     Per entry: solve the self-consistent field on the pinned grid and record
@@ -191,10 +190,6 @@ def sweep_k1(c: float, box: float, ns, *, pdf=None, grid_nodes: int = 8,
     extremal node. The deviation is largest in the bulk, so the sup doubles
     as the bulk occupation correction.
     """
-    if pdf is None:
-        from .pdfs import UniformMaxwellian
-
-        pdf = UniformMaxwellian(box=box)
     seq = build_sequence(c, box, ns)
     rows = []
     for entry in seq.entries:
@@ -208,52 +203,43 @@ def sweep_k1(c: float, box: float, ns, *, pdf=None, grid_nodes: int = 8,
             "value": float(dev[idx]), "error": float(field.stderr[idx]),
             "iterations": field.info.get("iterations"),
         })
-    values = [r["value"] for r in rows]
-    fit_result = fit_rate(seq.epsilons(), values,
-                          [r["error"] for r in rows]) if fit else None
-    return ConvergenceReport(
-        metric_name="sup_node_abs_k1_minus_1", entries=rows, fit=fit_result,
-        decreasing=_strictly_decreasing(values),
-        info={"c": c, "box": box, "grid_nodes": grid_nodes,
-              "samples_per_node": samples_per_node, "seed": seed,
-              "pdf": type(pdf).__name__})
+    return _convergence_report(
+        "sup_node_abs_k1_minus_1", seq, rows,
+        {"c": c, "box": box, "grid_nodes": grid_nodes,
+         "samples_per_node": samples_per_node, "seed": seed,
+         "pdf": type(pdf).__name__},
+        ("k1.samples_per_node",))
 
 
-def bulk_phase_probes(model: HardSphereModel, pdf, count: int, seed: int,
-                      clearance_factor: float = 1.5):
+def bulk_phase_probes(model: HardSphereModel, pdf, count: int, seed: int):
     """Fixed (r, v) probes clear of the walls, shared across a sequence.
 
-    Positions are uniform on the box shrunk by clearance_factor * sigma per
+    Positions are uniform on the box shrunk by PROBE_CLEARANCE * sigma per
     face (pass the largest-sigma model of the sequence so the same probes
     stay in the bulk of every entry); velocities come from the pdf.
     """
     rng = derive_rng(seed, "bg", "probes")
-    margin = max(clearance_factor * model.sigma, 0.02 * model.box)
+    margin = max(PROBE_CLEARANCE * model.sigma, 0.02 * model.box)
     r = rng.uniform(margin, model.box - margin, size=(count, 3))
     v = pdf.sample_velocities(r, rng)
     return [(r[i], v[i]) for i in range(count)]
 
 
-def chaos_sweep(c: float, box: float, ns, *, pdf=None, tuple_count: int = 20,
+def chaos_sweep(c: float, box: float, ns, *, pdf, tuple_count: int = 20,
                 samples: int = 200_000, seed: int = 0, grid_nodes: int = 6,
                 samples_per_node: int = 200_000, tol: float = 1e-3,
-                control: bool = True,
-                oracle_tuples: int = 3, oracle_samples: int = 0,
-                fit: bool = True) -> ConvergenceReport:
+                oracle_samples: int = 0) -> ConvergenceReport:
     """Decay of the two-point factorization defect over the sequence.
 
     Per entry: estimate the pair occupation coefficients at a fixed batch of
     bulk phase-point pairs (drawn once at the largest-sigma geometry, at
-    separation 2.2 sigma_max) and record sup over the batch of |rho_2 -
-    factorized part|. A point-particle control entry (sigma = 0, same N as
-    the first entry) must give exactly zero; set oracle_samples > 0 to
-    cross-check the first entry's pair coefficients against the direct
-    (N-2)-body estimator on a few tuples (z-scores land in info).
+    separation occupation.PAIR_SEPARATION sigma_max) and record sup over the
+    batch of |rho_2 - factorized part|. A point-particle control entry
+    (sigma = 0, same N as the first entry) must give exactly zero; set
+    oracle_samples > 0 to cross-check the first entry's pair coefficients
+    against the direct (N-2)-body estimator on ORACLE_TUPLES tuples
+    (z-scores land in info).
     """
-    if pdf is None:
-        from .pdfs import UniformMaxwellian
-
-        pdf = UniformMaxwellian(box=box)
     seq = build_sequence(c, box, ns)
     sigma_max = max(e.sigma for e in seq.entries)
     tuple_model = HardSphereModel(n=seq.entries[0].n, sigma=sigma_max, box=box)
@@ -262,9 +248,9 @@ def chaos_sweep(c: float, box: float, ns, *, pdf=None, tuple_count: int = 20,
     positions = [np.stack([p.r for p in tp]) for tp in tuples]
     rows = []
     info = {"c": c, "box": box, "tuple_count": tuple_count,
-            "separation": 2.2 * sigma_max, "samples": samples, "seed": seed,
-            "grid_nodes": grid_nodes, "samples_per_node": samples_per_node,
-            "pdf": type(pdf).__name__}
+            "separation": PAIR_SEPARATION * sigma_max, "samples": samples,
+            "seed": seed, "grid_nodes": grid_nodes,
+            "samples_per_node": samples_per_node, "pdf": type(pdf).__name__}
     for entry in seq.entries:
         child = derive_child_seed(seed, "bg", "chaos", entry.n)
         field = solve_k1(entry.model, pdf, grid_nodes=grid_nodes,
@@ -284,7 +270,7 @@ def chaos_sweep(c: float, box: float, ns, *, pdf=None, tuple_count: int = 20,
         })
         if oracle_samples > 0 and entry is seq.entries[0]:
             zs = []
-            for k in range(min(oracle_tuples, len(positions))):
+            for k in range(min(ORACLE_TUPLES, len(positions))):
                 bk, bse = brute_force_ks(entry.model, pdf, positions[k],
                                          oracle_samples,
                                          derive_child_seed(seed, "bg",
@@ -293,19 +279,14 @@ def chaos_sweep(c: float, box: float, ns, *, pdf=None, tuple_count: int = 20,
                 mse = float(pair_occ.mc_error[k])
                 zs.append((mk - bk) / math.hypot(max(bse, 1e-300), mse))
             info["oracle_z_scores"] = zs
-    if control:
-        control_model = HardSphereModel(n=seq.entries[0].n, sigma=0.0, box=box)
-        zero_field = solve_k1(control_model, pdf, grid_nodes=grid_nodes,
-                              samples_per_node=0, seed=seed)
-        cs0 = correlation_delta(control_model, pdf, zero_field, tuples,
-                                samples=1024, seed=seed)
-        info["control_max_abs"] = float(np.abs(cs0.delta_rho).max())
-    values = [r["value"] for r in rows]
-    fit_result = fit_rate(seq.epsilons(), values,
-                          [r["error"] for r in rows]) if fit else None
-    return ConvergenceReport(
-        metric_name="sup_pair_factorization_defect", entries=rows,
-        fit=fit_result, decreasing=_strictly_decreasing(values), info=info)
+    control_model = HardSphereModel(n=seq.entries[0].n, sigma=0.0, box=box)
+    zero_field = solve_k1(control_model, pdf, grid_nodes=grid_nodes,
+                          samples_per_node=0, seed=seed)
+    cs0 = correlation_delta(control_model, pdf, zero_field, tuples,
+                            samples=1024, seed=seed)
+    info["control_max_abs"] = float(np.abs(cs0.delta_rho).max())
+    return _convergence_report("sup_pair_factorization_defect", seq, rows,
+                               info, ("bg.samples",))
 
 
 @dataclass
@@ -331,27 +312,24 @@ class LimitOrderingReport:
     info: dict = dataclass_field(default_factory=dict)
 
 
-def noncommutativity_report(c: float, box: float, ns, pdf, *,
-                            r1=None, probe_velocity=None, quad=None,
+def noncommutativity_report(c: float, box: float, ns, pdf, *, quad,
                             grid_nodes: int = 8,
-                            samples_per_node: int = 400_000,
-                            tol: float = 1e-3, seed: int = 0,
-                            plateau_tol: float = 0.05) -> LimitOrderingReport:
+                            samples_per_node: int = 400_000, tol: float = 1e-3,
+                            seed: int = 0) -> LimitOrderingReport:
     """Compare transport-then-limit against limit-then-transport for k1.
 
     Per entry: solve the field, evaluate the contact-flux transport
-    derivative of k1 at the fixed bulk point r1 (box center by default) with
-    the fixed probe velocity, and rescale by epsilon^(-1/2). The report
+    derivative of k1 at the box center r1 with the default probe velocity
+    of l1_k1_contact_integral, and rescale by epsilon^(-1/2). The report
     flags a plateau when the last two rescaled values agree within
-    plateau_tol relative, flags the limit as resolved when the final value
+    PLATEAU_TOL relative, flags the limit as resolved when the final value
     exceeds 10x its quadrature error, and reports sup|k1 - 1| of the final
     entry, which must be heading to zero for the ordering contrast to mean
     anything. Densities whose transport derivative vanishes identically
     (uniform bulk: the flux integrand is odd) come out flagged commutative.
     """
     seq = build_sequence(c, box, ns)
-    if r1 is None:
-        r1 = np.full(3, box / 2.0)
+    r1 = np.full(3, box / 2.0)
     rows = []
     for entry in seq.entries:
         field = solve_k1(entry.model, pdf, grid_nodes=grid_nodes,
@@ -359,8 +337,7 @@ def noncommutativity_report(c: float, box: float, ns, pdf, *,
                          seed=derive_child_seed(seed, "bg", "noncomm",
                                                 entry.n))
         occ = ContactOccupancy(entry.model, field)
-        rep = l1_k1_contact_integral(pdf, occ, entry.model, r1, quad=quad,
-                                     probe_velocity=probe_velocity)
+        rep = l1_k1_contact_integral(pdf, occ, entry.model, r1, quad=quad)
         scale = entry.epsilon ** -0.5
         rows.append({
             "n": entry.n, "epsilon": entry.epsilon, "sigma": entry.sigma,
@@ -379,7 +356,7 @@ def noncommutativity_report(c: float, box: float, ns, pdf, *,
     return LimitOrderingReport(
         entries=rows,
         plateau_rel_change=rel_change,
-        plateau_ok=bool(rel_change < plateau_tol) and not commutative,
+        plateau_ok=bool(rel_change < PLATEAU_TOL) and not commutative,
         nonzero_limit=bool(nonzero),
         sup_k1_final=rows[-1]["sup_abs_k1_minus_1"],
         limit_then_transport=0.0,
@@ -387,5 +364,5 @@ def noncommutativity_report(c: float, box: float, ns, pdf, *,
         info={"c": c, "box": box, "r1": [float(x) for x in r1],
               "seed": seed, "grid_nodes": grid_nodes,
               "samples_per_node": samples_per_node,
-              "plateau_tol": plateau_tol, "pdf": type(pdf).__name__,
+              "plateau_tol": PLATEAU_TOL, "pdf": type(pdf).__name__,
               "rescale_exponent": -0.5})

@@ -5,11 +5,12 @@ subcommand <name> is _run_<name> here (dashes become underscores). Every
 experiment reads a JSON config validated against the versioned schema in
 runio, which admits only the sections its runner reads and requires its
 geometry section (model or sequence). Section keys go straight to the
-library functions, whose signatures hold the defaults. Every experiment
-derives all randomness from the single root seed, writes its CSV and JSON
-artifacts into the output directory, and finishes with a manifest echoing
-the config. CSV bodies are byte-identical across reruns of the same config;
-wall-clock lives only in the manifest.
+library functions, whose signatures hold the defaults; a key the config
+leaves out is not passed at all. Every experiment derives all randomness
+from the single root seed, writes its CSV and JSON artifacts into the
+output directory, and finishes with a manifest echoing the config. CSV
+bodies are byte-identical across reruns of the same config; wall-clock
+lives only in the manifest.
 
 Exit codes: 0 success, 1 runtime failure inside an experiment, 2 config or
 schema violation.
@@ -57,8 +58,16 @@ def _pdf_from(config: dict, box: float):
 
 
 def _quad_from(config: dict) -> QuadratureSpec:
-    q = dict(config.get("quadrature", {}))
-    return QuadratureSpec(**q)
+    return QuadratureSpec(**config.get("quadrature", {}))
+
+
+def _given(section: dict, *keys, **renamed) -> dict:
+    """The keys a section holds, as keyword arguments (renamed: param=key).
+
+    A key the section leaves out is not passed: the library default holds.
+    """
+    names = {**{k: k for k in keys}, **renamed}
+    return {p: section[k] for p, k in names.items() if k in section}
 
 
 def _k1_field(config, model, pdf, seed, *labels, coarse=False):
@@ -112,12 +121,11 @@ def _run_ks(config, seed, out_dir):
     tuples = contact_pair_tuples(
         model, pdf, p.get("tuple_count", 20),
         derive_child_seed(seed, "cli", "ks", "tuples"),
-        separation_factor=p.get("separation_factor", 2.2))
+        **_given(p, "separation_factor"))
     positions = [np.stack([pt.r for pt in tp]) for tp in tuples]
     occ = estimate_ks(model, pdf, positions,
-                      samples=p.get("samples", 200_000),
                       seed=derive_child_seed(seed, "cli", "ks", "mc"),
-                      k1_field=field)
+                      k1_field=field, **_given(p, "samples"))
     rows = []
     for pts, ks, err in zip(occ.points, occ.ks_values, occ.mc_error):
         rows.append(list(pts[0]) + list(pts[1]) + [float(ks), float(err)])
@@ -207,8 +215,8 @@ def _run_md(config, seed, out_dir):
     config0 = uniform_admissible_sample(
         model, derive_child_seed(seed, "cli", "md", "init"), v_th=v_th)
     traj = run(model, config0, t_end=t_end, max_events=max_events,
-               snapshot_times=snap_times,
-               audit_every=p.get("audit_every", 1), v_th_ref=v_th)
+               snapshot_times=snap_times, v_th_ref=v_th,
+               **_given(p, "audit_every"))
     if snapshots and len(traj.snapshots) < windows:
         raise ValueError(
             f"the run stopped at t={traj.t_final:.6g} after "
@@ -260,7 +268,7 @@ def _run_bg_sweep(config, seed, out_dir):
                    **config.get("k1", {}))
     return (_write_entries(out_dir, "k1_sweep.csv", rep.entries,
                            ["n", "epsilon", "sigma", "value", "error"]),
-            rep.to_dict())
+            asdict(rep))
 
 
 def _run_noncomm(config, seed, out_dir):
@@ -286,7 +294,7 @@ def _run_chaos(config, seed, out_dir):
     return (_write_entries(out_dir, "chaos.csv", rep.entries,
                            ["n", "epsilon", "sigma", "value", "error",
                             "sup_abs_k2_minus_1"]),
-            rep.to_dict())
+            asdict(rep))
 
 
 def _run_relax(config, seed, out_dir):
@@ -301,12 +309,10 @@ def _run_relax(config, seed, out_dir):
     model = _model_from(config)
     pdf = _pdf_from(config, model.box)
     p = config.get("relax", {})
-    lattice = VelocityLattice(v_max=p.get("v_max", 4.2),
-                              nodes=p.get("grid_nodes", 32))
+    lattice = VelocityLattice(**_given(p, "v_max", nodes="grid_nodes"))
     f0 = initial_from_pdf(lattice, pdf)
     res = homogeneous_relax(model, f0, lattice, t_end=p.get("t_end", 1.0),
-                            cfl=p.get("cfl", 0.1), dt=p.get("dt"),
-                            stride=p.get("stride", 3))
+                            **_given(p, "cfl", "dt", "stride"))
     rows = [[res.times[k], res.entropy[k], res.mass[k],
              res.momentum[k][0], res.momentum[k][1], res.momentum[k][2],
              res.energy[k]] for k in range(len(res.times))]
@@ -336,7 +342,7 @@ def _run_entropy(config, seed, out_dir):
     pdf = _pdf_from(config, model.box)
     quad = _quad_from(config)
     rep = pdf.entropy(quad)
-    sm = scale_length(pdf, 0.0, 64, derive_child_seed(seed, "cli", "entropy"),
+    sm = scale_length(pdf, 64, derive_child_seed(seed, "cli", "entropy"),
                       model=model)
     report = {
         "entropy": rep.S,

@@ -36,7 +36,7 @@ import numpy as np
 from .geometry import wall_theta
 from .occupation import ContactOccupancy, hat_normalization
 from .quadrature import (QuadratureSpec, hemisphere_rule, orthonormal_frames,
-                         row_norm, velocity_grid)
+                         row_norm, tensor_rule, velocity_grid)
 from .seeding import derive_rng
 
 
@@ -75,17 +75,17 @@ def _master_z1(model, pdf, quad, flavor, pair_occ):
                              quad.position_nodes)
 
 
-def _rho_hat(pdf, r, v, is_open, z1, t):
+def _rho_hat(pdf, r, v, is_open, z1):
     """Occupation-stripped one-body density p theta_w / Z1.
 
     is_open is wall_theta(r) > 0, passed in so that one evaluation at r
     serves several velocity arguments.
     """
-    return pdf.density(r, v, t) * is_open / z1
+    return pdf.density(r, v) * is_open / z1
 
 
 def _kernel_batch(model, pdf, r1, V1, quad, flavor, pair_occ=None,
-                  rule_variant=(0, 0.0), z1=None, t=0.0):
+                  rule_variant=(0, 0.0), z1=None):
     """Gain and loss of the chosen operator at r1 for a batch of v1 values.
 
     The master flavor needs z1 from _master_z1. Returns (gain, loss) arrays
@@ -98,7 +98,7 @@ def _kernel_batch(model, pdf, r1, V1, quad, flavor, pair_occ=None,
     n_part, sigma = model.n, model.sigma
     prefactor = ((n_part - 1) if master else n_part) * sigma ** 2
 
-    drift = pdf.drift(r1, t)
+    drift = pdf.drift(r1)
     V2, W2 = velocity_grid(quad, pdf.v_th, center=drift)
     u_nodes, wu, phi, wphi, _ = hemisphere_rule(
         quad.angle_nodes, u_order_bump=rule_variant[0],
@@ -109,9 +109,9 @@ def _kernel_batch(model, pdf, r1, V1, quad, flavor, pair_occ=None,
     u_ang = np.repeat(u_nodes, len(phi))
     if master:
         open1 = wall_theta(r1, model) > 0
-        f1_loss = _rho_hat(pdf, r1, V1, open1, z1, t)
+        f1_loss = _rho_hat(pdf, r1, V1, open1, z1)
     else:
-        f1_loss = pdf.density(r1, V1, t)
+        f1_loss = pdf.density(r1, V1)
 
     gain = np.zeros(V1.shape[0])
     loss = np.zeros(V1.shape[0])
@@ -120,7 +120,7 @@ def _kernel_batch(model, pdf, r1, V1, quad, flavor, pair_occ=None,
         m2 = v2.shape[0]
         w2_ang = W2[lo:lo + _V2_CHUNK, None] * w_ang
         if not master:
-            part_loss = pdf.density(r1, v2[:, None, :], t)
+            part_loss = pdf.density(r1, v2[:, None, :])
         block = max(1, _BLOCK_POINTS // w2_ang.size)
         for b0 in range(0, V1.shape[0], block):
             v1 = V1[b0:b0 + block]
@@ -143,12 +143,12 @@ def _kernel_batch(model, pdf, r1, V1, quad, flavor, pair_occ=None,
                 r2 = r1 + sigma * e
                 base = base * pair_occ.k2(r1, r2)
                 open2 = wall_theta(r2, model) > 0
-                f1_gain = _rho_hat(pdf, r1, v1p, open1, z1, t)
-                part_gain = _rho_hat(pdf, r2, v2p, open2, z1, t)
-                part_loss = _rho_hat(pdf, r2, v2[:, None, :], open2, z1, t)
+                f1_gain = _rho_hat(pdf, r1, v1p, open1, z1)
+                part_gain = _rho_hat(pdf, r2, v2p, open2, z1)
+                part_loss = _rho_hat(pdf, r2, v2[:, None, :], open2, z1)
             else:
-                f1_gain = pdf.density(r1, v1p, t)
-                part_gain = pdf.density(r1, v2p, t)
+                f1_gain = pdf.density(r1, v1p)
+                part_gain = pdf.density(r1, v2p)
             rows = slice(b0, b0 + nb)
             gain[rows] += (base * f1_gain * part_gain).reshape(nb, -1).sum(1)
             loss[rows] += (base * f1_loss[rows, None, None]
@@ -156,15 +156,14 @@ def _kernel_batch(model, pdf, r1, V1, quad, flavor, pair_occ=None,
     return prefactor * gain, prefactor * loss
 
 
-def _kernel_mc(model, pdf, r1, v1, quad, flavor, pair_occ=None, z1=None,
-               t=0.0):
+def _kernel_mc(model, pdf, r1, v1, quad, flavor, pair_occ=None, z1=None):
     """Monte Carlo estimate: v2 from the local Maxwell law, e uniform."""
     r1 = np.asarray(r1, dtype=float)
     v1 = np.asarray(v1, dtype=float)
     n_part, sigma = model.n, model.sigma
     samples = quad.velocity_nodes ** 3
     rng = derive_rng(quad.seed, "collision", flavor, "mc")
-    drift = pdf.drift(r1, t)
+    drift = pdf.drift(r1)
     v_th = pdf.v_th
     v2 = drift + rng.normal(scale=v_th, size=(samples, 3))
     q = (2 * math.pi * v_th ** 2) ** -1.5 * np.exp(
@@ -182,14 +181,14 @@ def _kernel_mc(model, pdf, r1, v1, quad, flavor, pair_occ=None, z1=None,
         k2 = pair_occ.k2(r1, r2)
         open1 = wall_theta(r1, model) > 0
         open2 = wall_theta(r2, model) > 0
-        gains = (k2 * _rho_hat(pdf, r1, v1p, open1, z1, t)
-                 * _rho_hat(pdf, r2, v2p, open2, z1, t))
-        losses = (k2 * float(_rho_hat(pdf, r1, v1, open1, z1, t))
-                  * _rho_hat(pdf, r2, v2, open2, z1, t))
+        gains = (k2 * _rho_hat(pdf, r1, v1p, open1, z1)
+                 * _rho_hat(pdf, r2, v2p, open2, z1))
+        losses = (k2 * float(_rho_hat(pdf, r1, v1, open1, z1))
+                  * _rho_hat(pdf, r2, v2, open2, z1))
     else:
         prefactor = n_part * sigma ** 2
-        gains = pdf.density(r1, v1p, t) * pdf.density(r1, v2p, t)
-        losses = float(pdf.density(r1, v1, t)) * pdf.density(r1, v2, t)
+        gains = pdf.density(r1, v1p) * pdf.density(r1, v2p)
+        losses = float(pdf.density(r1, v1)) * pdf.density(r1, v2)
     # 2 pi per hemisphere times 2 for folding the full sphere
     w = prefactor * 4.0 * math.pi * 0.5 * proj / q
     gain_s = w * gains
@@ -201,16 +200,16 @@ def _kernel_mc(model, pdf, r1, v1, quad, flavor, pair_occ=None, z1=None,
 
 
 def _operator(model, pdf, r1, v1, quad, flavor, pair_occ=None,
-              rule_variant=(0, 0.0), z1=None, t=0.0) -> OperatorValue:
+              rule_variant=(0, 0.0), z1=None) -> OperatorValue:
     if quad.mode == "mc":
         value, error, gain, loss = _kernel_mc(
-            model, pdf, r1, v1, quad, flavor, pair_occ, z1, t)
+            model, pdf, r1, v1, quad, flavor, pair_occ, z1)
         return OperatorValue(value=value, error=error, gain=gain, loss=loss,
                              flavor=flavor, details={"mode": "mc"})
     gain, loss = _kernel_batch(model, pdf, r1, [v1], quad, flavor, pair_occ,
-                               rule_variant, z1, t)
+                               rule_variant, z1)
     g_c, l_c = _kernel_batch(model, pdf, r1, [v1], quad.coarsened(), flavor,
-                             pair_occ, rule_variant, z1, t)
+                             pair_occ, rule_variant, z1)
     value = float(gain[0] - loss[0])
     coarse = float(g_c[0] - l_c[0])
     floor = 1e-13 * (abs(gain[0]) + abs(loss[0]))
@@ -220,7 +219,7 @@ def _operator(model, pdf, r1, v1, quad, flavor, pair_occ=None,
                          details={"mode": "deterministic", "z1": z1})
 
 
-def boltzmann_op(model, pdf, r1, v1, quad: QuadratureSpec, t: float = 0.0,
+def boltzmann_op(model, pdf, r1, v1, quad: QuadratureSpec,
                  hemisphere: str = "outgoing") -> OperatorValue:
     """Local binary collision operator at phase point (r1, v1).
 
@@ -234,11 +233,11 @@ def boltzmann_op(model, pdf, r1, v1, quad: QuadratureSpec, t: float = 0.0,
         raise ValueError(f"unknown hemisphere {hemisphere!r}")
     rule_variant = (0, 0.0) if hemisphere == "outgoing" else (1, 0.5)
     return _operator(model, pdf, r1, v1, quad, "boltzmann",
-                     rule_variant=rule_variant, t=t)
+                     rule_variant=rule_variant)
 
 
 def master_op(model, pdf, r1, v1, quad: QuadratureSpec,
-              pair_occ: ContactOccupancy, t: float = 0.0) -> OperatorValue:
+              pair_occ: ContactOccupancy) -> OperatorValue:
     """Contact-sphere collision operator with occupation weights.
 
     Integrates over the incoming hemisphere (closing pairs), the causal
@@ -247,7 +246,7 @@ def master_op(model, pdf, r1, v1, quad: QuadratureSpec,
     """
     z1 = _master_z1(model, pdf, quad, "master", pair_occ)
     return _operator(model, pdf, r1, v1, quad, "master", pair_occ=pair_occ,
-                     z1=z1, t=t)
+                     z1=z1)
 
 
 MOMENT_WEIGHTS = ("mass", "momentum_x", "momentum_y", "momentum_z", "energy")
@@ -284,16 +283,12 @@ def _hermite_velocity_grid(nodes: int, scale: float, center):
     x, w = np.polynomial.hermite.hermgauss(nodes)
     pts = math.sqrt(2.0) * scale * x
     wts = w * np.exp(x ** 2) * math.sqrt(2.0) * scale
-    axes = np.meshgrid(pts, pts, pts, indexing="ij")
-    V = np.stack([a.ravel() for a in axes], axis=1) + np.asarray(center, float)
-    W = (wts[:, None, None] * wts[None, :, None]
-         * wts[None, None, :]).ravel()
-    return V, W
+    V, W = tensor_rule(pts, wts)
+    return V + np.asarray(center, float), W
 
 
 def moment_audit(model, pdf, r1, quad: QuadratureSpec, flavor: str,
-                 pair_occ=None, t: float = 0.0,
-                 outer_nodes: int | None = None) -> MomentAudit:
+                 pair_occ=None, outer_nodes: int | None = None) -> MomentAudit:
     """Collision-invariant residuals of the implemented operator.
 
     Integrates the discrete operator itself over an outer velocity grid (no
@@ -308,12 +303,12 @@ def moment_audit(model, pdf, r1, quad: QuadratureSpec, flavor: str,
     moment rule converges at far fewer nodes than the inner kernel grid and
     carries no truncation cutoff. Default count: quad.velocity_nodes.
     """
-    drift = pdf.drift(np.asarray(r1, float), t)
+    drift = pdf.drift(np.asarray(r1, float))
     n_outer = quad.velocity_nodes if outer_nodes is None else int(outer_nodes)
     V1, W1 = _hermite_velocity_grid(n_outer, 1.3 * pdf.v_th, drift)
     z1 = _master_z1(model, pdf, quad, flavor, pair_occ)
     gain, loss = _kernel_batch(model, pdf, r1, V1, quad, flavor, pair_occ,
-                               z1=z1, t=t)
+                               z1=z1)
     cval = gain - loss
     phis = _moment_values(V1)
     residuals = {}
@@ -324,8 +319,7 @@ def moment_audit(model, pdf, r1, quad: QuadratureSpec, flavor: str,
     return MomentAudit(residuals=residuals, scales=scales, flavor=flavor)
 
 
-def operator_scan(model, pdf, probes, quad, flavor, pair_occ=None,
-                  t: float = 0.0):
+def operator_scan(model, pdf, probes, quad, flavor, pair_occ=None):
     """Evaluate an operator on a list of (r1, v1) probes.
 
     Returns rows [x, y, z, vx, vy, vz, C_value, C_error, gain, loss].
@@ -333,8 +327,7 @@ def operator_scan(model, pdf, probes, quad, flavor, pair_occ=None,
     z1 = _master_z1(model, pdf, quad, flavor, pair_occ)
     rows = []
     for r1, v1 in probes:
-        val = _operator(model, pdf, r1, v1, quad, flavor, pair_occ,
-                        z1=z1, t=t)
+        val = _operator(model, pdf, r1, v1, quad, flavor, pair_occ, z1=z1)
         rows.append(list(np.asarray(r1, float)) + list(np.asarray(v1, float))
                     + [val.value, val.error, val.gain, val.loss])
     return rows

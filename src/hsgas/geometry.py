@@ -14,6 +14,9 @@ import numpy as np
 
 from .seeding import derive_rng
 
+# uniform_admissible_sample gives up after this many whole-configuration draws
+MAX_SAMPLE_TRIES = 200_000
+
 
 @dataclass(frozen=True)
 class HardSphereModel:
@@ -141,12 +144,8 @@ def maxwell_velocities(n: int, v_th: float, rng: np.random.Generator) -> np.ndar
     return rng.normal(scale=v_th, size=(n, 3))
 
 
-def uniform_admissible_sample(
-    model: HardSphereModel,
-    seed: int,
-    v_th: float = 1.0,
-    max_tries: int = 200_000,
-) -> NBodyConfig:
+def uniform_admissible_sample(model: HardSphereModel, seed: int,
+                              v_th: float = 1.0) -> NBodyConfig:
     """Exact uniform sample on the admissible position set, Maxwell velocities.
 
     Proposes each center uniform on the wall-admissible box (the admissible
@@ -156,12 +155,12 @@ def uniform_admissible_sample(
     rng = derive_rng(seed, "geometry", "uniform_admissible_sample")
     lo, hi = model.wall_box
     sig2 = model.sigma ** 2
-    for _ in range(max_tries):
+    for _ in range(MAX_SAMPLE_TRIES):
         pos = rng.uniform(lo, hi, size=(model.n, 3))
         if model.sigma > 0 and not np.all(pair_sq_distances(pos) > sig2):
             continue
         return NBodyConfig(pos, maxwell_velocities(model.n, v_th, rng))
     raise RuntimeError(
-        f"rejection sampling failed after {max_tries} proposals "
+        f"rejection sampling failed after {MAX_SAMPLE_TRIES} proposals "
         f"(n={model.n}, sigma={model.sigma}); packing too dense for naive rejection"
     )

@@ -19,7 +19,7 @@ import numpy as np
 from .collision import elastic_map
 from .geometry import HardSphereModel, NBodyConfig, pair_sq_distances
 from .occupation import lens_volume
-from .quadrature import gauss_legendre, sphere_grid
+from .quadrature import gauss_legendre, sphere_grid, tensor_rule
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +315,11 @@ POS_BINS = 3         # per axis, for the 6-d phase histogram
 PDF_VEL_BINS = 6     # per axis, for the 6-d phase histogram
 SHELL_ETA = 0.05     # near-contact shell [sigma, sigma(1+eta)]
 MIN_BIN_COUNT = 5    # cells below this count as under-populated
+# rules of the equilibrium pair predictions: sphere nodes of the wall-clipping
+# average, radial Gauss-Legendre nodes of the Enskog rate and of the shell
+PAIR_ANGLE_NODES = 302
+ENSKOG_RADIAL_NODES = 24
+SHELL_RADIAL_NODES = 16
 
 
 @dataclass
@@ -348,7 +353,7 @@ def measure(traj: Trajectory, *, windows: int) -> Observables:
     MIN_BIN_COUNT samples are reported through underpopulated_fraction and a
     flag instead of passing silently as noise. Shell counts are pairs with
     separation in [sigma, sigma(1+SHELL_ETA)] per snapshot, the shell of
-    near_contact_pair_prediction's default; their stderr treats
+    near_contact_pair_prediction; their stderr treats
     snapshots as independent, which holds when the snapshot spacing exceeds
     the collision time.
     """
@@ -445,7 +450,7 @@ def measure(traj: Trajectory, *, windows: int) -> Observables:
 # equilibrium rate predictions
 
 
-def _sphere_qbar(model: HardSphereModel, angle_nodes: int = 302):
+def _sphere_qbar(model: HardSphereModel, angle_nodes: int):
     """Orientation-averaged wall-clipping factor for a pair at offset r.
 
     qbar(r) = <prod_a (1 - min(r |n_a| / ell, 1))> over directions n: the
@@ -465,22 +470,20 @@ def _sphere_qbar(model: HardSphereModel, angle_nodes: int = 302):
     return qbar
 
 
-def _k2_lens_profile(model: HardSphereModel, k2_contact=None, kbar2=None):
+def _k2_lens_profile(model: HardSphereModel):
     """k2 as a function of pair separation, pinned at both ends.
 
     ln k2 is linear in the exclusion-lens volume, exact to second order in
     the packing fraction; the separated value kbar2 and the contact value
-    default to the closed uniform forms and accept measured overrides.
+    are the closed uniform forms.
     """
     n, sigma = model.n, model.sigma
     if n < 2:
         raise ValueError(f"the pair profile k2 needs model.n >= 2, got n={n}")
     vw = model.wall_volume
     vball = 4.0 / 3.0 * math.pi * sigma ** 3
-    if kbar2 is None:
-        kbar2 = max(0.0, 1.0 - 2.0 * vball / vw) ** (n - 2)
-    if k2_contact is None:
-        k2_contact = max(0.0, 1.0 - 2.25 * math.pi * sigma ** 3 / vw) ** (n - 2)
+    kbar2 = max(0.0, 1.0 - 2.0 * vball / vw) ** (n - 2)
+    k2_contact = max(0.0, 1.0 - 2.25 * math.pi * sigma ** 3 / vw) ** (n - 2)
     lens_c = lens_volume(sigma, sigma)
     log_far, log_c = math.log(kbar2), math.log(k2_contact)
 
@@ -489,7 +492,7 @@ def _k2_lens_profile(model: HardSphereModel, k2_contact=None, kbar2=None):
         frac = lens_volume(r, sigma) / lens_c
         return np.exp(log_far + (log_c - log_far) * frac)
 
-    return k2, float(k2_contact), float(kbar2)
+    return k2, k2_contact, kbar2
 
 
 def _pair_law_normalization(model, qbar, k2f, kbar2, radial_nodes: int):
@@ -505,25 +508,22 @@ def _pair_law_normalization(model, qbar, k2f, kbar2, radial_nodes: int):
     return kbar2 * (1.0 - p_overlap) + lens_corr, p_overlap
 
 
-def enskog_frequency_prediction(model: HardSphereModel, T: float = 1.0,
-                                angle_nodes: int = 302,
-                                radial_nodes: int = 24,
-                                k2_contact=None, kbar2=None) -> dict:
+def enskog_frequency_prediction(model: HardSphereModel,
+                                T: float = 1.0) -> dict:
     """Per-particle pair collision frequency of the equilibrium gas.
 
     nu = (N-1) * 4 sigma^2 sqrt(pi T) * qbar(sigma) k2(sigma) / (Vw * den):
     the dilute rate corrected by the wall-clipped contact-pair volume
     (qbar), the occupation of the other N-2 spheres at contact, and the
     admissibility normalization den = E[theta_pair k2] of the pair position
-    law. k2_contact and kbar2 default to the closed uniform expressions and
-    accept Monte Carlo estimates as overrides.
+    law. k2 at contact and apart are the closed uniform expressions.
     """
     n, sigma = model.n, model.sigma
     vw = model.wall_volume
-    qbar = _sphere_qbar(model, angle_nodes)
-    k2f, k2c, kb2 = _k2_lens_profile(model, k2_contact, kbar2)
+    qbar = _sphere_qbar(model, PAIR_ANGLE_NODES)
+    k2f, k2c, kb2 = _k2_lens_profile(model)
     den, p_overlap = _pair_law_normalization(model, qbar, k2f, kb2,
-                                             radial_nodes)
+                                             ENSKOG_RADIAL_NODES)
     q_c = float(qbar(sigma)[0])
     nu = ((n - 1) * 4.0 * sigma ** 2 * math.sqrt(math.pi * T)
           * q_c * k2c / (vw * den))
@@ -538,34 +538,32 @@ def enskog_frequency_prediction(model: HardSphereModel, T: float = 1.0,
     }
 
 
-def near_contact_pair_prediction(model: HardSphereModel,
-                                 eta: float = SHELL_ETA,
-                                 angle_nodes: int = 302,
-                                 radial_nodes: int = 16,
-                                 k2_contact=None, kbar2=None):
+def near_contact_pair_prediction(model: HardSphereModel):
     """Expected pairs per snapshot with separation in [sigma, sigma(1+eta)].
 
-    count = C(N,2) * Num / Den with Num the shell mass of the pair position
-    law (wall clipping via qbar, occupation via the lens-interpolated k2
-    profile) and Den its admissible normalization. Returns (value, error,
-    details); the error is a nested-rule estimate from coarsened node
-    counts.
+    eta is SHELL_ETA, the shell that measure counts in. count = C(N,2) *
+    Num / Den with Num the shell mass of the pair position law (wall
+    clipping via qbar, occupation via the lens-interpolated k2 profile) and
+    Den its admissible normalization. Returns (value, error, details); the
+    error is a nested-rule estimate from coarsened node counts.
     """
     n, sigma = model.n, model.sigma
     vw = model.wall_volume
+    eta = SHELL_ETA
+    k2f, _, kb2 = _k2_lens_profile(model)
 
     def evaluate(a_nodes, r_nodes):
         qbar = _sphere_qbar(model, a_nodes)
-        k2f, k2c, kb2 = _k2_lens_profile(model, k2_contact, kbar2)
         r_sh, w_sh = gauss_legendre(r_nodes, sigma, sigma * (1.0 + eta))
         num = 4.0 * math.pi / vw * float(
             (w_sh * r_sh ** 2 * qbar(r_sh) * k2f(r_sh)).sum())
-        den, _ = _pair_law_normalization(model, qbar, k2f, kb2, radial_nodes)
+        den, _ = _pair_law_normalization(model, qbar, k2f, kb2,
+                                         SHELL_RADIAL_NODES)
         return n * (n - 1) / 2.0 * num / den
 
-    value = evaluate(angle_nodes, radial_nodes)
-    coarse = evaluate(max(8, (2 * angle_nodes) // 3),
-                      max(4, (2 * radial_nodes) // 3))
+    value = evaluate(PAIR_ANGLE_NODES, SHELL_RADIAL_NODES)
+    coarse = evaluate(max(8, (2 * PAIR_ANGLE_NODES) // 3),
+                      max(4, (2 * SHELL_RADIAL_NODES) // 3))
     error = abs(value - coarse) + 1e-12 * abs(value)
     return value, error, {"eta": eta, "coarse": coarse}
 
@@ -650,9 +648,8 @@ def wall_contact_rate_prediction(model: HardSphereModel,
     x = np.concatenate([r[0] for r in rules])
     w = np.concatenate([r[1] for r in rules])
     face = np.stack(np.meshgrid(x, x, [lo], indexing="ij"), -1).reshape(-1, 3)
-    bulk = np.stack(np.meshgrid(x, x, x, indexing="ij"), -1).reshape(-1, 3)
     w_face = np.outer(w, w).ravel()
-    w_bulk = np.outer(w_face, w).ravel()
+    bulk, w_bulk = tensor_rule(x, w)
 
     def mean_k1(points, weights):
         v = _clipped_ball_volume(points, model) / model.wall_volume
@@ -709,7 +706,7 @@ class FactorizedNBodyForm:
         )
         return log_pos + log_vel
 
-    def __call__(self, config: NBodyConfig, t: float = 0.0) -> float:
+    def __call__(self, config: NBodyConfig) -> float:
         lv = self.log_value(config.positions, config.velocities)
         return 0.0 if lv == -math.inf else math.exp(lv)
 
@@ -727,9 +724,8 @@ def cbc_evaluate(event: Event, form, mode: str):
                          f"got {event.kind!r}")
     if mode not in ("pdf_conserving", "mcbc"):
         raise ValueError(f"unknown mode {mode!r}")
-    incoming = form(event.x_minus, event.t)
-    outgoing = incoming if mode == "pdf_conserving" else form(event.x_plus,
-                                                              event.t)
+    incoming = form(event.x_minus)
+    outgoing = incoming if mode == "pdf_conserving" else form(event.x_plus)
     return incoming, outgoing
 
 

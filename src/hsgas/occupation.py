@@ -28,12 +28,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import HardSphereModel, ensemble_theta, wall_theta
-from .quadrature import gauss_legendre, row_norm
+from .quadrature import gauss_legendre, row_norm, tensor_rule
 from .seeding import derive_rng
 
 BALL_MIX_FRACTION = 0.1  # share of each node's sample count drawn in-ball
 SHARDS = 16  # independent sub-estimates behind each Monte Carlo stderr
 INTERP_BLOCK = 1 << 16  # points per pass of OccupationField.interp
+PICARD_MAX_ITER = 12  # solve_k1 raises after this many Picard iterations
+PICARD_DAMPING = 0.5  # weight of the old field when a Picard step grows
+# wall-conditioned sampling gives up after this many proposals per draw
+MAX_PROPOSAL_FACTOR = 2000
+# contact_pair_tuples: default pair separation and wall clearance, in sigma
+PAIR_SEPARATION = 2.2
+PAIR_CLEARANCE = 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +149,7 @@ class OccupationField:
 # wall-conditioned sampling
 
 
-def wall_conditioned_positions(pdf, model: HardSphereModel, count: int, rng,
-                               max_factor: int = 2000):
+def wall_conditioned_positions(pdf, model: HardSphereModel, count: int, rng):
     """Draw positions from the pdf conditioned on wall clearance.
 
     Returns (positions, z_w_estimate, z_w_stderr) where z_w is the
@@ -162,7 +168,7 @@ def wall_conditioned_positions(pdf, model: HardSphereModel, count: int, rng,
         take = r[ok][: count - got]
         out[got:got + take.shape[0]] = take
         got += take.shape[0]
-        if proposed > max_factor * count + 10_000:
+        if proposed > MAX_PROPOSAL_FACTOR * count + 10_000:
             raise RuntimeError(
                 f"wall-conditioned acceptance too low: {accepted}/{proposed}"
             )
@@ -182,9 +188,7 @@ def hat_normalization(model: HardSphereModel, pdf, k1_field,
     jump inside the quadrature domain and stall convergence.
     """
     lo, hi = model.sigma / 2.0, model.box - model.sigma / 2.0
-    x, w = gauss_legendre(nodes_1d, lo, hi)
-    g = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
-    ww = (w[:, None, None] * w[None, :, None] * w[None, None, :]).reshape(-1)
+    g, ww = tensor_rule(*gauss_legendre(nodes_1d, lo, hi))
     dens = pdf.position_density(g) * (wall_theta(g, model) > 0)
     return float((ww * dens * k1_field.interp(g)).sum())
 
@@ -340,8 +344,7 @@ def _union_measure(bank: _Bank, weights, prop: _Proposals, k1_field):
 
 def solve_k1(model: HardSphereModel, pdf, *, grid_nodes: int = 8,
              samples_per_node: int = 1_000_000, seed: int = 0,
-             tol: float = 1e-3, max_iter: int = 12,
-             damping: float = 0.5) -> OccupationField:
+             tol: float = 1e-3) -> OccupationField:
     """Self-consistent one-point occupation coefficients on a cubic grid.
 
     Iterates k -> (1 - v[k])^(N-1) where v[k] is the exclusion-ball measure
@@ -370,7 +373,7 @@ def solve_k1(model: HardSphereModel, pdf, *, grid_nodes: int = 8,
     history = []
     converged = False
     iterations = 0
-    for it in range(max_iter):
+    for it in range(PICARD_MAX_ITER):
         iterations = it + 1
         k1 = None if it == 0 else field  # the first pass runs at k1 = 1
         weights = bank.weights(k1)
@@ -384,7 +387,8 @@ def solve_k1(model: HardSphereModel, pdf, *, grid_nodes: int = 8,
         new_errs = new_errs.reshape(field.values.shape)
         change = float(np.abs(new_vals - field.values).max())
         if len(history) >= 1 and change > history[-1]:
-            new_vals = damping * field.values + (1.0 - damping) * new_vals
+            new_vals = (PICARD_DAMPING * field.values
+                        + (1.0 - PICARD_DAMPING) * new_vals)
             change = float(np.abs(new_vals - field.values).max())
         history.append(change)
         field = OccupationField(axis=field.axis, values=new_vals,
@@ -394,8 +398,8 @@ def solve_k1(model: HardSphereModel, pdf, *, grid_nodes: int = 8,
             break
     if not converged:
         raise RuntimeError(
-            f"occupation solver did not converge in {max_iter} iterations; "
-            f"last sup-change {history[-1]:.3e}"
+            f"occupation solver did not converge in {PICARD_MAX_ITER} "
+            f"iterations; last sup-change {history[-1]:.3e}"
         )
     worst = float(field.stderr.max())
     if worst > 0.5 * tol:
@@ -623,8 +627,7 @@ class CorrelationSample:
 def correlation_delta(model: HardSphereModel, pdf,
                       k1_field: OccupationField, phase_tuples,
                       pair_occ: PairOccupation | None = None, *,
-                      samples: int = 200_000, seed: int = 0,
-                      t: float = 0.0) -> CorrelationSample:
+                      samples: int = 200_000, seed: int = 0) -> CorrelationSample:
     """Defect between the s-point density and its factorized part.
 
     delta = Theta_bar^(s) * prod_i rho_hat(x_i) * (k_s - 1), where
@@ -651,7 +654,7 @@ def correlation_delta(model: HardSphereModel, pdf,
         theta_bar = float(ensemble_theta(pos, model))
         fac = 1.0
         for p in tp:
-            fac *= float(pdf.density(p.r, p.v, t)) / z1
+            fac *= float(pdf.density(p.r, p.v)) / z1
         ks = float(pair_occ.ks_values[i])
         delta = theta_bar * fac * (ks - 1.0)
         direct = theta_bar * fac * ks - theta_bar * fac
@@ -667,21 +670,20 @@ def correlation_delta(model: HardSphereModel, pdf,
 
 
 def contact_pair_tuples(model: HardSphereModel, pdf, count: int, seed: int,
-                        separation_factor: float = 2.2,
-                        clearance_factor: float = 3.0):
+                        separation_factor: float = PAIR_SEPARATION):
     """Random bulk phase-point pairs at fixed separation, for defect scans.
 
-    Separations default to 2.2 sigma: beyond the exclusion-ball overlap
-    (> 2 sigma) so the pair coefficient is lens-free, close enough to stay
-    local. Velocities come from the pdf at each position. Pass the model
-    with the largest sigma of a sequence and reuse the tuples so every
-    entry sees the same (admissible) geometry.
+    Separations default to PAIR_SEPARATION sigma: beyond the exclusion-ball
+    overlap (> 2 sigma) so the pair coefficient is lens-free, close enough
+    to stay local. Velocities come from the pdf at each position. Pass the
+    model with the largest sigma of a sequence and reuse the tuples so
+    every entry sees the same (admissible) geometry.
     """
     from .geometry import PhasePoint
 
     rng = derive_rng(seed, "occupation", "tuples")
     sigma, box = model.sigma, model.box
-    margin = max(clearance_factor * sigma, 0.05 * box)
+    margin = max(PAIR_CLEARANCE * sigma, 0.05 * box)
     out = []
     while len(out) < count:
         r1 = rng.uniform(margin, box - margin, size=3)
@@ -707,8 +709,8 @@ class ContactIntegralReport:
 
 
 def l1_k1_contact_integral(pdf, pair_occ: ContactOccupancy,
-                           model: HardSphereModel, r1, *, t: float = 0.0,
-                           quad=None, probe_velocity=None) -> ContactIntegralReport:
+                           model: HardSphereModel, r1, *, quad=None,
+                           probe_velocity=None) -> ContactIntegralReport:
     """Free-streaming derivative of k1 along a probe, as a contact flux.
 
     Transporting the occupation coefficient along a trajectory with velocity
@@ -747,9 +749,9 @@ def l1_k1_contact_integral(pdf, pair_occ: ContactOccupancy,
     def evaluate(q):
         nodes, weights, _ = sphere_grid(q.angle_nodes)
         r2 = r1[None, :] + sigma * nodes
-        rho1 = (pdf.position_density(r2, t) * (wall_theta(r2, model) > 0)
+        rho1 = (pdf.position_density(r2) * (wall_theta(r2, model) > 0)
                 * k1_field.interp(r2) / z1)
-        u = np.stack([np.broadcast_to(pdf.drift(p, t), (3,)) for p in r2])
+        u = np.stack([np.broadcast_to(pdf.drift(p), (3,)) for p in r2])
         flux = -((v1[None, :] - u) * nodes).sum(axis=1)
         k2 = pair_occ.k2_contact(r1, nodes)
         val = (n_part - 1) * sigma ** 2 * float(

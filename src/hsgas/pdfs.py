@@ -1,7 +1,7 @@
 """One-body phase-space density families and their diagnostics.
 
 Every family lives on the cube [0, box]^3 times velocity space and exposes a
-vectorized ``density(r, v, t)``. The tabulated family integrates on its own
+vectorized ``density(r, v)``. The tabulated family integrates on its own
 grid; the five analytic families share one base.
 
 The base is ``UniformMaxwellian``. It writes a family as the product of a
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, gauss_legendre
+from .quadrature import QuadratureSpec, gauss_legendre, tensor_rule
 from .seeding import derive_rng
 
 _TWO_PI = 2.0 * math.pi
@@ -74,20 +74,20 @@ def _in_box(r, box):
 class OneBodyPdf:
     """Interface of a one-body pdf on [0, box]^3 times velocity space.
 
-    A family sets family_tag, box and v_th and provides density(r, v, t),
-    position_density(r, t), sample_positions(count, rng),
-    sample(count, seed, t), normalization(quad) and entropy(quad). The
+    A family sets family_tag, box and v_th and provides density(r, v),
+    position_density(r), sample_positions(count, rng),
+    sample(count, seed), normalization(quad) and entropy(quad). The
     defaults here are a zero drift and no analytic position gradient.
     """
 
     family_tag = "abstract"
 
-    def drift(self, r, t: float = 0.0):
+    def drift(self, r):
         """Mean velocity at position r, broadcast to r's shape."""
         r = np.asarray(r, dtype=float)
         return np.zeros_like(r)
 
-    def log_position_gradient(self, r, v, t: float = 0.0):
+    def log_position_gradient(self, r, v):
         """Analytic d(ln rho)/dr, or None when only FD is available."""
         return None
 
@@ -117,11 +117,11 @@ class UniformMaxwellian(OneBodyPdf):
     def _position_law(self, r):
         return 1.0 / self.box ** 3
 
-    def position_density(self, r, t=0.0):
+    def position_density(self, r):
         r = np.asarray(r, dtype=float)
         return self._position_law(r) * _in_box(r, self.box)
 
-    def log_position_gradient(self, r, v, t=0.0):
+    def log_position_gradient(self, r, v):
         return np.zeros_like(np.asarray(r, dtype=float))
 
     def sample_positions(self, count, rng):
@@ -158,10 +158,10 @@ class UniformMaxwellian(OneBodyPdf):
         return 3.0 * _axis_entropy(g, w)
 
     # -- the product of the two laws ---------------------------------------
-    def density(self, r, v, t=0.0):
+    def density(self, r, v):
         return self.position_density(r) * self._velocity_density(r, v)
 
-    def sample(self, count: int, seed: int, t: float = 0.0):
+    def sample(self, count: int, seed: int):
         rng = derive_rng(seed, "pdf", self.family_tag)
         r = self.sample_positions(count, rng)
         return r, self.sample_velocities(r, rng)
@@ -198,14 +198,14 @@ class DriftedMaxwellian(UniformMaxwellian):
         self.u0 = np.asarray(u0, dtype=float)
         self.shear_rate = float(shear_rate)
 
-    def drift(self, r, t=0.0):
+    def drift(self, r):
         r = np.asarray(r, dtype=float)
         u = np.broadcast_to(self.u0, r.shape).copy()
         if self.shear_rate != 0.0:
             u[..., 1] = u[..., 1] + self.shear_rate * (r[..., 0] - self.box / 2.0)
         return u
 
-    def log_position_gradient(self, r, v, t=0.0):
+    def log_position_gradient(self, r, v):
         r = np.asarray(r, dtype=float)
         v = np.asarray(v, dtype=float)
         grad = np.zeros(np.broadcast_shapes(r.shape, v.shape), dtype=float)
@@ -239,7 +239,7 @@ class TiltedExponential(UniformMaxwellian):
     def _position_law(self, r):
         return np.exp((r * self.tilt).sum(axis=-1)) / self._axis_norm.prod()
 
-    def log_position_gradient(self, r, v, t=0.0):
+    def log_position_gradient(self, r, v):
         r = np.asarray(r, dtype=float)
         return np.broadcast_to(self.tilt, r.shape).copy()
 
@@ -290,7 +290,7 @@ class SinusoidalMaxwellian(UniformMaxwellian):
     def _position_law(self, r):
         return self._profile(r[..., self.axis]) / self.box ** 3
 
-    def log_position_gradient(self, r, v, t=0.0):
+    def log_position_gradient(self, r, v):
         r = np.asarray(r, dtype=float)
         k = _TWO_PI / self.box
         x = r[..., self.axis]
@@ -355,7 +355,7 @@ class VelocityMixture(UniformMaxwellian):
             out = out + w * _maxwell(v, m, s)
         return out
 
-    def drift(self, r, t=0.0):
+    def drift(self, r):
         r = np.asarray(r, dtype=float)
         u = sum(w * m for w, m, _ in self.components)
         return np.broadcast_to(u, r.shape).copy()
@@ -374,10 +374,7 @@ class VelocityMixture(UniformMaxwellian):
         span = max(
             abs(np.abs(m).max()) + q.v_max * s for _, m, s in self.components
         )
-        x, w = gauss_legendre(q.velocity_nodes, -span, span)
-        nodes = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
-        weights = (w[:, None, None] * w[None, :, None] * w[None, None, :]).reshape(-1)
-        return nodes, weights
+        return tensor_rule(*gauss_legendre(q.velocity_nodes, -span, span))
 
     def _velocity_mass(self, quad):
         nodes, w = self._vel_grid(quad)
@@ -440,7 +437,7 @@ class TabulatedPdf(OneBodyPdf):
         out[~inside] = 0.0
         return out.reshape(pts.shape[:-1])
 
-    def density(self, r, v, t=0.0):
+    def density(self, r, v):
         r = np.asarray(r, dtype=float)
         v = np.asarray(v, dtype=float)
         shape = np.broadcast_shapes(r.shape, v.shape)
@@ -449,7 +446,7 @@ class TabulatedPdf(OneBodyPdf):
         )
         return self._interp(pts)
 
-    def position_density(self, r, t=0.0):
+    def position_density(self, r):
         # marginal by trapezoid over the velocity axes at interpolated r
         w = _trapezoid_weights_nd(self.vel_axes)
         r = np.asarray(r, dtype=float)
@@ -479,7 +476,7 @@ class TabulatedPdf(OneBodyPdf):
     def sample_positions(self, count, rng):
         return self._joint_sample(count, rng)[:, :3]
 
-    def sample(self, count, seed, t=0.0):
+    def sample(self, count, seed):
         rng = derive_rng(seed, "pdf", self.family_tag)
         pts = self._joint_sample(count, rng)
         return pts[:, :3], pts[:, 3:]
@@ -567,23 +564,22 @@ def _cell_masses(axes, values):
 # module-level diagnostics
 
 
-def fd_log_position_gradient(pdf, r, v, t=0.0, h=None):
+def fd_log_position_gradient(pdf, r, v):
     """Central finite difference of ln density in the position argument."""
     r = np.asarray(r, dtype=float)
-    if h is None:
-        h = 1e-5 * pdf.box
+    h = 1e-5 * pdf.box
     out = np.empty_like(r)
     for k in range(3):
         dr = np.zeros(3)
         dr[k] = h
-        hi = pdf.density(r + dr, v, t)
-        lo = pdf.density(r - dr, v, t)
+        hi = pdf.density(r + dr, v)
+        lo = pdf.density(r - dr, v)
         with np.errstate(divide="ignore"):
             out[..., k] = (np.log(hi) - np.log(lo)) / (2 * h)
     return out
 
 
-def scale_length(pdf: OneBodyPdf, t: float, probes: int, seed: int,
+def scale_length(pdf: OneBodyPdf, probes: int, seed: int,
                  model=None) -> SmoothnessReport:
     """Probe-maximization estimate of the density's spatial scale length.
 
@@ -593,18 +589,18 @@ def scale_length(pdf: OneBodyPdf, t: float, probes: int, seed: int,
     free densities report an unbounded scale (inf) and delta = 0.
     """
     n_samp = probes // 2
-    r_s, v_s = pdf.sample(max(n_samp, 1), seed, t)
+    r_s, v_s = pdf.sample(max(n_samp, 1), seed)
     m = max(2, int(round((probes - n_samp) ** (1.0 / 3.0))))
     ax = (np.arange(m) + 0.5) / m * pdf.box
     r_g = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
-    v_g = np.broadcast_to(pdf.drift(r_g, t), r_g.shape).copy()
+    v_g = np.broadcast_to(pdf.drift(r_g), r_g.shape).copy()
     r_all = np.concatenate([r_s, r_g], axis=0)
     v_all = np.concatenate([v_s, v_g], axis=0)
 
-    g = pdf.log_position_gradient(r_all, v_all, t)
+    g = pdf.log_position_gradient(r_all, v_all)
     if g is None:
         g = np.stack(
-            [fd_log_position_gradient(pdf, r, v, t) for r, v in zip(r_all, v_all)]
+            [fd_log_position_gradient(pdf, r, v) for r, v in zip(r_all, v_all)]
         )
     mag = np.linalg.norm(np.asarray(g, dtype=float), axis=-1)
     mag = mag[np.isfinite(mag)]

@@ -70,12 +70,21 @@ def gauss_legendre(n: int, a: float, b: float):
     return a + half * (x + 1.0), half * w
 
 
+def tensor_rule(x, w):
+    """The 3-d product of a 1-d rule: nodes (m^3, 3) and weights (m^3,).
+
+    Nodes run in C order over (x, y, z); node (i, j, k) has weight
+    (w_i w_j) w_k, multiplied in that order.
+    """
+    nodes = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
+    weights = (w[:, None, None] * w[None, :, None] * w[None, None, :]).reshape(-1)
+    return nodes, weights
+
+
 def velocity_grid(spec: QuadratureSpec, v_th: float, center=None):
     """Tensor GL nodes (m,3) and weights (m,) on the truncated velocity box."""
     half = spec.v_max * v_th
-    x, w = gauss_legendre(spec.velocity_nodes, -half, half)
-    nodes = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
-    weights = (w[:, None, None] * w[None, :, None] * w[None, None, :]).reshape(-1)
+    nodes, weights = tensor_rule(*gauss_legendre(spec.velocity_nodes, -half, half))
     if center is not None:
         nodes = nodes + np.asarray(center, dtype=float)
     return nodes, weights

@@ -133,7 +133,7 @@ def initial_from_pdf(lattice: VelocityLattice, pdf, r=None):
     if r is None:
         r = np.full(3, pdf.box / 2.0)
     pts = lattice.points()
-    vals = pdf.density(np.asarray(r, float), pts, 0.0)
+    vals = pdf.density(np.asarray(r, float), pts)
     vals = vals.reshape((lattice.nodes,) * 3)
     mass = lattice.cell_volume() * vals.sum()
     if mass <= 0:
@@ -287,7 +287,6 @@ def _offset_table(lattice: VelocityLattice, stride: int):
                 table.append({
                     "d_idx": d_idx,
                     "neg_idx": tuple(-k for k in d_idx),
-                    "d": d, "norm": dn,
                     "loss_w": cell * math.pi * dn,
                     "a_shifts": np.array(a_shifts),
                     "b_shifts": np.array(b_shifts),

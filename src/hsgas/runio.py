@@ -13,14 +13,17 @@ import json
 import math
 import platform
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .pdfs import FAMILIES, UniformMaxwellian, family_keys
+from .quadrature import QuadratureSpec
 
 SCHEMA_VERSION = 1
+QUADRATURE_KEYS = tuple(f.name for f in fields(QuadratureSpec))
 
 
 class Experiment(NamedTuple):
@@ -28,11 +31,12 @@ class Experiment(NamedTuple):
 
     sections: tuple            # the geometry section (required) first
     pdf_families: tuple = tuple(FAMILIES)
+    quadrature_keys: tuple = QUADRATURE_KEYS
 
 
 # the one table of subcommands: the schema's experiment enum, the CLI's
 # subparsers and its runners (cli._run_<name>) all read it, and a config
-# may hold only the sections its subcommand reads
+# may hold only the sections and quadrature keys its subcommand reads
 EXPERIMENTS = {
     "k1": Experiment(("model", "pdf", "k1")),
     "ks": Experiment(("model", "pdf", "k1", "ks")),
@@ -40,10 +44,15 @@ EXPERIMENTS = {
     # md starts from the uniform admissible law; it reads only pdf.v_th
     "md": Experiment(("model", "pdf", "md"), (UniformMaxwellian.family_tag,)),
     "bg-sweep": Experiment(("sequence", "pdf", "k1")),
-    "noncomm": Experiment(("sequence", "pdf", "k1", "quadrature")),
+    # l1_k1_contact_integral reads a sphere rule and Z1's position rule
+    "noncomm": Experiment(("sequence", "pdf", "k1", "quadrature"),
+                          quadrature_keys=("angle_nodes", "position_nodes")),
     "chaos": Experiment(("sequence", "pdf", "k1", "bg")),
     "relax": Experiment(("model", "pdf", "relax")),
-    "entropy": Experiment(("model", "pdf", "quadrature")),
+    # the analytic families integrate on velocity and position rules
+    "entropy": Experiment(("model", "pdf", "quadrature"),
+                          quadrature_keys=("v_max", "velocity_nodes",
+                                           "position_nodes")),
 }
 SECTIONS = tuple(dict.fromkeys(s for e in EXPERIMENTS.values()
                                for s in e.sections))
@@ -250,16 +259,21 @@ def _pdf_key_errors(pdf: dict) -> list:
 
 
 def _section_errors(config: dict) -> list:
-    """Sections the subcommand does not read, or its geometry if missing."""
+    """What the subcommand does not read, or its geometry if missing."""
     name = config.get("experiment")
     if not isinstance(name, str) or name not in EXPERIMENTS:
         return []  # the schema's enum already names it
-    sections, families = EXPERIMENTS[name]
+    sections, families, quad_keys = EXPERIMENTS[name]
     out = [f"$.{s}: subcommand {name!r} does not read section {s!r} "
            f"(it reads {', '.join(sections)})"
            for s in SECTIONS if s in config and s not in sections]
     if sections[0] not in config:
         out.append(f"$: subcommand {name!r} needs section {sections[0]!r}")
+    quad = config.get("quadrature")
+    if "quadrature" in sections and isinstance(quad, dict):
+        out += [f"$.quadrature.{k}: subcommand {name!r} does not read key "
+                f"{k!r} (it reads {', '.join(quad_keys)})"
+                for k in quad if k not in quad_keys]
     pdf = config.get("pdf")
     family = pdf.get("family") if isinstance(pdf, dict) else None
     if isinstance(family, str) and family in FAMILIES \
@@ -273,9 +287,10 @@ def validate_config(config: dict) -> list:
     """Schema violations as '<json path>: <message>' strings (empty = valid).
 
     Beyond the schema, the config must hold its subcommand's geometry
-    section and no section the subcommand does not read (EXPERIMENTS), and
-    the pdf section must name a family the subcommand admits and hold
-    exactly the keys that family's factory takes (pdfs.family_keys).
+    section and no section or quadrature key the subcommand does not read
+    (EXPERIMENTS), and the pdf section must name a family the subcommand
+    admits and hold exactly the keys that family's factory takes
+    (pdfs.family_keys).
     """
     import jsonschema
 
@@ -309,12 +324,12 @@ def artifact_path(out_dir: Path, name: str) -> Path:
     return p
 
 
-def build_manifest(config: dict, *, seed: int, artifacts, wall_clock_s: float,
-                   extra: dict | None = None) -> dict:
+def build_manifest(config: dict, *, seed: int, artifacts,
+                   wall_clock_s: float) -> dict:
     """Reproduction metadata. wall_clock_s is informational, not deterministic."""
     from . import __version__
 
-    manifest = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "config": _jsonable(config),
         "root_seed": int(seed),
@@ -327,6 +342,3 @@ def build_manifest(config: dict, *, seed: int, artifacts, wall_clock_s: float,
         "wall_clock_s": float(wall_clock_s),
         "written_at_unix": int(time.time()),
     }
-    if extra:
-        manifest["extra"] = _jsonable(extra)
-    return manifest

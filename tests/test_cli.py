@@ -193,12 +193,21 @@ def test_entropy_lists_its_artifacts_and_repeats_its_report(tmp_path):
       "sequence": NONCOMM_CONFIG["sequence"]}, None,
      ("$.sequence: subcommand 'entropy' does not read section 'sequence'",
       "$: subcommand 'entropy' needs section 'model'")),
+    ({**NONCOMM_CONFIG,
+      "quadrature": {"angle_nodes": 26, "velocity_nodes": 40}}, None,
+     "$.quadrature.velocity_nodes: subcommand 'noncomm' does not read key "
+     "'velocity_nodes'"),
+    ({**ENTROPY_CONFIG, "quadrature": {"angle_nodes": 26}}, None,
+     "$.quadrature.angle_nodes: subcommand 'entropy' does not read key "
+     "'angle_nodes'"),
 ], ids=["threads", "bg.probes", "unknown-nested", "unknown-top", "mismatch",
         "rho2_form", "relax.phi_nodes", "md.record_cap", "ks.probes",
         "bg-sweep.k1.probes", "noncomm.sequence.sigma", "pdf.alpha-negative",
         "pdf.tilt-on-uniform", "pdf.components-missing", "pdf.path-missing",
         "pdf.family-list", "k1.relax-and-quadrature", "k1.no-model",
-        "bg-sweep.model", "md.pdf-family", "entropy.sequence"])
+        "bg-sweep.model", "md.pdf-family", "entropy.sequence",
+        "noncomm.quadrature.velocity_nodes",
+        "entropy.quadrature.angle_nodes"])
 def test_schema_violations_exit_2(tmp_path, capsys, config, command, named):
     rc, out = run_cli(tmp_path, config, "bad", command)
     assert rc == 2
@@ -231,6 +240,14 @@ def test_noncomm_reads_its_quadrature_section(tmp_path):
     assert csvs[0] != csvs[1]
 
 
+def test_quadrature_keys_are_the_spec_fields():
+    # the schema, and each subcommand's admitted keys, name QuadratureSpec
+    schema = runio.CONFIG_SCHEMA["properties"]["quadrature"]["properties"]
+    assert set(schema) == set(runio.QUADRATURE_KEYS)
+    for experiment in runio.EXPERIMENTS.values():
+        assert set(experiment.quadrature_keys) <= set(schema)
+
+
 def test_pdf_schema_is_read_from_the_family_registry():
     schema = runio.CONFIG_SCHEMA["properties"]["pdf"]["properties"]
     assert schema["family"]["enum"] == list(pdfs.FAMILIES)
@@ -258,6 +275,17 @@ def test_md_short_of_snapshots_exits_1_and_names_the_keys(tmp_path, capsys,
     assert "needs 4" in err
     for name in names:
         assert name in err
+
+
+def test_short_sequence_exits_1_and_names_its_key(tmp_path, capsys):
+    # three entries can never give the four resolved rows a rate fit needs
+    config = {**BG_SWEEP_CONFIG,
+              "sequence": {**BG_SWEEP_CONFIG["sequence"], "ns": [20, 40, 80]}}
+    rc, _ = run_cli(tmp_path, config, "short")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[bg]: only 3 of 3 rows are resolved")
+    assert "sequence.ns" in err
 
 
 def test_relax_reports_offsets_kept_per_step(tmp_path):

@@ -34,7 +34,7 @@ SINUSOIDAL_L_RHO_02 = 0.7796968012336761
 TWO_BEAM_VTH = 0.8779711460710616
 
 
-def tabulate_pdf(pdf, pos_axes, vel_axes, t=0.0):
+def tabulate_pdf(pdf, pos_axes, vel_axes):
     """Sample an analytic family onto a rectilinear grid."""
     pos_axes = [np.asarray(a, float) for a in pos_axes]
     vel_axes = [np.asarray(a, float) for a in vel_axes]
@@ -44,7 +44,7 @@ def tabulate_pdf(pdf, pos_axes, vel_axes, t=0.0):
     flatP = P.reshape(-1, 3)
     flatV = V.reshape(-1, 3)
     for i, rr in enumerate(flatP):
-        vals.reshape(flatP.shape[0], -1)[i] = pdf.density(rr, flatV, t)
+        vals.reshape(flatP.shape[0], -1)[i] = pdf.density(rr, flatV)
     return TabulatedPdf(pos_axes, vel_axes, vals, box=pdf.box, v_th=pdf.v_th)
 
 
@@ -116,7 +116,7 @@ def test_entropy_is_drift_invariant():
 
 def test_scale_length_sinusoidal_matches_closed_form():
     pdf = SinusoidalMaxwellian(1.0, alpha=0.2)
-    rep = scale_length(pdf, 0.0, probes=4096, seed=7)
+    rep = scale_length(pdf, probes=4096, seed=7)
     assert rep.L_rho == pytest.approx(SINUSOIDAL_L_RHO_02, rel=0.02)
     # probe maximization can only under-estimate the true sup-gradient
     assert rep.L_rho >= SINUSOIDAL_L_RHO_02 * (1.0 - 1e-12)
@@ -124,14 +124,14 @@ def test_scale_length_sinusoidal_matches_closed_form():
 
 def test_scale_length_tilted_exact_and_delta():
     model = HardSphereModel(n=10, sigma=0.05, box=1.0)
-    rep = scale_length(TiltedExponential(1.0, tilt=(1.5, 0.0, 0.0)), 0.0,
+    rep = scale_length(TiltedExponential(1.0, tilt=(1.5, 0.0, 0.0)),
                        probes=256, seed=3, model=model)
     assert rep.L_rho == pytest.approx(1.0 / 1.5, rel=1e-12)
     assert rep.delta == pytest.approx(0.05 * 1.5, rel=1e-12)
 
 
 def test_scale_length_uniform_unbounded():
-    rep = scale_length(UniformMaxwellian(1.0), 0.0, probes=64, seed=1)
+    rep = scale_length(UniformMaxwellian(1.0), probes=64, seed=1)
     assert math.isinf(rep.L_rho)
     assert rep.delta == 0.0
 
