@@ -17,9 +17,9 @@ import numpy as np
 
 from .geometry import HardSphereModel
 from .occupation import (
+    COARSE_K1,
     PAIR_SEPARATION,
     ContactOccupancy,
-    brute_force_ks,
     contact_pair_tuples,
     correlation_delta,
     estimate_ks,
@@ -31,7 +31,6 @@ from .seeding import derive_child_seed, derive_rng
 MIN_RESOLVED = 4  # resolved rows a rate fit needs
 RESOLUTION = 3.0  # a row is resolved when value >= RESOLUTION * error
 PROBE_CLEARANCE = 1.5  # bulk_phase_probes keep this many sigma from a face
-ORACLE_TUPLES = 3  # tuples chaos_sweep's oracle cross-check runs on
 PLATEAU_TOL = 0.05  # relative change of a noncomm plateau
 
 
@@ -49,8 +48,6 @@ class SequenceEntry:
 
 @dataclass(frozen=True)
 class EpsilonSequence:
-    c: float                  # the held product N sigma^2
-    box: float
     entries: tuple
 
     def epsilons(self):
@@ -82,7 +79,7 @@ def build_sequence(c: float, box: float, ns) -> EpsilonSequence:
         entries.append(SequenceEntry(
             n=n, sigma=sigma, epsilon=1.0 / n,
             model=HardSphereModel(n=n, sigma=sigma, box=box)))
-    return EpsilonSequence(c=c, box=box, entries=tuple(entries))
+    return EpsilonSequence(entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -180,22 +177,27 @@ def _convergence_report(metric, seq, rows, info, sample_keys):
 # sweeps
 
 
-def sweep_k1(c: float, box: float, ns, *, pdf, grid_nodes: int = 8,
-             samples_per_node: int = 1_000_000, tol: float = 1e-3,
-             seed: int = 0) -> ConvergenceReport:
+def _k1_budget(field) -> dict:
+    """The k1 budget a solved field used, for a report's info."""
+    return {"grid_nodes": field.grid_nodes,
+            "samples_per_node": field.info["samples_per_node"]}
+
+
+def sweep_k1(c: float, box: float, ns, *, pdf, seed: int = 0,
+             **k1) -> ConvergenceReport:
     """Sup-node deviation of the one-point occupation field over the sequence.
 
-    Per entry: solve the self-consistent field on the pinned grid and record
-    sup over grid nodes of |k1 - 1| with the Monte Carlo error at the
-    extremal node. The deviation is largest in the bulk, so the sup doubles
-    as the bulk occupation correction.
+    Per entry: solve the self-consistent field (solve_k1 with the budget k1)
+    and record sup over grid nodes of |k1 - 1| with the Monte Carlo error at
+    the extremal node. The deviation is largest in the bulk, so the sup
+    doubles as the bulk occupation correction.
     """
     seq = build_sequence(c, box, ns)
     rows = []
     for entry in seq.entries:
-        field = solve_k1(entry.model, pdf, grid_nodes=grid_nodes,
-                         samples_per_node=samples_per_node, tol=tol,
-                         seed=derive_child_seed(seed, "bg", "k1", entry.n))
+        field = solve_k1(entry.model, pdf,
+                         seed=derive_child_seed(seed, "bg", "k1", entry.n),
+                         **k1)
         dev = np.abs(field.values - 1.0)
         idx = np.unravel_index(int(np.argmax(dev)), dev.shape)
         rows.append({
@@ -205,8 +207,7 @@ def sweep_k1(c: float, box: float, ns, *, pdf, grid_nodes: int = 8,
         })
     return _convergence_report(
         "sup_node_abs_k1_minus_1", seq, rows,
-        {"c": c, "box": box, "grid_nodes": grid_nodes,
-         "samples_per_node": samples_per_node, "seed": seed,
+        {"c": c, "box": box, **_k1_budget(field), "seed": seed,
          "pdf": type(pdf).__name__},
         ("k1.samples_per_node",))
 
@@ -226,19 +227,17 @@ def bulk_phase_probes(model: HardSphereModel, pdf, count: int, seed: int):
 
 
 def chaos_sweep(c: float, box: float, ns, *, pdf, tuple_count: int = 20,
-                samples: int = 200_000, seed: int = 0, grid_nodes: int = 6,
-                samples_per_node: int = 200_000, tol: float = 1e-3,
-                oracle_samples: int = 0) -> ConvergenceReport:
+                samples: int = 200_000, seed: int = 0,
+                **k1) -> ConvergenceReport:
     """Decay of the two-point factorization defect over the sequence.
 
-    Per entry: estimate the pair occupation coefficients at a fixed batch of
-    bulk phase-point pairs (drawn once at the largest-sigma geometry, at
-    separation occupation.PAIR_SEPARATION sigma_max) and record sup over the
-    batch of |rho_2 - factorized part|. A point-particle control entry
-    (sigma = 0, same N as the first entry) must give exactly zero; set
-    oracle_samples > 0 to cross-check the first entry's pair coefficients
-    against the direct (N-2)-body estimator on ORACLE_TUPLES tuples
-    (z-scores land in info).
+    Per entry: solve k1 (solve_k1 with the budget k1 over
+    occupation.COARSE_K1), estimate the pair occupation coefficients at a
+    fixed batch of bulk phase-point pairs (drawn once at the largest-sigma
+    geometry, at separation occupation.PAIR_SEPARATION sigma_max) and record
+    sup over the batch of |rho_2 - factorized part|. A point-particle
+    control entry (sigma = 0, same N as the first entry) must give exactly
+    zero.
     """
     seq = build_sequence(c, box, ns)
     sigma_max = max(e.sigma for e in seq.entries)
@@ -246,16 +245,11 @@ def chaos_sweep(c: float, box: float, ns, *, pdf, tuple_count: int = 20,
     tuples = contact_pair_tuples(tuple_model, pdf, tuple_count,
                                  derive_child_seed(seed, "bg", "tuples"))
     positions = [np.stack([p.r for p in tp]) for tp in tuples]
+    k1 = {**COARSE_K1, **k1}
     rows = []
-    info = {"c": c, "box": box, "tuple_count": tuple_count,
-            "separation": PAIR_SEPARATION * sigma_max, "samples": samples,
-            "seed": seed, "grid_nodes": grid_nodes,
-            "samples_per_node": samples_per_node, "pdf": type(pdf).__name__}
     for entry in seq.entries:
         child = derive_child_seed(seed, "bg", "chaos", entry.n)
-        field = solve_k1(entry.model, pdf, grid_nodes=grid_nodes,
-                         samples_per_node=samples_per_node, tol=tol,
-                         seed=child)
+        field = solve_k1(entry.model, pdf, seed=child, **k1)
         pair_occ = estimate_ks(entry.model, pdf, positions, samples=samples,
                                seed=child, k1_field=field)
         cs = correlation_delta(entry.model, pdf, field, tuples,
@@ -268,23 +262,13 @@ def chaos_sweep(c: float, box: float, ns, *, pdf, tuple_count: int = 20,
             "sup_abs_k2_minus_1": float(np.abs(pair_occ.ks_values - 1).max()),
             "argmax_tuple": i_max,
         })
-        if oracle_samples > 0 and entry is seq.entries[0]:
-            zs = []
-            for k in range(min(ORACLE_TUPLES, len(positions))):
-                bk, bse = brute_force_ks(entry.model, pdf, positions[k],
-                                         oracle_samples,
-                                         derive_child_seed(seed, "bg",
-                                                           "oracle", k))
-                mk = float(pair_occ.ks_values[k])
-                mse = float(pair_occ.mc_error[k])
-                zs.append((mk - bk) / math.hypot(max(bse, 1e-300), mse))
-            info["oracle_z_scores"] = zs
     control_model = HardSphereModel(n=seq.entries[0].n, sigma=0.0, box=box)
-    zero_field = solve_k1(control_model, pdf, grid_nodes=grid_nodes,
-                          samples_per_node=0, seed=seed)
-    cs0 = correlation_delta(control_model, pdf, zero_field, tuples,
-                            samples=1024, seed=seed)
-    info["control_max_abs"] = float(np.abs(cs0.delta_rho).max())
+    zero_field = solve_k1(control_model, pdf, seed=seed, **k1)
+    cs0 = correlation_delta(control_model, pdf, zero_field, tuples)
+    info = {"c": c, "box": box, "tuple_count": tuple_count,
+            "separation": PAIR_SEPARATION * sigma_max, "samples": samples,
+            "seed": seed, **_k1_budget(field), "pdf": type(pdf).__name__,
+            "control_max_abs": float(np.abs(cs0.delta_rho).max())}
     return _convergence_report("sup_pair_factorization_defect", seq, rows,
                                info, ("bg.samples",))
 
@@ -313,12 +297,11 @@ class LimitOrderingReport:
 
 
 def noncommutativity_report(c: float, box: float, ns, pdf, *, quad,
-                            grid_nodes: int = 8,
-                            samples_per_node: int = 400_000, tol: float = 1e-3,
-                            seed: int = 0) -> LimitOrderingReport:
+                            seed: int = 0, **k1) -> LimitOrderingReport:
     """Compare transport-then-limit against limit-then-transport for k1.
 
-    Per entry: solve the field, evaluate the contact-flux transport
+    Per entry: solve the field (solve_k1 with the budget k1, 400,000
+    samples per node unless k1 sets them), evaluate the contact-flux transport
     derivative of k1 at the box center r1 with the default probe velocity
     of l1_k1_contact_integral, and rescale by epsilon^(-1/2). The report
     flags a plateau when the last two rescaled values agree within
@@ -330,12 +313,12 @@ def noncommutativity_report(c: float, box: float, ns, pdf, *, quad,
     """
     seq = build_sequence(c, box, ns)
     r1 = np.full(3, box / 2.0)
+    k1 = {"samples_per_node": 400_000, **k1}
     rows = []
     for entry in seq.entries:
-        field = solve_k1(entry.model, pdf, grid_nodes=grid_nodes,
-                         samples_per_node=samples_per_node, tol=tol,
+        field = solve_k1(entry.model, pdf,
                          seed=derive_child_seed(seed, "bg", "noncomm",
-                                                entry.n))
+                                                entry.n), **k1)
         occ = ContactOccupancy(entry.model, field)
         rep = l1_k1_contact_integral(pdf, occ, entry.model, r1, quad=quad)
         scale = entry.epsilon ** -0.5
@@ -362,7 +345,6 @@ def noncommutativity_report(c: float, box: float, ns, pdf, *, quad,
         limit_then_transport=0.0,
         commutative=commutative,
         info={"c": c, "box": box, "r1": [float(x) for x in r1],
-              "seed": seed, "grid_nodes": grid_nodes,
-              "samples_per_node": samples_per_node,
+              "seed": seed, **_k1_budget(field),
               "plateau_tol": PLATEAU_TOL, "pdf": type(pdf).__name__,
               "rescale_exponent": -0.5})

@@ -74,13 +74,13 @@ def _k1_field(config, model, pdf, seed, *labels, coarse=False):
     """solve_k1 on the config's k1 section, seeded by the labels.
 
     k1 keeps solve_k1's defaults; ks and ops use the field only as
-    importance weights and pass coarse=True for a 6 x 200,000 default.
+    importance weights and pass coarse=True for occupation.COARSE_K1.
     """
-    from .occupation import solve_k1
+    from .occupation import COARSE_K1, solve_k1
 
-    k1 = dict(config.get("k1", {}))
+    k1 = config.get("k1", {})
     if coarse:
-        k1 = {"grid_nodes": 6, "samples_per_node": 200_000, **k1}
+        k1 = {**COARSE_K1, **k1}
     return solve_k1(model, pdf, seed=derive_child_seed(seed, "cli", *labels),
                     **k1)
 

@@ -55,7 +55,6 @@ class OperatorValue:
     error: float
     gain: float
     loss: float
-    flavor: str
     details: dict = dataclass_field(default_factory=dict)
 
 
@@ -205,7 +204,7 @@ def _operator(model, pdf, r1, v1, quad, flavor, pair_occ=None,
         value, error, gain, loss = _kernel_mc(
             model, pdf, r1, v1, quad, flavor, pair_occ, z1)
         return OperatorValue(value=value, error=error, gain=gain, loss=loss,
-                             flavor=flavor, details={"mode": "mc"})
+                             details={"mode": "mc"})
     gain, loss = _kernel_batch(model, pdf, r1, [v1], quad, flavor, pair_occ,
                                rule_variant, z1)
     g_c, l_c = _kernel_batch(model, pdf, r1, [v1], quad.coarsened(), flavor,
@@ -215,7 +214,7 @@ def _operator(model, pdf, r1, v1, quad, flavor, pair_occ=None,
     floor = 1e-13 * (abs(gain[0]) + abs(loss[0]))
     error = abs(value - coarse) + floor
     return OperatorValue(value=value, error=error, gain=float(gain[0]),
-                         loss=float(loss[0]), flavor=flavor,
+                         loss=float(loss[0]),
                          details={"mode": "deterministic", "z1": z1})
 
 
@@ -266,7 +265,6 @@ def _moment_values(V):
 class MomentAudit:
     residuals: dict          # weight name -> signed residual
     scales: dict             # weight name -> |phi|-weighted loss scale
-    flavor: str
 
     def worst_relative(self) -> float:
         return max(abs(self.residuals[k]) / self.scales[k]
@@ -316,7 +314,7 @@ def moment_audit(model, pdf, r1, quad: QuadratureSpec, flavor: str,
     for name, phi in phis.items():
         residuals[name] = float((W1 * phi * cval).sum())
         scales[name] = max(float((W1 * np.abs(phi) * loss).sum()), 1e-300)
-    return MomentAudit(residuals=residuals, scales=scales, flavor=flavor)
+    return MomentAudit(residuals=residuals, scales=scales)
 
 
 def operator_scan(model, pdf, probes, quad, flavor, pair_occ=None):

@@ -47,10 +47,6 @@ class HardSphereModel:
         return 1.0 / self.n
 
     @property
-    def volume(self) -> float:
-        return self.box ** 3
-
-    @property
     def wall_box(self) -> tuple[float, float]:
         """Interval [sigma/2, box - sigma/2] of admissible center coordinates."""
         return (self.sigma / 2.0, self.box - self.sigma / 2.0)

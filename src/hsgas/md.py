@@ -18,7 +18,11 @@ import numpy as np
 
 from .collision import elastic_map
 from .geometry import HardSphereModel, NBodyConfig, pair_sq_distances
-from .occupation import lens_volume
+from .occupation import (
+    analytic_contact_k2_uniform,
+    analytic_k1_uniform,
+    lens_volume,
+)
 from .quadrature import gauss_legendre, sphere_grid, tensor_rule
 
 
@@ -478,12 +482,9 @@ def _k2_lens_profile(model: HardSphereModel):
     are the closed uniform forms.
     """
     n, sigma = model.n, model.sigma
-    if n < 2:
-        raise ValueError(f"the pair profile k2 needs model.n >= 2, got n={n}")
-    vw = model.wall_volume
+    k2_contact = analytic_contact_k2_uniform(model)  # raises for n < 2
     vball = 4.0 / 3.0 * math.pi * sigma ** 3
-    kbar2 = max(0.0, 1.0 - 2.0 * vball / vw) ** (n - 2)
-    k2_contact = max(0.0, 1.0 - 2.25 * math.pi * sigma ** 3 / vw) ** (n - 2)
+    kbar2 = max(0.0, 1.0 - 2.0 * vball / model.wall_volume) ** (n - 2)
     lens_c = lens_volume(sigma, sigma)
     log_far, log_c = math.log(kbar2), math.log(k2_contact)
 
@@ -527,8 +528,7 @@ def enskog_frequency_prediction(model: HardSphereModel,
     q_c = float(qbar(sigma)[0])
     nu = ((n - 1) * 4.0 * sigma ** 2 * math.sqrt(math.pi * T)
           * q_c * k2c / (vw * den))
-    vbar = 4.0 / 3.0 * math.pi * sigma ** 3 / vw
-    k1 = (1.0 - vbar) ** (n - 1)
+    k1 = analytic_k1_uniform(model)
     return {
         "nu_per_particle": nu,
         "total_pair_rate": 0.5 * n * nu,
@@ -666,7 +666,7 @@ def wall_contact_rate_prediction(model: HardSphereModel,
 
 @dataclass
 class FactorizedNBodyForm:
-    """Product closure form: position profile x anisotropic Maxwell x theta.
+    """Product closure form: uniform positions x anisotropic Maxwell x theta.
 
     axis_temps breaks velocity isotropy so that re-evaluating the form after
     the elastic map gives a genuinely different value on non-grazing events.
@@ -678,7 +678,6 @@ class FactorizedNBodyForm:
     model: HardSphereModel
     axis_temps: tuple = (1.0, 1.2, 0.8)
     drift: tuple = (0.0, 0.0, 0.0)
-    position_profile: object = None   # OneBodyPdf or None for uniform
 
     def log_value(self, positions, velocities) -> float:
         m = self.model
@@ -691,13 +690,7 @@ class FactorizedNBodyForm:
             return -math.inf
         if np.any(pair_sq_distances(pos) < (sigma - tol) ** 2):
             return -math.inf
-        if self.position_profile is None:
-            log_pos = -m.n * 3.0 * math.log(m.box)
-        else:
-            vals = self.position_profile.position_density(pos)
-            if np.any(vals <= 0):
-                return -math.inf
-            log_pos = float(np.log(vals).sum())
+        log_pos = -m.n * 3.0 * math.log(m.box)
         temps = np.asarray(self.axis_temps, float)
         u = np.asarray(self.drift, float)
         w = vel - u
@@ -729,20 +722,20 @@ def cbc_evaluate(event: Event, form, mode: str):
     return incoming, outgoing
 
 
-def is_grazing(event: Event, tol: float = 1e-8) -> bool:
-    """True when the normal relative speed is negligible against |g|."""
+def is_grazing(event: Event) -> bool:
+    """True when the normal relative speed is at most 1e-8 |g|."""
     v = event.x_minus.velocities
     g = v[event.i] - v[event.j_or_face]
     gn = float(g @ event.normal)
-    return abs(gn) <= tol * max(float(np.linalg.norm(g)), 1e-300)
+    return abs(gn) <= 1e-8 * max(float(np.linalg.norm(g)), 1e-300)
 
 
-def cbc_scan(events, form, mode: str, graze_tol: float = 1e-8):
+def cbc_scan(events, form, mode: str):
     """Batch cbc_evaluate: arrays (incoming, outgoing, grazing)."""
     incoming = np.empty(len(events))
     outgoing = np.empty(len(events))
     grazing = np.empty(len(events), dtype=bool)
     for k, ev in enumerate(events):
         incoming[k], outgoing[k] = cbc_evaluate(ev, form, mode)
-        grazing[k] = is_grazing(ev, graze_tol)
+        grazing[k] = is_grazing(ev)
     return incoming, outgoing, grazing

@@ -27,7 +27,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import HardSphereModel, ensemble_theta, wall_theta
+from .geometry import (
+    MAX_SAMPLE_TRIES,
+    HardSphereModel,
+    PhasePoint,
+    ensemble_theta,
+    wall_theta,
+)
 from .quadrature import gauss_legendre, row_norm, tensor_rule
 from .seeding import derive_rng
 
@@ -41,6 +47,9 @@ MAX_PROPOSAL_FACTOR = 2000
 # contact_pair_tuples: default pair separation and wall clearance, in sigma
 PAIR_SEPARATION = 2.2
 PAIR_CLEARANCE = 3.0
+# the solve_k1 budget of runs that use k1 only as importance weights (ks,
+# ops, chaos); solve_k1's own defaults are the budget of a k1 run
+COARSE_K1 = {"grid_nodes": 6, "samples_per_node": 200_000}
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +129,8 @@ class OccupationField:
             out += w * values[(hx * m + hy) * m + hz:].take(cell)
         return out
 
-    def sup_abs_deviation(self, mask=None) -> float:
-        dev = np.abs(self.values - 1.0)
-        if mask is not None:
-            dev = dev[mask.reshape(dev.shape)]
-        return float(dev.max())
+    def sup_abs_deviation(self) -> float:
+        return float(np.abs(self.values - 1.0).max())
 
     def to_csv(self, path):
         from .runio import write_csv
@@ -424,7 +430,7 @@ def brute_force_ks(model: HardSphereModel, pdf, fixed_points, samples: int,
     Draws complete sets of the remaining N-s wall-conditioned positions,
     weights each set by its internal pair admissibility, and averages the
     indicator that every draw clears every fixed exclusion ball. Exact for
-    every N; cost grows with N, so this is the small-N oracle.
+    every N; cost grows with N, so this is the small-N reference.
     """
     fixed = np.atleast_2d(np.asarray(fixed_points, dtype=float))
     s = fixed.shape[0]
@@ -617,7 +623,6 @@ def analytic_k1_uniform(model: HardSphereModel) -> float:
 class CorrelationSample:
     """Factorization defect of the s-point density at fixed phase tuples."""
 
-    phase_tuples: list        # each entry a tuple of PhasePoint
     delta_rho: np.ndarray
     mc_error: np.ndarray
     s: int
@@ -664,8 +669,7 @@ def correlation_delta(model: HardSphereModel, pdf,
                 "factored and direct defect forms disagree beyond roundoff")
         deltas[i] = delta
         errors[i] = theta_bar * fac * float(pair_occ.mc_error[i])
-    return CorrelationSample(phase_tuples=tuples, delta_rho=deltas,
-                             mc_error=errors, s=s,
+    return CorrelationSample(delta_rho=deltas, mc_error=errors, s=s,
                              info={"z1": z1, **pair_occ.info})
 
 
@@ -677,15 +681,21 @@ def contact_pair_tuples(model: HardSphereModel, pdf, count: int, seed: int,
     overlap (> 2 sigma) so the pair coefficient is lens-free, close enough
     to stay local. Velocities come from the pdf at each position. Pass the
     model with the largest sigma of a sequence and reuse the tuples so
-    every entry sees the same (admissible) geometry.
+    every entry sees the same (admissible) geometry. Raises after
+    geometry.MAX_SAMPLE_TRIES draws when the pairs do not fit.
     """
-    from .geometry import PhasePoint
-
     rng = derive_rng(seed, "occupation", "tuples")
     sigma, box = model.sigma, model.box
     margin = max(PAIR_CLEARANCE * sigma, 0.05 * box)
     out = []
+    tries = 0
     while len(out) < count:
+        if tries == MAX_SAMPLE_TRIES:
+            raise RuntimeError(
+                f"{len(out)} of {count} pairs at separation "
+                f"{separation_factor:g} sigma fit the bulk after "
+                f"{MAX_SAMPLE_TRIES} tries; lower ks.separation_factor")
+        tries += 1
         r1 = rng.uniform(margin, box - margin, size=3)
         d = rng.normal(size=3)
         d /= np.linalg.norm(d)
@@ -704,7 +714,6 @@ def contact_pair_tuples(model: HardSphereModel, pdf, count: int, seed: int,
 class ContactIntegralReport:
     value: float
     error: float
-    probe_velocity: np.ndarray
     details: dict = dataclass_field(default_factory=dict)
 
 
@@ -740,8 +749,7 @@ def l1_k1_contact_integral(pdf, pair_occ: ContactOccupancy,
     v1 = (np.full(3, v_th / math.sqrt(3.0)) if probe_velocity is None
           else np.asarray(probe_velocity, dtype=float))
     if sigma == 0.0:
-        return ContactIntegralReport(0.0, 0.0, v1,
-                                     {"reason": "zero diameter"})
+        return ContactIntegralReport(0.0, 0.0, {"reason": "zero diameter"})
     k1_field = pair_occ.k1_field
     # the coarsened rule keeps position_nodes, so one Z1 serves both rules
     z1 = hat_normalization(model, pdf, k1_field, quad.position_nodes)
@@ -763,6 +771,6 @@ def l1_k1_contact_integral(pdf, pair_occ: ContactOccupancy,
     value, scale = evaluate(quad)
     coarse, _ = evaluate(quad.coarsened())
     error = abs(value - coarse) + 1e-13 * scale
-    return ContactIntegralReport(value=value, error=error, probe_velocity=v1,
+    return ContactIntegralReport(value=value, error=error,
                                  details={"coarse": coarse,
                                           "integrand_norm": scale})

@@ -51,7 +51,6 @@ class EntropyReport:
 class SmoothnessReport:
     L_rho: float
     delta: float
-    probe_count: int
 
 
 def _maxwell(v, mean, v_th):
@@ -608,11 +607,7 @@ def scale_length(pdf: OneBodyPdf, probes: int, seed: int,
     L_now = math.inf if g_max == 0.0 else 1.0 / g_max
     sigma = model.sigma if model is not None else 0.0
     delta = 0.0 if math.isinf(L_now) else sigma / L_now
-    return SmoothnessReport(
-        L_rho=L_now,
-        delta=delta,
-        probe_count=int(r_all.shape[0]),
-    )
+    return SmoothnessReport(L_rho=L_now, delta=delta)
 
 
 # ---------------------------------------------------------------------------

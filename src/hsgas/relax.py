@@ -117,15 +117,14 @@ def moment_matched_maxwellian(lattice: VelocityLattice, f: np.ndarray):
     return maxwellian_on_lattice(lattice, mass, u, T)
 
 
-def two_beam_initial(lattice: VelocityLattice, beam_speed: float = 1.25,
-                     beam_width: float = 0.5, axis: int = 1,
-                     mass: float = 1.0):
-    """Two counter-propagating Maxwellian beams along the given axis."""
-    u = np.zeros(3)
-    u[axis] = beam_speed
-    f = 0.5 * (maxwellian_on_lattice(lattice, mass, u, beam_width ** 2)
-               + maxwellian_on_lattice(lattice, mass, -u, beam_width ** 2))
-    return f
+def two_beam_initial(lattice: VelocityLattice):
+    """Two counter-propagating Maxwellian beams of unit total mass along y.
+
+    The beams move at +-1.25 with thermal width 0.5.
+    """
+    u = np.array([0.0, 1.25, 0.0])
+    return 0.5 * (maxwellian_on_lattice(lattice, 1.0, u, 0.25)
+                  + maxwellian_on_lattice(lattice, 1.0, -u, 0.25))
 
 
 def initial_from_pdf(lattice: VelocityLattice, pdf, r=None):
@@ -297,7 +296,6 @@ def _offset_table(lattice: VelocityLattice, stride: int):
 
 @dataclass
 class RelaxResult:
-    lattice: VelocityLattice
     f: np.ndarray
     times: np.ndarray
     entropy: np.ndarray
@@ -422,7 +420,7 @@ def homogeneous_relax(model, f0: np.ndarray, lattice: VelocityLattice, *,
         dts.append(step)
         offsets_used.append(kept)
     return RelaxResult(
-        lattice=lattice, f=f, times=np.array(times),
+        f=f, times=np.array(times),
         entropy=np.array(entropy), mass=np.array(mass_tr),
         momentum=np.array(mom_tr), energy=np.array(en_tr), steps=steps,
         dt_history=np.array(dts), offsets_used=offsets_used,

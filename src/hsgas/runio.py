@@ -235,7 +235,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "tuple_count": {"type": "integer", "minimum": 1},
                 "samples": {"type": "integer", "minimum": 1000},
-                "oracle_samples": {"type": "integer", "minimum": 0},
             },
             "additionalProperties": False,
         },

@@ -151,6 +151,8 @@ def test_entropy_lists_its_artifacts_and_repeats_its_report(tmp_path):
     ({**K1_CONFIG, "threads": 2}, None, "'threads'"),
     ({**CHAOS_CONFIG, "bg": {**CHAOS_CONFIG["bg"], "probes": 4}}, None,
      "$.bg: Additional properties are not allowed ('probes'"),
+    ({**CHAOS_CONFIG, "bg": {"oracle_samples": 0}}, None,
+     "$.bg: Additional properties are not allowed ('oracle_samples'"),
     ({**K1_CONFIG, "k1": {**K1_CONFIG["k1"], "grid": 2}}, None, "'grid'"),
     ({**K1_CONFIG, "extra": 1}, None, "'extra'"),
     (K1_CONFIG, "ks", "$.experiment"),
@@ -200,8 +202,8 @@ def test_entropy_lists_its_artifacts_and_repeats_its_report(tmp_path):
     ({**ENTROPY_CONFIG, "quadrature": {"angle_nodes": 26}}, None,
      "$.quadrature.angle_nodes: subcommand 'entropy' does not read key "
      "'angle_nodes'"),
-], ids=["threads", "bg.probes", "unknown-nested", "unknown-top", "mismatch",
-        "rho2_form", "relax.phi_nodes", "md.record_cap", "ks.probes",
+], ids=["threads", "bg.probes", "bg.oracle_samples", "unknown-nested",
+        "unknown-top", "mismatch", "rho2_form", "relax.phi_nodes", "md.record_cap", "ks.probes",
         "bg-sweep.k1.probes", "noncomm.sequence.sigma", "pdf.alpha-negative",
         "pdf.tilt-on-uniform", "pdf.components-missing", "pdf.path-missing",
         "pdf.family-list", "k1.relax-and-quadrature", "k1.no-model",
@@ -228,6 +230,17 @@ def test_entropy_with_a_missing_table_exits_1_and_names_the_layer(
     err = capsys.readouterr().err
     assert err.startswith("error[pdfs]: ")
     assert "absent.csv" in err
+
+
+def test_ks_separation_beyond_the_bulk_exits_1_and_names_the_key(
+        tmp_path, capsys):
+    # 30 sigma is longer than the diagonal of the box the pairs must fit in
+    config = {**KS_CONFIG, "ks": {**KS_CONFIG["ks"], "separation_factor": 30}}
+    rc, _ = run_cli(tmp_path, config, "far")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[occupation]: ")
+    assert "ks.separation_factor" in err
 
 
 def test_noncomm_reads_its_quadrature_section(tmp_path):

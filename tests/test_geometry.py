@@ -29,7 +29,6 @@ CLEAR_RATIO_SIGMA_008 = 0.9972458024461008
 def test_model_properties():
     m = HardSphereModel(n=16, sigma=0.1, box=2.0)
     assert m.epsilon == 1.0 / 16.0
-    assert m.volume == 8.0
     assert m.wall_box == (0.05, 1.95)
     assert m.wall_volume == pytest.approx(1.9 ** 3, rel=1e-15)
 
