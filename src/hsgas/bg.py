@@ -18,12 +18,14 @@ import numpy as np
 from .geometry import HardSphereModel
 from .occupation import (
     COARSE_K1,
+    KS_SAMPLES,
     PAIR_SEPARATION,
     ContactOccupancy,
     contact_pair_tuples,
     correlation_delta,
     estimate_ks,
     l1_k1_contact_integral,
+    pair_misfit,
     solve_k1,
 )
 from .seeding import derive_child_seed, derive_rng
@@ -227,7 +229,7 @@ def bulk_phase_probes(model: HardSphereModel, pdf, count: int, seed: int):
 
 
 def chaos_sweep(c: float, box: float, ns, *, pdf, tuple_count: int = 20,
-                samples: int = 200_000, seed: int = 0,
+                samples: int = KS_SAMPLES, seed: int = 0,
                 **k1) -> ConvergenceReport:
     """Decay of the two-point factorization defect over the sequence.
 
@@ -242,6 +244,11 @@ def chaos_sweep(c: float, box: float, ns, *, pdf, tuple_count: int = 20,
     seq = build_sequence(c, box, ns)
     sigma_max = max(e.sigma for e in seq.entries)
     tuple_model = HardSphereModel(n=seq.entries[0].n, sigma=sigma_max, box=box)
+    misfit = pair_misfit(tuple_model, PAIR_SEPARATION)
+    if misfit:
+        raise ValueError(
+            f"{misfit}; sigma_max = {sigma_max:.4g} comes from the smallest "
+            f"sequence.ns entry ({tuple_model.n}), so raise it")
     tuples = contact_pair_tuples(tuple_model, pdf, tuple_count,
                                  derive_child_seed(seed, "bg", "tuples"))
     positions = [np.stack([p.r for p in tp]) for tp in tuples]

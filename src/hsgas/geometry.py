@@ -111,19 +111,32 @@ def pair_theta(r_i, r_j, sigma: float):
     return out if out.ndim else int(out)
 
 
-def pair_sq_distances(positions) -> np.ndarray:
-    """Squared distances |r_i - r_j|^2 of all pairs i < j.
+def close_pairs(positions, cutoff: float):
+    """Every pair i < j with d2 = |r_i - r_j|^2 <= cutoff^2, as (i, j, d2).
 
-    Pairs come in row-major upper-triangle order: (0, 1), (0, 2), ...,
-    (1, 2), ... This is the one place the pair geometry of a configuration
-    is computed; each caller applies its own comparison (strict overlap,
-    contact tolerance, near-contact shell). Only the C(n, 2) differences are
-    formed, never an n x n x 3 array.
+    Sort and sweep on x: after one argsort, the partners of each center lie
+    in its window of sorted x up to x + cutoff (padded by 1e-9 relative, so
+    rounding can only add candidates), and only those pairs are formed. This
+    is the one place the pair geometry of a configuration is computed; each
+    caller passes the cutoff its own comparison needs and applies that
+    comparison to d2. d2 is the per-pair arithmetic of the all-pairs form,
+    so every kept value has the same bits. Pairs come in no fixed order.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    i, j = np.triu_indices(pos.shape[0], k=1)
+    order = np.argsort(pos[:, 0], kind="stable")
+    x = pos[order, 0]
+    rank = np.arange(len(x))
+    # sorted ranks a < b with x[b] <= x[a] + pad, expanded window by window
+    stop = np.searchsorted(x, x + cutoff * (1.0 + 1e-9), side="right")
+    count = stop - rank - 1
+    a = np.repeat(rank, count)
+    b = np.arange(len(a)) - np.repeat(np.cumsum(count) - stop, count)
+    i, j = order[a], order[b]
     d = pos[i] - pos[j]
-    return (d * d).sum(axis=-1)
+    d2 = (d * d).sum(axis=-1)
+    keep = d2 <= float(cutoff) ** 2
+    i, j = i[keep], j[keep]
+    return np.minimum(i, j), np.maximum(i, j), d2[keep]
 
 
 def ensemble_theta(config, model: HardSphereModel) -> int:
@@ -131,7 +144,7 @@ def ensemble_theta(config, model: HardSphereModel) -> int:
     pos = config.positions if isinstance(config, NBodyConfig) else np.atleast_2d(config)
     if not np.all(wall_theta(pos, model)):
         return 0
-    if model.sigma > 0 and not np.all(pair_sq_distances(pos) > model.sigma ** 2):
+    if model.sigma > 0 and len(close_pairs(pos, model.sigma)[2]):
         return 0
     return 1
 
@@ -150,13 +163,13 @@ def uniform_admissible_sample(model: HardSphereModel, seed: int,
     """
     rng = derive_rng(seed, "geometry", "uniform_admissible_sample")
     lo, hi = model.wall_box
-    sig2 = model.sigma ** 2
     for _ in range(MAX_SAMPLE_TRIES):
         pos = rng.uniform(lo, hi, size=(model.n, 3))
-        if model.sigma > 0 and not np.all(pair_sq_distances(pos) > sig2):
+        if model.sigma > 0 and len(close_pairs(pos, model.sigma)[2]):
             continue
         return NBodyConfig(pos, maxwell_velocities(model.n, v_th, rng))
     raise RuntimeError(
         f"rejection sampling failed after {MAX_SAMPLE_TRIES} proposals "
-        f"(n={model.n}, sigma={model.sigma}); packing too dense for naive rejection"
+        f"(n={model.n}, sigma={model.sigma}); packing too dense for naive "
+        "rejection; lower model.n or model.sigma"
     )

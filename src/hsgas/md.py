@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import elastic_map
-from .geometry import HardSphereModel, NBodyConfig, pair_sq_distances
+from .geometry import HardSphereModel, NBodyConfig, close_pairs
 from .occupation import (
     analytic_contact_k2_uniform,
     analytic_k1_uniform,
@@ -178,8 +178,10 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
 
     def full_audit():
         nonlocal max_pair_gap
-        if n >= 2:
-            gap = math.sqrt(pair_sq_distances(pos).min()) - sigma
+        # a pair farther than sigma has gap > 0 and cannot lower the worst
+        d2 = close_pairs(pos, sigma)[2]
+        if len(d2):
+            gap = math.sqrt(d2.min()) - sigma
             max_pair_gap = min(max_pair_gap, gap)
             if gap < -1e-9 * sigma:
                 raise RuntimeError(f"overlap detected: pair gap {gap:.3e}")
@@ -409,7 +411,8 @@ def measure(traj: Trajectory, *, windows: int) -> Observables:
     shell_hi = sigma * (1.0 + SHELL_ETA)
     counts = []
     for (_, p, _) in snaps:
-        dd = np.sqrt(pair_sq_distances(p))
+        # the padded cutoff keeps every pair whose sqrt rounds to shell_hi
+        dd = np.sqrt(close_pairs(p, shell_hi * (1.0 + 1e-9))[2])
         counts.append(int(((dd >= sigma) & (dd <= shell_hi)).sum()))
     shell_counts = np.array(counts, dtype=float)
     shell_mean = float(shell_counts.mean())
@@ -688,7 +691,7 @@ class FactorizedNBodyForm:
         lo, hi = m.wall_box
         if np.any(pos < lo - tol) or np.any(pos > hi + tol):
             return -math.inf
-        if np.any(pair_sq_distances(pos) < (sigma - tol) ** 2):
+        if np.any(close_pairs(pos, sigma)[2] < (sigma - tol) ** 2):
             return -math.inf
         log_pos = -m.n * 3.0 * math.log(m.box)
         temps = np.asarray(self.axis_temps, float)

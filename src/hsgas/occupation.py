@@ -50,6 +50,7 @@ PAIR_CLEARANCE = 3.0
 # the solve_k1 budget of runs that use k1 only as importance weights (ks,
 # ops, chaos); solve_k1's own defaults are the budget of a k1 run
 COARSE_K1 = {"grid_nodes": 6, "samples_per_node": 200_000}
+KS_SAMPLES = 200_000  # estimate_ks budget per tuple (ks.samples, bg.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +483,8 @@ class PairOccupation:
     info: dict = dataclass_field(default_factory=dict)
 
 
-def estimate_ks(model: HardSphereModel, pdf, tuples, *, samples: int = 200_000,
-                seed: int = 0,
+def estimate_ks(model: HardSphereModel, pdf, tuples, *,
+                samples: int = KS_SAMPLES, seed: int = 0,
                 k1_field: OccupationField | None = None) -> PairOccupation:
     """Monte Carlo s-point occupation coefficients at position tuples.
 
@@ -632,7 +633,8 @@ class CorrelationSample:
 def correlation_delta(model: HardSphereModel, pdf,
                       k1_field: OccupationField, phase_tuples,
                       pair_occ: PairOccupation | None = None, *,
-                      samples: int = 200_000, seed: int = 0) -> CorrelationSample:
+                      samples: int = KS_SAMPLES,
+                      seed: int = 0) -> CorrelationSample:
     """Defect between the s-point density and its factorized part.
 
     delta = Theta_bar^(s) * prod_i rho_hat(x_i) * (k_s - 1), where
@@ -673,6 +675,29 @@ def correlation_delta(model: HardSphereModel, pdf,
                              info={"z1": z1, **pair_occ.info})
 
 
+def _pair_margin(model: HardSphereModel) -> float:
+    """Wall clearance of contact_pair_tuples' points."""
+    return max(PAIR_CLEARANCE * model.sigma, 0.05 * model.box)
+
+
+def pair_misfit(model: HardSphereModel, separation_factor: float) -> str:
+    """Why no contact_pair_tuples pair can fit the bulk, or "" if one may.
+
+    Both points keep a wall margin, so the pair must fit in the inner cube
+    [margin, box - margin]^3, whose diagonal bounds the separation.
+    """
+    margin = _pair_margin(model)
+    if not margin < model.box / 2:
+        return (f"the wall margin {margin:.4g} = max({PAIR_CLEARANCE:g} "
+                f"sigma, 0.05 box) leaves no bulk in a box of {model.box:g}")
+    diagonal = math.sqrt(3.0) * (model.box - 2.0 * margin)
+    if separation_factor * model.sigma > diagonal:
+        return (f"pairs at separation {separation_factor:g} sigma = "
+                f"{separation_factor * model.sigma:.4g} exceed the diagonal "
+                f"{diagonal:.4g} of the bulk they must fit in")
+    return ""
+
+
 def contact_pair_tuples(model: HardSphereModel, pdf, count: int, seed: int,
                         separation_factor: float = PAIR_SEPARATION):
     """Random bulk phase-point pairs at fixed separation, for defect scans.
@@ -681,12 +706,17 @@ def contact_pair_tuples(model: HardSphereModel, pdf, count: int, seed: int,
     overlap (> 2 sigma) so the pair coefficient is lens-free, close enough
     to stay local. Velocities come from the pdf at each position. Pass the
     model with the largest sigma of a sequence and reuse the tuples so
-    every entry sees the same (admissible) geometry. Raises after
-    geometry.MAX_SAMPLE_TRIES draws when the pairs do not fit.
+    every entry sees the same (admissible) geometry. Raises before any draw
+    when pair_misfit rules the pairs out, and after
+    geometry.MAX_SAMPLE_TRIES draws when they still do not fit.
     """
+    misfit = pair_misfit(model, separation_factor)
+    if misfit:
+        raise ValueError(f"{misfit}; lower ks.separation_factor or "
+                         "model.sigma")
     rng = derive_rng(seed, "occupation", "tuples")
     sigma, box = model.sigma, model.box
-    margin = max(PAIR_CLEARANCE * sigma, 0.05 * box)
+    margin = _pair_margin(model)
     out = []
     tries = 0
     while len(out) < count:

@@ -243,6 +243,24 @@ def test_ks_separation_beyond_the_bulk_exits_1_and_names_the_key(
     assert "ks.separation_factor" in err
 
 
+@pytest.mark.parametrize("ns, why", [
+    ([4, 8, 16, 32], "leaves no bulk"),
+    ([8, 16, 32, 64], "exceed the diagonal"),
+], ids=["margin", "diagonal"])
+def test_chaos_pairs_beyond_the_bulk_exit_1_and_name_the_key(
+        tmp_path, capsys, ns, why):
+    # the smallest N sets sigma_max, and with it the pairs' geometry
+    config = {**CHAOS_CONFIG,
+              "sequence": {**CHAOS_CONFIG["sequence"], "ns": ns}}
+    rc, out = run_cli(tmp_path, config, "dense")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[bg]: ")
+    assert why in err
+    assert "sequence.ns" in err
+    assert not (out / "report.json").exists()
+
+
 def test_noncomm_reads_its_quadrature_section(tmp_path):
     csvs = []
     for nodes in (26, 80):

@@ -3,19 +3,21 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hsgas import geometry
 from hsgas.geometry import (
     HardSphereModel,
     NBodyConfig,
+    close_pairs,
     ensemble_theta,
     maxwell_velocities,
     pair_theta,
-    pair_sq_distances,
     uniform_admissible_sample,
     wall_theta,
 )
@@ -80,19 +82,75 @@ def test_ensemble_theta_permutation_invariant(seed):
     assert ensemble_theta(NBodyConfig(pos[perm], np.zeros_like(pos)), m) == base
 
 
-def test_pair_sq_distances_order_and_values():
-    pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0],
-                    [0.0, 4.0, 0.0], [0.0, 0.0, 0.5]])
-    # pairs (0,1) (0,2) (0,3) (1,2) (1,3) (2,3)
-    np.testing.assert_array_equal(pair_sq_distances(pos),
-                                  [9.0, 16.0, 0.25, 25.0, 9.25, 16.25])
-    assert pair_sq_distances(pos[:1]).shape == (0,)
-    # bitwise equal to the dense n x n form it replaces
-    rng = np.random.default_rng(5)
-    pos = rng.uniform(0.0, 1.0, size=(30, 3))
-    d = pos[:, None, :] - pos[None, :, :]
-    dense = (d * d).sum(axis=-1)[np.triu_indices(30, k=1)]
-    np.testing.assert_array_equal(pair_sq_distances(pos), dense)
+def _all_pairs(pos, cutoff):
+    """Oracle: {(i, j): d2} over all i < j with d2 <= cutoff^2."""
+    i, j = np.triu_indices(len(pos), k=1)
+    d = pos[i] - pos[j]
+    d2 = (d * d).sum(axis=-1)
+    keep = d2 <= float(cutoff) ** 2
+    return dict(zip(zip(i[keep].tolist(), j[keep].tolist()),
+                    d2[keep].tolist()))
+
+
+def _close_pairs_dict(pos, cutoff):
+    i, j, d2 = close_pairs(pos, cutoff)
+    assert np.all(i < j)
+    out = dict(zip(zip(i.tolist(), j.tolist()), d2.tolist()))
+    assert len(out) == len(d2)  # no pair twice
+    return out
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 60),
+       st.floats(0.0, 1.5), st.sampled_from([None, 1, 4]))
+def test_close_pairs_is_the_all_pairs_cut(seed, n, cutoff, x_levels):
+    # x_levels quantises x so that many centres share one x coordinate
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0.0, 1.0, size=(n, 3))
+    if x_levels is not None:
+        pos[:, 0] = rng.integers(0, x_levels, size=n) / 7.0
+    # dict equality compares d2 with ==, i.e. bit for bit
+    assert _close_pairs_dict(pos, cutoff) == _all_pairs(pos, cutoff)
+
+
+def test_close_pairs_keeps_a_lattice_at_exactly_the_cutoff():
+    h = 0.125  # exact in binary, so every neighbour sits at d2 == h^2
+    g = np.arange(5) * h
+    pos = np.stack(np.meshgrid(g, g, g, indexing="ij"), -1).reshape(-1, 3)
+    got = _close_pairs_dict(pos, h)
+    assert len(got) == 3 * 4 * 25  # nearest neighbours only
+    assert set(got.values()) == {h * h}
+    assert got == _all_pairs(pos, h)
+    # the diagonal neighbours join at sqrt(2) h
+    assert len(_close_pairs_dict(pos, h * math.sqrt(2.0) * (1 + 1e-12))) \
+        == 3 * 4 * 25 + 6 * 4 * 4 * 5
+
+
+def test_close_pairs_small_and_degenerate():
+    for n in (0, 1):
+        i, j, d2 = close_pairs(np.zeros((n, 3)), 1.0)
+        assert len(i) == len(j) == len(d2) == 0
+    two = np.array([[0.125, 0.25, 0.5], [0.5, 0.25, 0.5]])
+    assert _close_pairs_dict(two, 0.375) == {(0, 1): 0.140625}
+    assert _close_pairs_dict(two[::-1], 0.375) == {(0, 1): 0.140625}
+    assert _close_pairs_dict(two, 0.37) == {}
+    # cutoff 0 keeps only coincident centres
+    same = np.array([[0.5, 0.5, 0.5], [0.1, 0.5, 0.5], [0.5, 0.5, 0.5]])
+    assert _close_pairs_dict(same, 0.0) == {(0, 2): 0.0}
+
+
+def test_close_pairs_at_ten_thousand_stays_small():
+    # the all-pairs form would hold C(10^4, 2) doubles, about 400 MB per array
+    n = 10_000
+    sigma = math.sqrt(0.2 / n)
+    pos = np.random.default_rng(3).uniform(0.0, 1.0, size=(n, 3))
+    tracemalloc.start()
+    try:
+        _, _, d2 = close_pairs(pos, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    assert np.all(d2 <= sigma ** 2)
 
 
 def test_ensemble_theta_point_particles_ignore_pairs():
@@ -113,6 +171,15 @@ def test_uniform_admissible_sample_is_admissible_and_deterministic():
     np.testing.assert_array_equal(cfg1.velocities, cfg2.velocities)
     assert uniform_admissible_sample(m, 124).positions[0, 0] != \
         cfg1.positions[0, 0]
+
+
+def test_too_dense_sampling_names_the_keys(monkeypatch):
+    monkeypatch.setattr(geometry, "MAX_SAMPLE_TRIES", 3)
+    m = HardSphereModel(n=50, sigma=0.3, box=1.0)
+    with pytest.raises(RuntimeError, match="packing too dense") as exc:
+        uniform_admissible_sample(m, 1)
+    assert "model.n" in str(exc.value)
+    assert "model.sigma" in str(exc.value)
 
 
 def test_uniform_admissible_sample_velocity_moments():
