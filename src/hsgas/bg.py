@@ -21,11 +21,11 @@ from .occupation import (
     KS_SAMPLES,
     PAIR_SEPARATION,
     ContactOccupancy,
+    PairMisfit,
     contact_pair_tuples,
     correlation_delta,
     estimate_ks,
     l1_k1_contact_integral,
-    pair_misfit,
     solve_k1,
 )
 from .seeding import derive_child_seed, derive_rng
@@ -244,13 +244,14 @@ def chaos_sweep(c: float, box: float, ns, *, pdf, tuple_count: int = 20,
     seq = build_sequence(c, box, ns)
     sigma_max = max(e.sigma for e in seq.entries)
     tuple_model = HardSphereModel(n=seq.entries[0].n, sigma=sigma_max, box=box)
-    misfit = pair_misfit(tuple_model, PAIR_SEPARATION)
-    if misfit:
-        raise ValueError(
-            f"{misfit}; sigma_max = {sigma_max:.4g} comes from the smallest "
-            f"sequence.ns entry ({tuple_model.n}), so raise it")
-    tuples = contact_pair_tuples(tuple_model, pdf, tuple_count,
-                                 derive_child_seed(seed, "bg", "tuples"))
+    try:
+        tuples = contact_pair_tuples(tuple_model, pdf, tuple_count,
+                                     derive_child_seed(seed, "bg", "tuples"))
+    except PairMisfit as exc:
+        exc.args = (f"{exc}; sigma_max = {sigma_max:.4g} comes from the "
+                    f"smallest sequence.ns entry ({tuple_model.n}), so "
+                    "raise it",)
+        raise
     positions = [np.stack([p.r for p in tp]) for tp in tuples]
     k1 = {**COARSE_K1, **k1}
     rows = []

@@ -112,16 +112,20 @@ def _run_k1(config, seed, out_dir):
 
 
 def _run_ks(config, seed, out_dir):
-    from .occupation import contact_pair_tuples, estimate_ks
+    from .occupation import PairMisfit, contact_pair_tuples, estimate_ks
 
     model = _model_from(config)
     pdf = _pdf_from(config, model.box)
     p = config.get("ks", {})
     field = _k1_field(config, model, pdf, seed, "ks", "k1", coarse=True)
-    tuples = contact_pair_tuples(
-        model, pdf, p.get("tuple_count", 20),
-        derive_child_seed(seed, "cli", "ks", "tuples"),
-        **_given(p, "separation_factor"))
+    try:
+        tuples = contact_pair_tuples(
+            model, pdf, p.get("tuple_count", 20),
+            derive_child_seed(seed, "cli", "ks", "tuples"),
+            **_given(p, "separation_factor"))
+    except PairMisfit as exc:
+        exc.args = (f"{exc}; lower ks.separation_factor or model.sigma",)
+        raise
     positions = [np.stack([pt.r for pt in tp]) for tp in tuples]
     occ = estimate_ks(model, pdf, positions,
                       seed=derive_child_seed(seed, "cli", "ks", "mc"),

@@ -675,27 +675,11 @@ def correlation_delta(model: HardSphereModel, pdf,
                              info={"z1": z1, **pair_occ.info})
 
 
-def _pair_margin(model: HardSphereModel) -> float:
-    """Wall clearance of contact_pair_tuples' points."""
-    return max(PAIR_CLEARANCE * model.sigma, 0.05 * model.box)
+class PairMisfit(ValueError):
+    """contact_pair_tuples' pairs do not fit the bulk.
 
-
-def pair_misfit(model: HardSphereModel, separation_factor: float) -> str:
-    """Why no contact_pair_tuples pair can fit the bulk, or "" if one may.
-
-    Both points keep a wall margin, so the pair must fit in the inner cube
-    [margin, box - margin]^3, whose diagonal bounds the separation.
+    The message names no config key: each caller appends the key it reads.
     """
-    margin = _pair_margin(model)
-    if not margin < model.box / 2:
-        return (f"the wall margin {margin:.4g} = max({PAIR_CLEARANCE:g} "
-                f"sigma, 0.05 box) leaves no bulk in a box of {model.box:g}")
-    diagonal = math.sqrt(3.0) * (model.box - 2.0 * margin)
-    if separation_factor * model.sigma > diagonal:
-        return (f"pairs at separation {separation_factor:g} sigma = "
-                f"{separation_factor * model.sigma:.4g} exceed the diagonal "
-                f"{diagonal:.4g} of the bulk they must fit in")
-    return ""
 
 
 def contact_pair_tuples(model: HardSphereModel, pdf, count: int, seed: int,
@@ -706,25 +690,33 @@ def contact_pair_tuples(model: HardSphereModel, pdf, count: int, seed: int,
     overlap (> 2 sigma) so the pair coefficient is lens-free, close enough
     to stay local. Velocities come from the pdf at each position. Pass the
     model with the largest sigma of a sequence and reuse the tuples so
-    every entry sees the same (admissible) geometry. Raises before any draw
-    when pair_misfit rules the pairs out, and after
+    every entry sees the same (admissible) geometry. Raises PairMisfit
+    before any draw when the geometry rules the pairs out, and after
     geometry.MAX_SAMPLE_TRIES draws when they still do not fit.
     """
-    misfit = pair_misfit(model, separation_factor)
-    if misfit:
-        raise ValueError(f"{misfit}; lower ks.separation_factor or "
-                         "model.sigma")
-    rng = derive_rng(seed, "occupation", "tuples")
     sigma, box = model.sigma, model.box
-    margin = _pair_margin(model)
+    margin = max(PAIR_CLEARANCE * sigma, 0.05 * box)
+    # both points keep the wall margin, so the pair must fit in the inner
+    # cube [margin, box - margin]^3, whose diagonal bounds the separation
+    if not margin < box / 2:
+        raise PairMisfit(
+            f"the wall margin {margin:.4g} = max({PAIR_CLEARANCE:g} sigma, "
+            f"0.05 box) leaves no bulk in a box of {box:g}")
+    diagonal = math.sqrt(3.0) * (box - 2.0 * margin)
+    if separation_factor * sigma > diagonal:
+        raise PairMisfit(
+            f"pairs at separation {separation_factor:g} sigma = "
+            f"{separation_factor * sigma:.4g} exceed the diagonal "
+            f"{diagonal:.4g} of the bulk they must fit in")
+    rng = derive_rng(seed, "occupation", "tuples")
     out = []
     tries = 0
     while len(out) < count:
         if tries == MAX_SAMPLE_TRIES:
-            raise RuntimeError(
+            raise PairMisfit(
                 f"{len(out)} of {count} pairs at separation "
                 f"{separation_factor:g} sigma fit the bulk after "
-                f"{MAX_SAMPLE_TRIES} tries; lower ks.separation_factor")
+                f"{MAX_SAMPLE_TRIES} tries")
         tries += 1
         r1 = rng.uniform(margin, box - margin, size=3)
         d = rng.normal(size=3)

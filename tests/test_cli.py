@@ -255,7 +255,7 @@ def test_chaos_pairs_beyond_the_bulk_exit_1_and_name_the_key(
     rc, out = run_cli(tmp_path, config, "dense")
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error[bg]: ")
+    assert err.startswith("error[occupation]: ")
     assert why in err
     assert "sequence.ns" in err
     assert not (out / "report.json").exists()

@@ -11,6 +11,7 @@ from hsgas.occupation import (
     INTERP_BLOCK,
     ContactOccupancy,
     OccupationField,
+    PairMisfit,
     analytic_contact_k2_uniform,
     analytic_k1_uniform,
     ball_fraction_from_k1,
@@ -244,6 +245,21 @@ def test_contact_pair_tuples_geometry():
             assert np.all(p.r < 1.0 - margin + 1e-12)
     again = contact_pair_tuples(model, pdf, count=20, seed=17)
     assert np.allclose(tuples[0][0].r, again[0][0].r)
+
+
+@pytest.mark.parametrize("sigma, factor, why", [
+    (0.2, 2.2, "leaves no bulk"),
+    (0.05, 30.0, "exceed the diagonal"),
+], ids=["margin", "diagonal"])
+def test_contact_pair_misfit_fails_before_drawing_and_names_no_key(
+        sigma, factor, why):
+    # the callers append the config key they read
+    model = HardSphereModel(n=8, sigma=sigma, box=1.0)
+    with pytest.raises(PairMisfit, match=why) as info:
+        contact_pair_tuples(model, UniformMaxwellian(1.0), count=1, seed=0,
+                            separation_factor=factor)
+    assert "ks." not in str(info.value)
+    assert "sequence." not in str(info.value)
 
 
 def test_correlation_delta_point_particles_vanish():

@@ -37,6 +37,7 @@ SAMPLE_SEED = 0
 V_TH = 1.0
 # events per md.run call, by audit_every (a full audit per event is slow)
 EVENTS = {0: 2000, 100: 2000, 1: 200}
+REPEATS = 3  # children per run; the entry records each repeat's figures
 OUT = Path(__file__).resolve().parents[1] / "BENCH_md.json"
 
 
@@ -107,7 +108,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", type=Path, help="directory holding hsgas/")
     ap.add_argument("--label", default="", help="name of the tree measured")
-    ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
@@ -117,14 +117,14 @@ def main(argv=None) -> int:
         ap.error("--src is required")
     src = args.src.resolve()
     runs = []
-    for k in range(args.repeats):
+    for k in range(REPEATS):
         runs.append(child(src))
-        print(f"repeat {k + 1}/{args.repeats}: {json.dumps(runs[-1])}",
+        print(f"repeat {k + 1}/{REPEATS}: {json.dumps(runs[-1])}",
               file=sys.stderr)
     entry = {
         "label": args.label, "src_digest": src_digest(src),
         "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "host": host(), "repeats": args.repeats,
+        "host": host(), "repeats": REPEATS,
         "seeds": {"uniform_admissible_sample": SAMPLE_SEED},
         "setup": {"c": C, "box": BOX, "ns": list(NS), "v_th": V_TH,
                   "events_by_audit_every": EVENTS},
