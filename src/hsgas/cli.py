@@ -151,7 +151,7 @@ _PAIR_MODES = {"pair_over_k1sq": "insertion", "hat_product": "product"}
 
 def _run_ops(config, seed, out_dir):
     from .bg import bulk_phase_probes
-    from .collision import moment_audit, operator_scan
+    from .collision import FLAVORS, moment_audit, operator_scan
     from .occupation import ContactOccupancy
 
     model = _model_from(config)
@@ -164,30 +164,26 @@ def _run_ops(config, seed, out_dir):
     probes = bulk_phase_probes(model, pdf, p.get("probes", 12),
                                derive_child_seed(seed, "cli", "ops", "probes"))
     flavor = p.get("flavor", "both")
-    artifacts = []
-    report = {"rho2_form": rho2_form, "audits": {}}
+    flavors = tuple(fl for fl in FLAVORS if flavor in (fl, "both"))
     header = ["x", "y", "z", "vx", "vy", "vz", "C_value", "C_error",
               "gain", "loss"]
-    for fl in ("master", "boltzmann"):
-        if flavor not in (fl, "both"):
-            continue
-        rows = operator_scan(model, pdf, probes, quad, fl,
-                             pair_occ=occ if fl == "master" else None)
+    scans = operator_scan(model, pdf, probes, quad, flavors, pair_occ=occ)
+    # audit cost scales as outer^3 * inner^3 * angles; cap the inner kernel
+    # grid and use the compact Gauss-Hermite outer moment rule
+    audit_quad = replace(quad, velocity_nodes=min(quad.velocity_nodes, 14),
+                         angle_nodes=min(quad.angle_nodes, 75))
+    audits = moment_audit(model, pdf, probes[0][0], audit_quad, flavors,
+                          pair_occ=occ, outer_nodes=10)
+    artifacts = []
+    report = {"rho2_form": rho2_form, "audits": {}}
+    for fl in flavors:
         name = f"ops_{fl}.csv"
-        write_csv(artifact_path(out_dir, name), header, rows)
+        write_csv(artifact_path(out_dir, name), header, scans[fl])
         artifacts.append(name)
-        # audit cost scales as outer^3 * inner^3 * angles; cap the inner
-        # kernel grid and use the compact Gauss-Hermite outer moment rule
-        audit_quad = replace(quad,
-                             velocity_nodes=min(quad.velocity_nodes, 14),
-                             angle_nodes=min(quad.angle_nodes, 75))
-        audit = moment_audit(model, pdf, probes[0][0], audit_quad, fl,
-                             pair_occ=occ if fl == "master" else None,
-                             outer_nodes=10)
         report["audits"][fl] = {
-            "residuals": audit.residuals,
-            "scales": audit.scales,
-            "worst_relative": audit.worst_relative(),
+            "residuals": audits[fl].residuals,
+            "scales": audits[fl].scales,
+            "worst_relative": audits[fl].worst_relative(),
             "velocity_nodes": audit_quad.velocity_nodes,
             "angle_nodes": audit_quad.angle_nodes,
             "outer_nodes": 10,

@@ -1,6 +1,6 @@
 """Binary hard-sphere collision operators on one-body densities.
 
-Two flavors share one kernel:
+Two flavors share one kernel (FLAVORS):
 
 * local operator ("boltzmann"): both colliding spheres are evaluated at the
   same position r1, prefactor N sigma^2.
@@ -18,18 +18,25 @@ flux factor |g . e| = |g| u is polynomial on the rule and the incoming
 hemisphere is resolved exactly (no indicator kink). Under the elastic map
 v1' = v1 - (g.e)e, v2' = v2 + (g.e)e the same rule covers gain and loss.
 
-The deterministic kernel walks the v2 grid in chunks of _V2_CHUNK nodes and,
-inside each chunk, evaluates a block of v1 values per numpy pass, sized to a
-fixed budget of _BLOCK_POINTS (v1, v2, angle) points. Every v1 row is summed
-over its own (v2, angle) points in the same order as a lone v1, and the
-chunks are added in grid order, so the result for a v1 does not depend on
-which others share its batch.
+The deterministic kernel evaluates a tuple of flavors in one pass. It walks
+the v2 grid in chunks of _V2_CHUNK nodes and, inside each chunk, evaluates a
+block of v1 values per numpy pass, sized to a fixed budget of _BLOCK_POINTS
+(v1, v2, angle) points. Each block builds the geometry once: the relative
+velocities g and their frames, the contact directions e, the flux |g| u, v1'
+and v2', the quadrature-weighted flux and p(r1, v1'). Each flavor then adds
+only its own factors: boltzmann p(r1, v2') and p(r1, v2); master k2 at
+r2 = r1 + sigma e, theta_w(r2) and rho_hat at r2. Every product keeps the
+operand order of a one-flavor pass, so a flavor's result does not depend on
+which others share the pass. Every v1 row is summed over its own (v2, angle)
+points in the same order as a lone v1, and the chunks are added in grid
+order, so the result for a v1 does not depend on which others share its
+batch either.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,47 +62,56 @@ class OperatorValue:
     error: float
     gain: float
     loss: float
-    details: dict = dataclass_field(default_factory=dict)
 
 
+FLAVORS = ("master", "boltzmann")
 _V2_CHUNK = 2048
 _BLOCK_POINTS = 1 << 16  # kernel points (v1, v2, angle) per numpy pass
 
 
-def _master_z1(model, pdf, quad, flavor, pair_occ):
-    """Z1 behind the master flavor's rho_hat (None for the local flavor)."""
-    if flavor == "boltzmann":
+def _master_z1(model, pdf, quad, flavors, pair_occ):
+    """Z1 behind the master flavor's rho_hat (None without the master flavor).
+
+    Also rejects a flavor tuple naming anything outside FLAVORS.
+    """
+    if any(fl not in FLAVORS for fl in flavors):
+        raise ValueError(f"flavors must be a tuple drawn from {FLAVORS}, "
+                         f"got {flavors!r}")
+    if "master" not in flavors:
         return None
-    if flavor != "master":
-        raise ValueError(f"unknown flavor {flavor!r}")
     if pair_occ is None:
         raise ValueError("master flavor needs a ContactOccupancy")
     return hat_normalization(model, pdf, pair_occ.k1_field,
                              quad.position_nodes)
 
 
-def _rho_hat(pdf, r, v, is_open, z1):
-    """Occupation-stripped one-body density p theta_w / Z1.
+def _prefactor(model, flavor):
+    """(N-1) sigma^2 for the contact operator, N sigma^2 for the local one."""
+    n_part = model.n - 1 if flavor == "master" else model.n
+    return n_part * model.sigma ** 2
 
-    is_open is wall_theta(r) > 0, passed in so that one evaluation at r
-    serves several velocity arguments.
+
+def _rho_hat(density, is_open, z1):
+    """Occupation-stripped one-body density p theta_w / Z1 from p.
+
+    is_open is wall_theta(r) > 0 at the position p was evaluated at.
     """
-    return pdf.density(r, v) * is_open / z1
+    return density * is_open / z1
 
 
-def _kernel_batch(model, pdf, r1, V1, quad, flavor, pair_occ=None,
+def _kernel_batch(model, pdf, r1, V1, quad, flavors, pair_occ=None,
                   rule_variant=(0, 0.0), z1=None):
-    """Gain and loss of the chosen operator at r1 for a batch of v1 values.
+    """Gain and loss of each flavor at r1 for a batch of v1 values.
 
-    The master flavor needs z1 from _master_z1. Returns (gain, loss) arrays
-    of shape (len(V1),), each entry bitwise independent of the rest of the
-    batch (see the module docstring for the blocking).
+    The master flavor needs z1 from _master_z1. Returns {flavor: (gain,
+    loss)} with arrays of shape (len(V1),), each entry bitwise independent
+    of the rest of the batch and of the other flavors (see the module
+    docstring for the blocking).
     """
     r1 = np.asarray(r1, dtype=float)
     V1 = np.atleast_2d(np.asarray(V1, dtype=float))
-    master = flavor == "master"
-    n_part, sigma = model.n, model.sigma
-    prefactor = ((n_part - 1) if master else n_part) * sigma ** 2
+    master, local = "master" in flavors, "boltzmann" in flavors
+    sigma = model.sigma
 
     drift = pdf.drift(r1)
     V2, W2 = velocity_grid(quad, pdf.v_th, center=drift)
@@ -106,22 +122,31 @@ def _kernel_batch(model, pdf, r1, V1, quad, flavor, pair_occ=None,
     su = np.sqrt(np.clip(1.0 - u_nodes ** 2, 0.0, 1.0))
     w_ang = (wu[:, None] * wphi).reshape(-1)
     u_ang = np.repeat(u_nodes, len(phi))
+    f1 = pdf.density(r1, V1)
+    f1_loss = {"boltzmann": f1}
     if master:
         open1 = wall_theta(r1, model) > 0
-        f1_loss = _rho_hat(pdf, r1, V1, open1, z1)
-    else:
-        f1_loss = pdf.density(r1, V1)
+        f1_loss["master"] = _rho_hat(f1, open1, z1)
 
-    gain = np.zeros(V1.shape[0])
-    loss = np.zeros(V1.shape[0])
+    sums = {fl: (np.zeros(V1.shape[0]), np.zeros(V1.shape[0]))
+            for fl in flavors}
+
+    def add(flavor, rows, base, f1_gain, part_gain, part_loss):
+        gain, loss = sums[flavor]
+        nb = base.shape[0]
+        gain[rows] += (base * f1_gain * part_gain).reshape(nb, -1).sum(1)
+        loss[rows] += (base * f1_loss[flavor][rows, None, None]
+                       * part_loss).reshape(nb, -1).sum(1)
+
     for lo in range(0, V2.shape[0], _V2_CHUNK):
         v2 = V2[lo:lo + _V2_CHUNK]
         m2 = v2.shape[0]
         w2_ang = W2[lo:lo + _V2_CHUNK, None] * w_ang
-        if not master:
-            part_loss = pdf.density(r1, v2[:, None, :])
+        if local:
+            local_part_loss = pdf.density(r1, v2[:, None, :])
         block = max(1, _BLOCK_POINTS // w2_ang.size)
         for b0 in range(0, V1.shape[0], block):
+            # the geometry both flavors share
             v1 = V1[b0:b0 + block]
             nb = v1.shape[0]
             g = v1[:, None, :] - v2
@@ -137,29 +162,28 @@ def _kernel_batch(model, pdf, r1, V1, quad, flavor, pair_occ=None,
             v1p = v1[:, None, None, :] - gdote
             v2p = v2[:, None, :] + gdote
             base = w2_ang * flux
+            f1p = pdf.density(r1, v1p)
+            rows = slice(b0, b0 + nb)
             if master:
                 # rho_2 at contact = k2(r1, r2) rho_hat(r1) rho_hat(r2)
                 r2 = r1 + sigma * e
-                base = base * pair_occ.k2(r1, r2)
                 open2 = wall_theta(r2, model) > 0
-                f1_gain = _rho_hat(pdf, r1, v1p, open1, z1)
-                part_gain = _rho_hat(pdf, r2, v2p, open2, z1)
-                part_loss = _rho_hat(pdf, r2, v2[:, None, :], open2, z1)
-            else:
-                f1_gain = pdf.density(r1, v1p)
-                part_gain = pdf.density(r1, v2p)
-            rows = slice(b0, b0 + nb)
-            gain[rows] += (base * f1_gain * part_gain).reshape(nb, -1).sum(1)
-            loss[rows] += (base * f1_loss[rows, None, None]
-                           * part_loss).reshape(nb, -1).sum(1)
-    return prefactor * gain, prefactor * loss
+                add("master", rows, base * pair_occ.k2(r1, r2),
+                    _rho_hat(f1p, open1, z1),
+                    _rho_hat(pdf.density(r2, v2p), open2, z1),
+                    _rho_hat(pdf.density(r2, v2[:, None, :]), open2, z1))
+            if local:
+                add("boltzmann", rows, base, f1p, pdf.density(r1, v2p),
+                    local_part_loss)
+    return {fl: (_prefactor(model, fl) * gain, _prefactor(model, fl) * loss)
+            for fl, (gain, loss) in sums.items()}
 
 
 def _kernel_mc(model, pdf, r1, v1, quad, flavor, pair_occ=None, z1=None):
     """Monte Carlo estimate: v2 from the local Maxwell law, e uniform."""
     r1 = np.asarray(r1, dtype=float)
     v1 = np.asarray(v1, dtype=float)
-    n_part, sigma = model.n, model.sigma
+    sigma = model.sigma
     samples = quad.velocity_nodes ** 3
     rng = derive_rng(quad.seed, "collision", flavor, "mc")
     drift = pdf.drift(r1)
@@ -175,47 +199,47 @@ def _kernel_mc(model, pdf, r1, v1, quad, flavor, pair_occ=None, z1=None):
     proj = np.abs(proj)
     v1p, v2p = elastic_map(np.broadcast_to(v1, v2.shape), v2, e)
     if flavor == "master":
-        prefactor = (n_part - 1) * sigma ** 2
         r2 = r1 + sigma * e
         k2 = pair_occ.k2(r1, r2)
         open1 = wall_theta(r1, model) > 0
         open2 = wall_theta(r2, model) > 0
-        gains = (k2 * _rho_hat(pdf, r1, v1p, open1, z1)
-                 * _rho_hat(pdf, r2, v2p, open2, z1))
-        losses = (k2 * float(_rho_hat(pdf, r1, v1, open1, z1))
-                  * _rho_hat(pdf, r2, v2, open2, z1))
+        gains = (k2 * _rho_hat(pdf.density(r1, v1p), open1, z1)
+                 * _rho_hat(pdf.density(r2, v2p), open2, z1))
+        losses = (k2 * float(_rho_hat(pdf.density(r1, v1), open1, z1))
+                  * _rho_hat(pdf.density(r2, v2), open2, z1))
     else:
-        prefactor = n_part * sigma ** 2
         gains = pdf.density(r1, v1p) * pdf.density(r1, v2p)
         losses = float(pdf.density(r1, v1)) * pdf.density(r1, v2)
     # 2 pi per hemisphere times 2 for folding the full sphere
-    w = prefactor * 4.0 * math.pi * 0.5 * proj / q
+    w = _prefactor(model, flavor) * 4.0 * math.pi * 0.5 * proj / q
     gain_s = w * gains
     loss_s = w * losses
     val_s = gain_s - loss_s
     value = float(val_s.mean())
     error = float(val_s.std(ddof=1) / math.sqrt(samples))
-    return value, error, float(gain_s.mean()), float(loss_s.mean())
+    return OperatorValue(value=value, error=error, gain=float(gain_s.mean()),
+                         loss=float(loss_s.mean()))
 
 
-def _operator(model, pdf, r1, v1, quad, flavor, pair_occ=None,
-              rule_variant=(0, 0.0), z1=None) -> OperatorValue:
+def _operator(model, pdf, r1, v1, quad, flavors, pair_occ=None,
+              rule_variant=(0, 0.0), z1=None) -> dict:
+    """{flavor: OperatorValue} at one phase point (r1, v1)."""
     if quad.mode == "mc":
-        value, error, gain, loss = _kernel_mc(
-            model, pdf, r1, v1, quad, flavor, pair_occ, z1)
-        return OperatorValue(value=value, error=error, gain=gain, loss=loss,
-                             details={"mode": "mc"})
-    gain, loss = _kernel_batch(model, pdf, r1, [v1], quad, flavor, pair_occ,
-                               rule_variant, z1)
-    g_c, l_c = _kernel_batch(model, pdf, r1, [v1], quad.coarsened(), flavor,
-                             pair_occ, rule_variant, z1)
-    value = float(gain[0] - loss[0])
-    coarse = float(g_c[0] - l_c[0])
-    floor = 1e-13 * (abs(gain[0]) + abs(loss[0]))
-    error = abs(value - coarse) + floor
-    return OperatorValue(value=value, error=error, gain=float(gain[0]),
-                         loss=float(loss[0]),
-                         details={"mode": "deterministic", "z1": z1})
+        return {fl: _kernel_mc(model, pdf, r1, v1, quad, fl, pair_occ, z1)
+                for fl in flavors}
+    fine = _kernel_batch(model, pdf, r1, [v1], quad, flavors, pair_occ,
+                         rule_variant, z1)
+    coarse = _kernel_batch(model, pdf, r1, [v1], quad.coarsened(), flavors,
+                           pair_occ, rule_variant, z1)
+    out = {}
+    for fl, (gain, loss) in fine.items():
+        g_c, l_c = coarse[fl]
+        value = float(gain[0] - loss[0])
+        floor = 1e-13 * (abs(gain[0]) + abs(loss[0]))
+        error = abs(value - float(g_c[0] - l_c[0])) + floor
+        out[fl] = OperatorValue(value=value, error=error, gain=float(gain[0]),
+                                loss=float(loss[0]))
+    return out
 
 
 def boltzmann_op(model, pdf, r1, v1, quad: QuadratureSpec,
@@ -231,8 +255,8 @@ def boltzmann_op(model, pdf, r1, v1, quad: QuadratureSpec,
     if hemisphere not in ("outgoing", "incoming"):
         raise ValueError(f"unknown hemisphere {hemisphere!r}")
     rule_variant = (0, 0.0) if hemisphere == "outgoing" else (1, 0.5)
-    return _operator(model, pdf, r1, v1, quad, "boltzmann",
-                     rule_variant=rule_variant)
+    return _operator(model, pdf, r1, v1, quad, ("boltzmann",),
+                     rule_variant=rule_variant)["boltzmann"]
 
 
 def master_op(model, pdf, r1, v1, quad: QuadratureSpec,
@@ -243,9 +267,9 @@ def master_op(model, pdf, r1, v1, quad: QuadratureSpec,
     convention for the contact form; pair_occ supplies k2 at contact (its
     mode selects the pair form) and the one-point field behind Z1.
     """
-    z1 = _master_z1(model, pdf, quad, "master", pair_occ)
-    return _operator(model, pdf, r1, v1, quad, "master", pair_occ=pair_occ,
-                     z1=z1)
+    z1 = _master_z1(model, pdf, quad, ("master",), pair_occ)
+    return _operator(model, pdf, r1, v1, quad, ("master",),
+                     pair_occ=pair_occ, z1=z1)["master"]
 
 
 MOMENT_WEIGHTS = ("mass", "momentum_x", "momentum_y", "momentum_z", "energy")
@@ -285,9 +309,12 @@ def _hermite_velocity_grid(nodes: int, scale: float, center):
     return V + np.asarray(center, float), W
 
 
-def moment_audit(model, pdf, r1, quad: QuadratureSpec, flavor: str,
-                 pair_occ=None, outer_nodes: int | None = None) -> MomentAudit:
-    """Collision-invariant residuals of the implemented operator.
+def moment_audit(model, pdf, r1, quad: QuadratureSpec, flavors,
+                 pair_occ=None, outer_nodes: int | None = None) -> dict:
+    """Collision-invariant residuals of the implemented operators.
+
+    Returns {flavor: MomentAudit} for each flavor of the tuple flavors, all
+    from one kernel pass (pair_occ is needed for "master").
 
     Integrates the discrete operator itself over an outer velocity grid (no
     analytic symmetrization, which would cancel identically for any density)
@@ -304,28 +331,33 @@ def moment_audit(model, pdf, r1, quad: QuadratureSpec, flavor: str,
     drift = pdf.drift(np.asarray(r1, float))
     n_outer = quad.velocity_nodes if outer_nodes is None else int(outer_nodes)
     V1, W1 = _hermite_velocity_grid(n_outer, 1.3 * pdf.v_th, drift)
-    z1 = _master_z1(model, pdf, quad, flavor, pair_occ)
-    gain, loss = _kernel_batch(model, pdf, r1, V1, quad, flavor, pair_occ,
-                               z1=z1)
-    cval = gain - loss
+    z1 = _master_z1(model, pdf, quad, flavors, pair_occ)
     phis = _moment_values(V1)
-    residuals = {}
-    scales = {}
-    for name, phi in phis.items():
-        residuals[name] = float((W1 * phi * cval).sum())
-        scales[name] = max(float((W1 * np.abs(phi) * loss).sum()), 1e-300)
-    return MomentAudit(residuals=residuals, scales=scales)
+    audits = {}
+    for fl, (gain, loss) in _kernel_batch(model, pdf, r1, V1, quad, flavors,
+                                          pair_occ, z1=z1).items():
+        cval = gain - loss
+        residuals = {}
+        scales = {}
+        for name, phi in phis.items():
+            residuals[name] = float((W1 * phi * cval).sum())
+            scales[name] = max(float((W1 * np.abs(phi) * loss).sum()), 1e-300)
+        audits[fl] = MomentAudit(residuals=residuals, scales=scales)
+    return audits
 
 
-def operator_scan(model, pdf, probes, quad, flavor, pair_occ=None):
-    """Evaluate an operator on a list of (r1, v1) probes.
+def operator_scan(model, pdf, probes, quad, flavors, pair_occ=None):
+    """Evaluate the operators of the tuple flavors on (r1, v1) probes.
 
-    Returns rows [x, y, z, vx, vy, vz, C_value, C_error, gain, loss].
+    Returns {flavor: rows}, one row [x, y, z, vx, vy, vz, C_value, C_error,
+    gain, loss] per probe; each probe is one kernel pass for all flavors.
     """
-    z1 = _master_z1(model, pdf, quad, flavor, pair_occ)
-    rows = []
+    z1 = _master_z1(model, pdf, quad, flavors, pair_occ)
+    rows = {fl: [] for fl in flavors}
     for r1, v1 in probes:
-        val = _operator(model, pdf, r1, v1, quad, flavor, pair_occ, z1=z1)
-        rows.append(list(np.asarray(r1, float)) + list(np.asarray(v1, float))
-                    + [val.value, val.error, val.gain, val.loss])
+        point = list(np.asarray(r1, float)) + list(np.asarray(v1, float))
+        values = _operator(model, pdf, r1, v1, quad, flavors, pair_occ, z1=z1)
+        for fl, val in values.items():
+            rows[fl].append(point + [val.value, val.error, val.gain,
+                                     val.loss])
     return rows

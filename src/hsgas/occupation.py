@@ -39,7 +39,7 @@ from .seeding import derive_rng
 
 BALL_MIX_FRACTION = 0.1  # share of each node's sample count drawn in-ball
 SHARDS = 16  # independent sub-estimates behind each Monte Carlo stderr
-INTERP_BLOCK = 1 << 16  # points per pass of OccupationField.interp
+INTERP_BLOCK = 1 << 14  # points per pass of OccupationField.interp
 PICARD_MAX_ITER = 12  # solve_k1 raises after this many Picard iterations
 PICARD_DAMPING = 0.5  # weight of the old field when a Picard step grows
 # wall-conditioned sampling gives up after this many proposals per draw
@@ -264,9 +264,8 @@ class _Bank:
         """1/k1 on the bank and its per-shard means; k1 = 1 when None."""
         inv_k = (np.ones(len(self.pts)) if k1_field is None
                  else 1.0 / k1_field.interp(self.pts))
-        den = np.array([inv_k[self.shard_of == q].mean()
-                        for q in range(SHARDS)])
-        return inv_k, den
+        # shard_of holds SHARDS equal contiguous blocks
+        return inv_k, inv_k.reshape(SHARDS, -1).mean(axis=1)
 
 
 class _Proposals(NamedTuple):
@@ -297,7 +296,7 @@ def _ball_proposals(pdf, model: HardSphereModel, bank: _Bank, fixed,
     b_idx = rng.integers(s, size=bank.ball_count)
     radius = sigma * np.cbrt(rng.random(bank.ball_count))
     d = rng.normal(size=(bank.ball_count, 3))
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    d /= row_norm(d)[:, None]
     pts = fixed[b_idx] + radius[:, None] * d
     hits = [bank.index.query_ball(r, sigma) for r in fixed]
     # a point in several overlapping balls is still one bank sample
@@ -306,8 +305,11 @@ def _ball_proposals(pdf, model: HardSphereModel, bank: _Bank, fixed,
     v_ball_vol = 4.0 / 3.0 * math.pi * sigma ** 3
 
     def ball_law(at):  # beta x (balls covering each point) / (s |ball|)
-        d2 = ((at[:, None, :] - fixed[None, :, :]) ** 2).sum(axis=2)
-        return beta_eff * (d2 < sigma * sigma).sum(axis=1) / (s * v_ball_vol)
+        covering = np.zeros(at.shape[0], dtype=np.intp)
+        for center in fixed:
+            dx, dy, dz = (at[:, k] - center[k] for k in range(3))
+            covering += dx * dx + dy * dy + dz * dz < sigma * sigma
+        return beta_eff * covering / (s * v_ball_vol)
 
     p_thw = pdf.position_density(pts) * wall_theta(pts, model).astype(float)
     bank_law = (1.0 - beta_eff) * p_thw / z_w

@@ -371,6 +371,24 @@ def test_md_stops_at_the_last_event_after_max_events(tmp_path):
     assert report["t_final"] < 5.0
 
 
+def test_ops_both_flavors_equal_the_one_flavor_runs(tmp_path):
+    # one kernel pass serves both flavors without moving a byte of either
+    runs = {}
+    for flavor in ("both", "master", "boltzmann"):
+        config = {**OPS_CONFIG, "ops": {**OPS_CONFIG["ops"], "flavor": flavor}}
+        rc, runs[flavor] = run_cli(tmp_path, config, flavor)
+        assert rc == 0
+    both = json.loads((runs["both"] / "report.json").read_text())
+    assert sorted(both["audits"]) == ["boltzmann", "master"]
+    for flavor in ("master", "boltzmann"):
+        name = f"ops_{flavor}.csv"
+        assert ((runs["both"] / name).read_bytes()
+                == (runs[flavor] / name).read_bytes())
+        alone = json.loads((runs[flavor] / "report.json").read_text())
+        assert list(alone["audits"]) == [flavor]
+        assert both["audits"][flavor] == alone["audits"][flavor]
+
+
 def test_ops_runs_and_echoes_the_product_pair_form(tmp_path):
     config = {**OPS_CONFIG,
               "ops": {"probes": 1, "flavor": "master",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hsgas.collision import (
+    FLAVORS,
     MOMENT_WEIGHTS,
     boltzmann_op,
     elastic_map,
@@ -199,7 +200,7 @@ def test_operator_scan_rows():
     pdf = UniformMaxwellian(1.0)
     probes = [(BULK, np.array([0.2, 0.0, 0.0])),
               (np.array([0.4, 0.5, 0.6]), np.array([0.0, 0.3, 0.0]))]
-    rows = operator_scan(MODEL, pdf, probes, quad, "boltzmann")
+    rows = operator_scan(MODEL, pdf, probes, quad, ("boltzmann",))["boltzmann"]
     assert len(rows) == 2 and all(len(r) == 10 for r in rows)
     for (r1, v1), row in zip(probes, rows):
         assert np.allclose(row[:3], r1) and np.allclose(row[3:6], v1)
@@ -211,7 +212,8 @@ def test_operator_scan_rows():
 @pytest.mark.parametrize("flavor", ["boltzmann", "master"])
 def test_kernel_blocks_match_single_v1_evaluations(flavor):
     # 14^3 v2 nodes make two v2 chunks; 13 v1 values are no multiple of the
-    # block in either chunk. Blocking must not move a single bit.
+    # block in either chunk. Blocking must not move a single bit, and
+    # neither must evaluating both flavors in one pass.
     quad = QuadratureSpec(velocity_nodes=14, angle_nodes=8)
     angles = 8  # hemisphere_rule(8): 4 polar x 2 azimuthal nodes
     assert quad.velocity_nodes ** 3 > _V2_CHUNK
@@ -221,16 +223,32 @@ def test_kernel_blocks_match_single_v1_evaluations(flavor):
     model = HardSphereModel(n=30, sigma=0.08, box=1.0)
     field = OccupationField.constant(4, model.box, model=model)
     field.values = np.random.default_rng(2).uniform(0.8, 1.0, (4, 4, 4))
-    occ = ContactOccupancy(model, field) if flavor == "master" else None
-    z1 = _master_z1(model, pdf, quad, flavor, occ)
+    occ = ContactOccupancy(model, field)
+    z1 = _master_z1(model, pdf, quad, FLAVORS, occ)
     r1 = np.array([0.3, 0.55, 0.06])  # within sigma of a wall
     V1 = np.random.default_rng(5).normal(size=(13, 3))
-    gain, loss = _kernel_batch(model, pdf, r1, V1, quad, flavor, occ, z1=z1)
+    joint = _kernel_batch(model, pdf, r1, V1, quad, FLAVORS, occ, z1=z1)
+    assert list(joint) == list(FLAVORS)
+    gain, loss = joint[flavor]
     assert np.all(loss > 0.0)
+    alone_occ, alone_z1 = (occ, z1) if flavor == "master" else (None, None)
+    g_alone, l_alone = _kernel_batch(model, pdf, r1, V1, quad, (flavor,),
+                                     alone_occ, z1=alone_z1)[flavor]
+    assert np.array_equal(gain, g_alone) and np.array_equal(loss, l_alone)
     for i, v1 in enumerate(V1):
-        g1, l1 = _kernel_batch(model, pdf, r1, [v1], quad, flavor, occ,
-                               z1=z1)
+        g1, l1 = _kernel_batch(model, pdf, r1, [v1], quad, (flavor,),
+                               alone_occ, z1=alone_z1)[flavor]
         assert gain[i] == g1[0] and loss[i] == l1[0]
+
+
+def test_flavors_are_a_tuple_of_known_names():
+    quad = QuadratureSpec(velocity_nodes=8, angle_nodes=8)
+    pdf = UniformMaxwellian(1.0)
+    for flavors in ("boltzmann", ("boltzmann", "enskog")):
+        with pytest.raises(ValueError, match="flavors must be a tuple"):
+            moment_audit(MODEL, pdf, BULK, quad, flavors, outer_nodes=2)
+    with pytest.raises(ValueError, match="needs a ContactOccupancy"):
+        operator_scan(MODEL, pdf, [(BULK, np.zeros(3))], quad, FLAVORS)
 
 
 # --------------------------------------------------------------------------
@@ -247,14 +265,14 @@ def test_moment_audit_maxwell_is_machine_zero():
     # audit is roundoff-limited at any node budget
     quad = QuadratureSpec(velocity_nodes=8, angle_nodes=26)
     audit = moment_audit(MODEL, UniformMaxwellian(1.0), BULK, quad,
-                         "boltzmann", outer_nodes=6)
+                         ("boltzmann",), outer_nodes=6)["boltzmann"]
     assert set(audit.residuals) == set(MOMENT_WEIGHTS)
     assert audit.worst_relative() < 1e-10
 
 
 def test_moment_audit_mixture_converges():
     quad = QuadratureSpec(velocity_nodes=12, angle_nodes=48)
-    audit = moment_audit(MODEL, mixture_pdf(), BULK, quad, "boltzmann",
-                         outer_nodes=10)
+    audit = moment_audit(MODEL, mixture_pdf(), BULK, quad, ("boltzmann",),
+                         outer_nodes=10)["boltzmann"]
     assert audit.worst_relative() < 2e-2
     assert all(s > 0 for s in audit.scales.values())

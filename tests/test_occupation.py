@@ -9,6 +9,7 @@ import pytest
 from hsgas.geometry import HardSphereModel, PhasePoint
 from hsgas.occupation import (
     INTERP_BLOCK,
+    SHARDS,
     ContactOccupancy,
     OccupationField,
     PairMisfit,
@@ -25,6 +26,7 @@ from hsgas.occupation import (
     solve_k1,
     wall_conditioned_positions,
 )
+from hsgas.occupation import _Bank, _ball_proposals
 from hsgas.pdfs import TiltedExponential, UniformMaxwellian
 
 # Frozen closed form: (1 - (4 pi/3) sigma^3 / (box - sigma)^3)^(N-1)
@@ -126,6 +128,52 @@ def test_occupation_field_interp_matches_the_corner_rule_bitwise(grid_nodes):
     reps = INTERP_BLOCK // len(points) + 2
     tiled = np.tile(points, (reps, 1)).reshape(reps, len(points), 3)
     assert np.array_equal(field.interp(tiled), np.tile(want, (reps, 1)))
+
+
+def _covering_balls_oracle(at, fixed, sigma):
+    """Balls covering each point, from one (n, s, 3) difference array."""
+    d2 = ((at[:, None, :] - fixed[None, :, :]) ** 2).sum(axis=2)
+    return (d2 < sigma * sigma).sum(axis=1)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_ball_proposals_and_bank_weights_match_the_old_formulas_bitwise(s):
+    model = HardSphereModel(n=16, sigma=0.1, box=1.0)
+    pdf = TiltedExponential(1.0, tilt=(1.0, 0.0, 0.0))
+    bank = _Bank(pdf, model, 20_000, np.random.default_rng(1))
+    # overlapping balls, so the union has points that two or three cover
+    fixed = np.array([[0.5, 0.5, 0.5], [0.56, 0.5, 0.5],
+                      [0.5, 0.57, 0.52]])[:s]
+    prop = _ball_proposals(pdf, model, bank, fixed, np.random.default_rng(9))
+
+    # the draws, normalised with np.linalg.norm
+    rng = np.random.default_rng(9)
+    b_idx = rng.integers(s, size=bank.ball_count)
+    radius = model.sigma * np.cbrt(rng.random(bank.ball_count))
+    d = rng.normal(size=(bank.ball_count, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    pts = fixed[b_idx] + radius[:, None] * d
+    assert np.array_equal(prop.pts, pts)
+
+    def ball_law(at):
+        covering = _covering_balls_oracle(at, fixed, model.sigma)
+        return (bank.beta_eff * covering
+                / (s * 4.0 / 3.0 * math.pi * model.sigma ** 3))
+
+    covered = _covering_balls_oracle(pts, fixed, model.sigma)
+    assert covered.min() == 1 and covered.max() == s
+    bank_law = (1.0 - bank.beta_eff) * prop.p_thw / bank.z_w
+    assert np.array_equal(prop.q, bank_law + ball_law(pts))
+    q_hit = ((1.0 - bank.beta_eff) * prop.p_hit / bank.z_w
+             + ball_law(bank.pts[prop.hit_idx]))
+    assert np.array_equal(prop.q_hit, q_hit)
+
+    # the shard means, taken with one boolean mask per shard
+    field = OccupationField.constant(4, model.box, model=model)
+    field.values = np.random.default_rng(4).uniform(0.8, 1.0, (4, 4, 4))
+    inv_k, den = bank.weights(field)
+    assert np.array_equal(den, [inv_k[bank.shard_of == q].mean()
+                                for q in range(SHARDS)])
 
 
 def test_wall_conditioned_positions_respect_clearance():

@@ -85,10 +85,11 @@ def host() -> dict:
             "python": platform.python_version(), "numpy": numpy.__version__}
 
 
-def child(src: Path) -> dict:
+def child(src: Path, script: str = __file__) -> dict:
+    """The figures `script --child` prints, run fresh with hsgas from src."""
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    out = subprocess.run([sys.executable, __file__, "--child"], env=env,
+    out = subprocess.run([sys.executable, script, "--child"], env=env,
                          check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
@@ -102,6 +103,13 @@ def summarize(runs: list[dict]) -> dict:
                      "spread": (max(values) - min(values)) / med,
                      "runs": values}
     return out
+
+
+def append(path: Path, entry: dict) -> None:
+    """Append one entry to the JSON list held in path."""
+    log = json.loads(path.read_text()) if path.exists() else []
+    log.append(entry)
+    path.write_text(json.dumps(log, indent=1) + "\n")
 
 
 def main(argv=None) -> int:
@@ -130,9 +138,7 @@ def main(argv=None) -> int:
                   "events_by_audit_every": EVENTS},
         "figures": summarize(runs),
     }
-    log = json.loads(OUT.read_text()) if OUT.exists() else []
-    log.append(entry)
-    OUT.write_text(json.dumps(log, indent=1) + "\n")
+    append(OUT, entry)
     for name, fig in entry["figures"].items():
         print(f"{name}: median {fig['median']:.4g} "
               f"(spread {fig['spread']:.1%})")
