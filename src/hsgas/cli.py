@@ -158,13 +158,17 @@ def _run_ops(config, seed, out_dir):
     pdf = _pdf_from(config, model.box)
     quad = _quad_from(config)
     p = config.get("ops", {})
-    field = _k1_field(config, model, pdf, seed, "ops", "k1", coarse=True)
-    rho2_form = p.get("rho2_form", "pair_over_k1sq")
-    occ = ContactOccupancy(model, field, mode=_PAIR_MODES[rho2_form])
-    probes = bulk_phase_probes(model, pdf, p.get("probes", 12),
-                               derive_child_seed(seed, "cli", "ops", "probes"))
     flavor = p.get("flavor", "both")
     flavors = tuple(fl for fl in FLAVORS if flavor in (fl, "both"))
+    report = {"audits": {}}
+    occ = None
+    if "master" in flavors:  # the only kernel that reads k1 and rho2_form
+        field = _k1_field(config, model, pdf, seed, "ops", "k1", coarse=True)
+        rho2_form = p.get("rho2_form", "pair_over_k1sq")
+        occ = ContactOccupancy(model, field, mode=_PAIR_MODES[rho2_form])
+        report["rho2_form"] = rho2_form
+    probes = bulk_phase_probes(model, pdf, p.get("probes", 12),
+                               derive_child_seed(seed, "cli", "ops", "probes"))
     header = ["x", "y", "z", "vx", "vy", "vz", "C_value", "C_error",
               "gain", "loss"]
     scans = operator_scan(model, pdf, probes, quad, flavors, pair_occ=occ)
@@ -175,7 +179,6 @@ def _run_ops(config, seed, out_dir):
     audits = moment_audit(model, pdf, probes[0][0], audit_quad, flavors,
                           pair_occ=occ, outer_nodes=10)
     artifacts = []
-    report = {"rho2_form": rho2_form, "audits": {}}
     for fl in flavors:
         name = f"ops_{fl}.csv"
         write_csv(artifact_path(out_dir, name), header, scans[fl])

@@ -17,6 +17,10 @@ draws placed uniformly inside the union of the balls, so the rare in-ball
 measure is resolved with per-mille relative error instead of Poisson
 counting noise. Each estimate splits into SHARDS independent replicas for
 its stderr and carries the error of the wall-box measure z_w.
+
+A solved k1 is a table on a cell-centred cubic grid (OccupationField), read
+off the grid by quadrature.multilinear, the interpolator that the tabulated
+pdf shares.
 """
 
 from __future__ import annotations
@@ -34,12 +38,11 @@ from .geometry import (
     ensemble_theta,
     wall_theta,
 )
-from .quadrature import gauss_legendre, row_norm, tensor_rule
+from .quadrature import gauss_legendre, multilinear, row_norm, tensor_rule
 from .seeding import derive_rng
 
 BALL_MIX_FRACTION = 0.1  # share of each node's sample count drawn in-ball
 SHARDS = 16  # independent sub-estimates behind each Monte Carlo stderr
-INTERP_BLOCK = 1 << 14  # points per pass of OccupationField.interp
 PICARD_MAX_ITER = 12  # solve_k1 raises after this many Picard iterations
 PICARD_DAMPING = 0.5  # weight of the old field when a Picard step grows
 # wall-conditioned sampling gives up after this many proposals per draw
@@ -85,50 +88,8 @@ class OccupationField:
         return np.stack(g, axis=-1).reshape(-1, 3)
 
     def interp(self, r) -> np.ndarray:
-        """Multilinear interpolation, clamped to the outermost cell centers.
-
-        Points are handled INTERP_BLOCK at a time, which bounds the
-        temporaries for large inputs.
-        """
-        r = np.asarray(r, dtype=float)
-        flat = r.reshape(-1, 3)
-        out = np.empty(flat.shape[0])
-        for lo in range(0, flat.shape[0], INTERP_BLOCK):
-            out[lo:lo + INTERP_BLOCK] = self._interp_rows(
-                flat[lo:lo + INTERP_BLOCK])
-        return out.reshape(r.shape[:-1])
-
-    def _interp_rows(self, flat):
-        """interp for an (n, 3) array of points.
-
-        Each point's cell comes from counting the interior centers at or
-        below it (searchsorted on the sorted axis, clamped to the last
-        cell). The eight corners are gathered from the flat value array and
-        summed in corner order, corner bit k selecting the upper node on
-        axis k, each with weight (w_x * w_y) * w_z.
-        """
-        ax = self.axis
-        m = len(ax)
-        cell = np.zeros(flat.shape[0], dtype=np.intp)
-        lo_hi = []
-        for k in range(3):
-            x = np.clip(flat[:, k], ax[0], ax[-1])
-            i = np.zeros(flat.shape[0], dtype=np.intp)
-            for center in ax[1:-1]:
-                i += x >= center
-            left = ax.take(i)
-            f = np.clip((x - left) / (ax.take(i + 1) - left), 0.0, 1.0)
-            lo_hi.append((1.0 - f, f))
-            cell *= m
-            cell += i
-        values = self.values.ravel()
-        out = np.zeros(flat.shape[0])
-        wxy = [lo_hi[0][c & 1] * lo_hi[1][c >> 1] for c in range(4)]
-        for corner in range(8):
-            hx, hy, hz = corner & 1, (corner >> 1) & 1, corner >> 2
-            w = wxy[corner & 3] * lo_hi[2][hz]
-            out += w * values[(hx * m + hy) * m + hz:].take(cell)
-        return out
+        """Multilinear interpolation, clamped to the outermost cell centers."""
+        return multilinear((self.axis,) * 3, self.values, r)
 
     def sup_abs_deviation(self) -> float:
         return float(np.abs(self.values - 1.0).max())
@@ -141,15 +102,6 @@ class OccupationField:
             [pts, self.values.reshape(-1), self.stderr.reshape(-1)]
         )
         write_csv(path, ["x", "y", "z", "k1", "stderr"], rows)
-
-    @classmethod
-    def from_csv(cls, path, model=None):
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        x = np.unique(data["x"])
-        m = len(x)
-        vals = np.asarray(data["k1"], dtype=float).reshape(m, m, m)
-        err = np.asarray(data["stderr"], dtype=float).reshape(m, m, m)
-        return cls(axis=x, values=vals, stderr=err, model=model)
 
 
 # ---------------------------------------------------------------------------

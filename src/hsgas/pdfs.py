@@ -1,8 +1,9 @@
 """One-body phase-space density families and their diagnostics.
 
 Every family lives on the cube [0, box]^3 times velocity space and exposes a
-vectorized ``density(r, v)``. The tabulated family integrates on its own
-grid; the five analytic families share one base.
+vectorized ``density(r, v)``. The tabulated family reads its density and its
+position marginal off tables with ``quadrature.multilinear`` and integrates
+on its own grid; the five analytic families share one base.
 
 The base is ``UniformMaxwellian``. It writes a family as the product of a
 position law and a velocity law, f(r, v) = rho(r) M(r, v), and holds the
@@ -28,13 +29,19 @@ the only pdf keys the family takes (``family_keys``).
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, gauss_legendre, tensor_rule
+from .quadrature import (
+    QuadratureSpec,
+    gauss_legendre,
+    multilinear,
+    tensor_rule,
+)
 from .seeding import derive_rng
 
 _TWO_PI = 2.0 * math.pi
@@ -75,7 +82,8 @@ class OneBodyPdf:
 
     A family sets family_tag, box and v_th and provides density(r, v),
     position_density(r), sample_positions(count, rng),
-    sample(count, seed), normalization(quad) and entropy(quad). The
+    sample_velocities(positions, rng), sample(count, seed),
+    normalization(quad) and entropy(quad). The
     defaults here are a zero drift and no analytic position gradient.
     """
 
@@ -387,9 +395,12 @@ class VelocityMixture(UniformMaxwellian):
 class TabulatedPdf(OneBodyPdf):
     """Density tabulated on a rectilinear position x velocity grid.
 
-    Evaluation is multilinear in all six axes; points outside the grid evaluate
-    to zero. The CSV form has header x,y,z,vx,vy,vz,density with rows in
-    C-order over (x, y, z, vx, vy, vz), vz fastest.
+    density is quadrature.multilinear in all six axes, and position_density
+    multilinear in a position table that the constructor builds once: the
+    trapezoid sum of the table over the velocity axes. Points outside the
+    grid's axes evaluate to zero. The CSV form has header
+    x,y,z,vx,vy,vz,density with rows in C-order over (x, y, z, vx, vy, vz),
+    vz fastest.
     """
 
     family_tag = "tabulated"
@@ -405,79 +416,45 @@ class TabulatedPdf(OneBodyPdf):
             raise ValueError("tabulated densities must be non-negative")
         self.box = float(box) if box is not None else float(self.pos_axes[0][-1])
         self.v_th = float(v_th)
+        # the position marginal: a trapezoid sum over the velocity axes
+        w = _trapezoid_weights_nd(self.vel_axes)
+        self._position_table = (self.values * w).reshape(
+            self.values.shape[:3] + (-1,)).sum(axis=-1)
 
     @property
     def axes(self):
         return self.pos_axes + self.vel_axes
 
-    def _interp(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        flat = pts.reshape(-1, 6)
-        m = flat.shape[0]
-        idx = np.empty((m, 6), dtype=np.intp)
-        frac = np.empty((m, 6), dtype=float)
-        inside = np.ones(m, dtype=bool)
-        for k, ax in enumerate(self.axes):
-            x = flat[:, k]
-            inside &= (x >= ax[0]) & (x <= ax[-1])
-            i = np.clip(np.searchsorted(ax, x, side="right") - 1, 0, len(ax) - 2)
-            idx[:, k] = i
-            frac[:, k] = (x - ax[i]) / (ax[i + 1] - ax[i])
-        frac = np.clip(frac, 0.0, 1.0)
-        out = np.zeros(m, dtype=float)
-        for corner in range(64):
-            w = np.ones(m, dtype=float)
-            ind = []
-            for k in range(6):
-                hi = (corner >> k) & 1
-                w *= frac[:, k] if hi else (1.0 - frac[:, k])
-                ind.append(idx[:, k] + hi)
-            out += w * self.values[tuple(ind)]
-        out[~inside] = 0.0
-        return out.reshape(pts.shape[:-1])
-
     def density(self, r, v):
-        r = np.asarray(r, dtype=float)
-        v = np.asarray(v, dtype=float)
-        shape = np.broadcast_shapes(r.shape, v.shape)
-        pts = np.concatenate(
-            [np.broadcast_to(r, shape), np.broadcast_to(v, shape)], axis=-1
-        )
-        return self._interp(pts)
+        r, v = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                   np.asarray(v, dtype=float))
+        return _on_table(self.axes, self.values,
+                         np.concatenate([r, v], axis=-1))
 
     def position_density(self, r):
-        # marginal by trapezoid over the velocity axes at interpolated r
-        w = _trapezoid_weights_nd(self.vel_axes)
-        r = np.asarray(r, dtype=float)
-        flat = r.reshape(-1, 3)
-        out = np.empty(flat.shape[0])
-        vgrid = np.stack(
-            np.meshgrid(*self.vel_axes, indexing="ij"), axis=-1
-        ).reshape(-1, 3)
-        for i, rr in enumerate(flat):
-            vals = self.density(rr[None, :], vgrid)
-            out[i] = float((w.reshape(-1) * vals).sum())
-        return out.reshape(r.shape[:-1])
-
-    def _joint_sample(self, count, rng):
-        cw = _cell_masses(self.axes, self.values)
-        flat = cw.reshape(-1)
-        p = flat / flat.sum()
-        choice = rng.choice(flat.size, size=count, p=p)
-        cells = np.unravel_index(choice, cw.shape)
-        pts = np.empty((count, 6))
-        for k, ax in enumerate(self.axes):
-            lo = ax[cells[k]]
-            hi = ax[cells[k] + 1]
-            pts[:, k] = rng.uniform(lo, hi)
-        return pts
+        return _on_table(self.pos_axes, self._position_table, r)
 
     def sample_positions(self, count, rng):
-        return self._joint_sample(count, rng)[:, :3]
+        return _cell_draws(self.axes, self.values, count, rng)[:, :3]
+
+    def sample_velocities(self, positions, rng):
+        """One velocity per position from the table at that position.
+
+        The velocity table there is the 6-d table interpolated at the
+        velocity nodes, its position clamped to the position axes.
+        """
+        vgrid = np.stack(np.meshgrid(*self.vel_axes, indexing="ij"), axis=-1)
+        out = []
+        for r in np.asarray(positions, dtype=float):
+            at_r = np.concatenate([np.broadcast_to(r, vgrid.shape), vgrid],
+                                  axis=-1)
+            table = multilinear(self.axes, self.values, at_r)
+            out.append(_cell_draws(self.vel_axes, table, 1, rng))
+        return np.concatenate(out)
 
     def sample(self, count, seed):
         rng = derive_rng(seed, "pdf", self.family_tag)
-        pts = self._joint_sample(count, rng)
+        pts = _cell_draws(self.axes, self.values, count, rng)
         return pts[:, :3], pts[:, 3:]
 
     def normalization(self, quad=None):
@@ -485,11 +462,9 @@ class TabulatedPdf(OneBodyPdf):
         val = float((w * self.values).sum())
         # coarse estimate: every other node where possible
         if all(len(a) >= 5 for a in self.axes):
-            sl = tuple(slice(None, None, 2) for _ in range(6))
-            axes2 = [a[::2] for a in self.axes]
-            w2 = _trapezoid_weights_nd(axes2)
-            coarse = float((w2 * self.values[sl]).sum())
-            err = abs(val - coarse)
+            every_other = (slice(None, None, 2),) * 6
+            w2 = _trapezoid_weights_nd([a[::2] for a in self.axes])
+            err = abs(val - float((w2 * self.values[every_other]).sum()))
         else:
             err = abs(val) * 1e-2
         return val, err
@@ -514,15 +489,30 @@ class TabulatedPdf(OneBodyPdf):
     @classmethod
     def from_csv(cls, path, box=None, v_th=1.0):
         data = np.genfromtxt(path, delimiter=",", names=True)
-        cols = [data[name] for name in ("x", "y", "z", "vx", "vy", "vz")]
-        axes = []
-        shape = []
-        for c in cols:
-            u = np.unique(c)
-            axes.append(u)
-            shape.append(len(u))
-        vals = np.asarray(data["density"], dtype=float).reshape(shape)
+        axes = [np.unique(data[k]) for k in ("x", "y", "z", "vx", "vy", "vz")]
+        vals = np.asarray(data["density"], dtype=float).reshape(
+            [len(a) for a in axes])
         return cls(axes[:3], axes[3:], vals, box=box, v_th=v_th)
+
+
+def _on_table(axes, table, pts):
+    """multilinear in the table at pts, and 0 where a point leaves the axes."""
+    pts = np.asarray(pts, dtype=float)
+    inside = np.ones(pts.shape[:-1], dtype=bool)
+    for k, ax in enumerate(axes):
+        inside &= (pts[..., k] >= ax[0]) & (pts[..., k] <= ax[-1])
+    return np.where(inside, multilinear(axes, table, pts), 0.0)
+
+
+def _cell_draws(axes, values, count, rng):
+    """count points: a grid cell drawn by its mass, then uniform in it."""
+    masses = _cell_masses(axes, values).reshape(-1)
+    if not masses.sum() > 0:
+        raise ValueError("the tabulated density has no mass to draw from")
+    choice = rng.choice(masses.size, size=count, p=masses / masses.sum())
+    cells = np.unravel_index(choice, [len(a) - 1 for a in axes])
+    return np.stack([rng.uniform(ax[c], ax[c + 1])
+                     for ax, c in zip(axes, cells)], axis=-1)
 
 
 def _trapezoid_weights_1d(ax):
@@ -534,29 +524,18 @@ def _trapezoid_weights_1d(ax):
 
 
 def _trapezoid_weights_nd(axes):
-    ws = [_trapezoid_weights_1d(a) for a in axes]
-    out = ws[0]
-    for w in ws[1:]:
-        out = np.multiply.outer(out, w)
-    return out
+    return functools.reduce(np.multiply.outer,
+                            [_trapezoid_weights_1d(a) for a in axes])
 
 
 def _cell_masses(axes, values):
     # mean of corner values times cell volume, per cell
-    nd = len(axes)
     acc = values
-    for k in range(nd):
-        sl_lo = [slice(None)] * nd
-        sl_hi = [slice(None)] * nd
-        sl_lo[k] = slice(None, -1)
-        sl_hi[k] = slice(1, None)
-        acc = 0.5 * (acc[tuple(sl_lo)] + acc[tuple(sl_hi)])
-    vol = np.ones([len(a) - 1 for a in axes])
     for k, a in enumerate(axes):
-        shape = [1] * nd
-        shape[k] = len(a) - 1
-        vol = vol * np.diff(a).reshape(shape)
-    return acc * vol
+        acc = 0.5 * (acc.take(range(len(a) - 1), axis=k)
+                     + acc.take(range(1, len(a)), axis=k))
+    return acc * functools.reduce(np.multiply.outer,
+                                  [np.diff(a) for a in axes])
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
+INTERP_BLOCK = 1 << 14  # points per pass of multilinear
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -140,6 +142,47 @@ def sphere_grid(angle_nodes: int):
     ).reshape(-1, 3)
     weights = (wu[:, None] * np.full(n_phi, 2.0 * np.pi / n_phi)[None, :]).reshape(-1)
     return nodes, weights, n_u * n_phi
+
+
+def multilinear(axes, values, points) -> np.ndarray:
+    """Multilinear interpolation on a rectilinear grid, clamped to its hull.
+
+    axes holds d increasing node arrays of two nodes or more, values the
+    table on them and points an (..., d) array; the result has shape
+    points.shape[:-1]. On each axis a point's cell is the count of interior
+    nodes at or below it. Corner bit k selects the upper node on axis k, a
+    corner's weight multiplies the axis weights in axis order, and the
+    corners add up in corner order. Points are handled INTERP_BLOCK at a
+    time, which bounds the temporaries for large inputs.
+    """
+    points = np.asarray(points, dtype=float)
+    flat = points.reshape(-1, len(axes))
+    values = np.asarray(values, dtype=float).ravel()
+    offsets = [0]  # flat offset of each corner from its cell
+    for ax in axes:
+        offsets = [o * len(ax) + h for h in (0, 1) for o in offsets]
+    out = np.zeros(flat.shape[0])
+    for lo in range(0, flat.shape[0], INTERP_BLOCK):
+        block = flat[lo:lo + INTERP_BLOCK]
+        cell = np.zeros(block.shape[0], dtype=np.intp)
+        prefix = [1.0]  # corner weights over every axis but the last
+        for k, ax in enumerate(axes):
+            x = np.clip(block[:, k], ax[0], ax[-1])
+            i = np.zeros(block.shape[0], dtype=np.intp)
+            for node in ax[1:-1]:
+                i += x >= node
+            left = ax.take(i)
+            f = np.clip((x - left) / (ax.take(i + 1) - left), 0.0, 1.0)
+            lo_hi = (1.0 - f, f)
+            cell *= len(ax)
+            cell += i
+            if k < len(axes) - 1:
+                prefix = [w * lo_hi[h] for h in (0, 1) for w in prefix]
+        acc = out[lo:lo + INTERP_BLOCK]
+        for corner, off in enumerate(offsets):
+            w = prefix[corner % len(prefix)] * lo_hi[corner // len(prefix)]
+            acc += w * values[off:].take(cell)
+    return out.reshape(points.shape[:-1])
 
 
 def row_norm(a) -> np.ndarray:

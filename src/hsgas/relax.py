@@ -407,7 +407,7 @@ def homogeneous_relax(model, f0: np.ndarray, lattice: VelocityLattice, *,
         if float(f.min()) < -1e-10 * peak:
             raise RuntimeError(
                 f"negative density {float(f.min()):.3e} at step {steps}; "
-                "reduce the time step (cfl)"
+                f"reduce the time step ({'cfl' if dt is None else 'dt'})"
             )
         t += step
         steps += 1

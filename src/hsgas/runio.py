@@ -282,14 +282,31 @@ def _section_errors(config: dict) -> list:
     return out
 
 
+def _unread_key_errors(config: dict) -> list:
+    """Keys that the values of other keys leave unread."""
+    sections = {s: v for s, v in config.items() if isinstance(v, dict)}
+    given = set(config) | {f"{s}.{k}" for s, v in sections.items() for k in v}
+    name = config.get("experiment")
+    paths = ()
+    if name == "ops" and sections.get("ops", {}).get("flavor") == "boltzmann":
+        paths = ("k1", "ops.rho2_form", "quadrature.position_nodes")
+        why = "ops.flavor 'boltzmann' runs no master kernel"
+    elif name == "md" and not sections.get("md", {}).get("snapshots"):
+        paths = ("md.windows", "md.equilibration_fraction")
+        why = "md.snapshots is 0 or absent, so nothing is measured"
+    elif name == "relax" and "relax.dt" in given:
+        paths, why = ("relax.cfl",), "relax.dt fixes the time step"
+    return [f"$.{p}: not read, as {why}" for p in paths if p in given]
+
+
 def validate_config(config: dict) -> list:
     """Schema violations as '<json path>: <message>' strings (empty = valid).
 
     Beyond the schema, the config must hold its subcommand's geometry
     section and no section or quadrature key the subcommand does not read
-    (EXPERIMENTS), and the pdf section must name a family the subcommand
-    admits and hold exactly the keys that family's factory takes
-    (pdfs.family_keys).
+    (EXPERIMENTS) or that the values of other keys leave unread, and the
+    pdf section must name a family the subcommand admits and hold exactly
+    the keys that family's factory takes (pdfs.family_keys).
     """
     import jsonschema
 
@@ -299,6 +316,7 @@ def validate_config(config: dict) -> list:
         out.append(f"{err.json_path}: {err.message}")
     if isinstance(config, dict):
         out += _section_errors(config)
+        out += _unread_key_errors(config)
         if isinstance(config.get("pdf"), dict):
             out += _pdf_key_errors(config["pdf"])
     return out

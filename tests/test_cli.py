@@ -202,6 +202,22 @@ def test_entropy_lists_its_artifacts_and_repeats_its_report(tmp_path):
     ({**ENTROPY_CONFIG, "quadrature": {"angle_nodes": 26}}, None,
      "$.quadrature.angle_nodes: subcommand 'entropy' does not read key "
      "'angle_nodes'"),
+    ({**OPS_CONFIG, "ops": {"flavor": "boltzmann"}}, None,
+     "$.k1: not read, as ops.flavor 'boltzmann'"),
+    ({**{k: v for k, v in OPS_CONFIG.items() if k != "k1"},
+      "ops": {"flavor": "boltzmann", "rho2_form": "hat_product"}}, None,
+     "$.ops.rho2_form: not read, as ops.flavor 'boltzmann'"),
+    ({**{k: v for k, v in OPS_CONFIG.items() if k != "k1"},
+      "ops": {"flavor": "boltzmann"},
+      "quadrature": {**OPS_CONFIG["quadrature"], "position_nodes": 4}}, None,
+     "$.quadrature.position_nodes: not read, as ops.flavor 'boltzmann'"),
+    ({**MD_CONFIG, "md": {"t_end": 0.5, "windows": 4}}, None,
+     "$.md.windows: not read, as md.snapshots is 0 or absent"),
+    ({**MD_CONFIG, "md": {"t_end": 0.5, "snapshots": 0,
+                          "equilibration_fraction": 0.3}}, None,
+     "$.md.equilibration_fraction: not read, as md.snapshots is 0"),
+    ({**RELAX_CONFIG, "relax": {**RELAX_CONFIG["relax"], "cfl": 0.2}}, None,
+     "$.relax.cfl: not read, as relax.dt fixes the time step"),
 ], ids=["threads", "bg.probes", "bg.oracle_samples", "unknown-nested",
         "unknown-top", "mismatch", "rho2_form", "relax.phi_nodes", "md.record_cap", "ks.probes",
         "bg-sweep.k1.probes", "noncomm.sequence.sigma", "pdf.alpha-negative",
@@ -209,7 +225,10 @@ def test_entropy_lists_its_artifacts_and_repeats_its_report(tmp_path):
         "pdf.family-list", "k1.relax-and-quadrature", "k1.no-model",
         "bg-sweep.model", "md.pdf-family", "entropy.sequence",
         "noncomm.quadrature.velocity_nodes",
-        "entropy.quadrature.angle_nodes"])
+        "entropy.quadrature.angle_nodes", "ops.boltzmann.k1",
+        "ops.boltzmann.rho2_form", "ops.boltzmann.position_nodes",
+        "md.windows-without-snapshots",
+        "md.equilibration_fraction-without-snapshots", "relax.cfl-with-dt"])
 def test_schema_violations_exit_2(tmp_path, capsys, config, command, named):
     rc, out = run_cli(tmp_path, config, "bad", command)
     assert rc == 2
@@ -335,7 +354,8 @@ def test_relax_blow_up_exits_1_and_names_the_time_step(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error[relax]: negative density")
-    assert "reduce the time step" in err
+    # the step is fixed by relax.dt, so the message names dt, not cfl
+    assert "reduce the time step (dt)" in err
 
 
 def test_chaos_honours_k1_tol(tmp_path, capsys):
@@ -376,6 +396,8 @@ def test_ops_both_flavors_equal_the_one_flavor_runs(tmp_path):
     runs = {}
     for flavor in ("both", "master", "boltzmann"):
         config = {**OPS_CONFIG, "ops": {**OPS_CONFIG["ops"], "flavor": flavor}}
+        if flavor == "boltzmann":  # boltzmann alone reads no k1 section
+            del config["k1"]
         rc, runs[flavor] = run_cli(tmp_path, config, flavor)
         assert rc == 0
     both = json.loads((runs["both"] / "report.json").read_text())
@@ -398,3 +420,21 @@ def test_ops_runs_and_echoes_the_product_pair_form(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["rho2_form"] == "hat_product"
     assert list(report["audits"]) == ["master"]
+
+
+@pytest.mark.parametrize("config", [
+    {**K1_CONFIG, "k1": {"grid_nodes": 2, "samples_per_node": 2_000}},
+    KS_CONFIG,
+    # eight spheres fill the histogram thinly, so its k1 is noisier
+    {**CHAOS_CONFIG, "k1": {**CHAOS_CONFIG["k1"], "tol": 0.01}},
+], ids=["k1", "ks", "chaos"])
+def test_the_md_histogram_runs_as_a_tabulated_pdf(tmp_path, config):
+    # the histogram.csv that md writes is the tabulated family's format
+    rc, md_out = run_cli(tmp_path, MD_CONFIG, "md")
+    assert rc == 0
+    pdf = {"family": "tabulated", "path": str(md_out / "histogram.csv")}
+    rc, out = run_cli(tmp_path, {**config, "pdf": pdf}, "tabulated")
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["pdf"] == pdf
+    assert all((out / name).exists() for name in manifest["artifacts"])

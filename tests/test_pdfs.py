@@ -16,11 +16,12 @@ from hsgas.pdfs import (
     UniformMaxwellian,
     VelocityMixture,
     _maxwell,
+    _trapezoid_weights_nd,
     build_family,
     fd_log_position_gradient,
     scale_length,
 )
-from hsgas.quadrature import QuadratureSpec
+from hsgas.quadrature import INTERP_BLOCK, QuadratureSpec
 from hsgas.seeding import derive_rng
 
 QUAD = QuadratureSpec(velocity_nodes=32, angle_nodes=26, position_nodes=16)
@@ -258,6 +259,126 @@ def test_tabulated_roundtrip_and_interp(tmp_path):
     assert np.array_equal(back.values, tab.values)
     for a, b in zip(back.axes, tab.axes):
         assert np.array_equal(a, b)
+
+
+def _interp_64_corners(tab, pts):
+    """The former TabulatedPdf._interp: 64 corners, zero outside the table."""
+    flat = pts.reshape(-1, 6)
+    m = flat.shape[0]
+    idx = np.empty((m, 6), dtype=np.intp)
+    frac = np.empty((m, 6), dtype=float)
+    inside = np.ones(m, dtype=bool)
+    for k, ax in enumerate(tab.axes):
+        x = flat[:, k]
+        inside &= (x >= ax[0]) & (x <= ax[-1])
+        i = np.clip(np.searchsorted(ax, x, side="right") - 1, 0, len(ax) - 2)
+        idx[:, k] = i
+        frac[:, k] = (x - ax[i]) / (ax[i + 1] - ax[i])
+    frac = np.clip(frac, 0.0, 1.0)
+    out = np.zeros(m, dtype=float)
+    for corner in range(64):
+        w = np.ones(m, dtype=float)
+        ind = []
+        for k in range(6):
+            hi = (corner >> k) & 1
+            w *= frac[:, k] if hi else (1.0 - frac[:, k])
+            ind.append(idx[:, k] + hi)
+        out += w * tab.values[tuple(ind)]
+    out[~inside] = 0.0
+    return out.reshape(pts.shape[:-1])
+
+
+def _uneven_table():
+    """A table on non-uniform axes of unequal lengths."""
+    pax = [np.array([0.0, 0.2, 0.45, 1.0]), np.array([0.0, 0.6, 1.0]),
+           np.array([0.0, 0.1, 0.3, 0.7, 1.0])]
+    vax = [np.array([-3.0, -0.5, 0.25, 2.0]), np.array([-2.0, 0.0, 2.5]),
+           np.array([-1.5, 1.5])]
+    shape = tuple(len(a) for a in pax + vax)
+    values = np.random.default_rng(6).uniform(0.0, 1.0, size=shape)
+    return TabulatedPdf(pax, vax, values, box=1.0, v_th=1.0)
+
+
+def _probe_points(axes, rng, count):
+    """Points inside, on the nodes and faces of, and outside the axes."""
+    lo = np.array([a[0] for a in axes])
+    hi = np.array([a[-1] for a in axes])
+    span = hi - lo
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"),
+                     axis=-1).reshape(-1, len(axes))
+    faces = rng.uniform(lo, hi, size=(count, len(axes)))
+    edge = rng.integers(len(axes), size=count)
+    faces[np.arange(count), edge] = np.where(rng.random(count) < 0.5,
+                                             lo[edge], hi[edge])
+    return np.concatenate([
+        rng.uniform(lo, hi, size=(count, len(axes))),                # inside
+        nodes,                                                       # nodes
+        faces,                                                       # faces
+        rng.uniform(lo - 0.5 * span, hi + 0.5 * span,
+                    size=(count, len(axes))),                        # out
+    ])
+
+
+def test_tabulated_density_matches_the_64_corner_rule_bitwise():
+    tab = _uneven_table()
+    pts = _probe_points(tab.axes, np.random.default_rng(7), 300)
+    want = _interp_64_corners(tab, pts)
+    assert np.any(want == 0.0) and np.any(want > 0.0)
+    got = tab.density(pts[:, :3], pts[:, 3:])
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # inputs longer than one pass are split without moving a bit
+    reps = INTERP_BLOCK // len(pts) + 2
+    tiled = np.tile(pts, (reps, 1))
+    assert len(tiled) > INTERP_BLOCK
+    assert np.array_equal(tab.density(tiled[:, :3], tiled[:, 3:]),
+                          np.tile(want, reps))
+
+
+def test_tabulated_position_density_is_the_velocity_marginal():
+    tab = _uneven_table()
+    r = _probe_points(tab.pos_axes, np.random.default_rng(8), 100)
+    # the former per-point rule: the trapezoid sum of the 6-d density over
+    # the velocity nodes
+    w = _trapezoid_weights_nd(tab.vel_axes).reshape(-1)
+    vgrid = np.stack(np.meshgrid(*tab.vel_axes, indexing="ij"),
+                     axis=-1).reshape(-1, 3)
+    want = np.array([(w * tab.density(rr[None, :], vgrid)).sum()
+                     for rr in r])
+    got = tab.position_density(r)
+    inside = np.all((r >= 0.0) & (r <= 1.0), axis=1)
+    assert not inside.all() and inside.any()
+    assert np.all(got[~inside] == 0.0)
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_tabulated_velocities_follow_the_table_at_each_position():
+    # the velocity law moves with x: vx near -1.5 at x = 0, near +1.5 at x = 1
+    pax = [np.array([0.0, 1.0])] * 3
+    vax = [np.array([-2.0, -1.0, 1.0, 2.0])] + [np.array([-1.0, 1.0])] * 2
+    values = np.zeros((2, 2, 2, 4, 2, 2))
+    values[0, :, :, :2] = 1.0
+    values[1, :, :, 2:] = 1.0
+    tab = TabulatedPdf(pax, vax, values)
+    # x = -0.5 reads the table clamped to x = 0
+    r = np.repeat([[0.0, 0.5, 0.5], [1.0, 0.5, 0.5], [-0.5, 0.5, 0.5]],
+                  400, axis=0)
+    v = tab.sample_velocities(r, derive_rng(3, "test"))
+    assert v.shape == (1200, 3)
+    assert np.all(np.abs(v[:, 1:]) <= 1.0)
+    # per position, cells [-2, -1] and [-1, 1] (or their mirrors) carry
+    # equal mass, so the mean of vx is -0.75 (or +0.75)
+    low, high, clamped = v[:400, 0], v[400:800, 0], v[800:, 0]
+    assert np.all(low <= 1.0) and np.all(high >= -1.0)
+    assert abs(low.mean() + 0.75) < 0.1 and abs(high.mean() - 0.75) < 0.1
+    assert np.all(clamped <= 1.0) and abs(clamped.mean() + 0.75) < 0.1
+    again = tab.sample_velocities(r, derive_rng(3, "test"))
+    assert np.array_equal(v, again)
+
+    values[0] = 0.0  # no velocity mass left at x = 0
+    with pytest.raises(ValueError, match="no mass"):
+        TabulatedPdf(pax, vax, values).sample_velocities(r[:1],
+                                                         derive_rng(3, "t"))
 
 
 def test_tabulated_rejects_negative_values():

@@ -85,11 +85,11 @@ def host() -> dict:
             "python": platform.python_version(), "numpy": numpy.__version__}
 
 
-def child(src: Path, script: str = __file__) -> dict:
-    """The figures `script --child` prints, run fresh with hsgas from src."""
+def child(src: Path, script: str = __file__, *args: str) -> dict:
+    """The JSON that `script --child *args` prints, run with hsgas from src."""
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    out = subprocess.run([sys.executable, script, "--child"], env=env,
+    out = subprocess.run([sys.executable, script, "--child", *args], env=env,
                          check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 

@@ -1,0 +1,98 @@
+"""Byte identity of two trees' outputs: every CSV and report.json.
+
+    python3 tools/same_bytes.py --src <checkout> --base <parent checkout>
+
+Runs the configs in `perfbench/workloads/` and the module-level `*_CONFIG`
+dicts of `tests/test_cli.py`, all read from this checkout, at program seeds
+7 and 8 (`--seed`) on both checkouts, each tree in one fresh child that
+imports `hsgas` from its `src/` (the child harness of `tools/bench_md.py`).
+It prints one line per output file, `equal` or `differs`, with the exit code
+of each run among them, and exits 1 if any differs. The manifests are left
+out: they carry the wall clock.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_md import child
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (7, 8)
+
+
+def configs() -> dict:
+    """name -> config: the benchmark workloads and the CLI tests' configs."""
+    out = {f"workload.{p.stem}": json.loads(p.read_text())
+           for p in sorted((ROOT / "perfbench" / "workloads").glob("*.json"))}
+    tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id.endswith("_CONFIG")):
+            out[f"test_cli.{node.targets[0].id}"] = ast.literal_eval(
+                node.value)
+    return out
+
+
+def run_all(config_dir: Path, out_dir: Path) -> dict:
+    """In this process: every config at every seed -> {path: digest}."""
+    # imported here: the child finds hsgas on the PYTHONPATH of its tree
+    from hsgas import cli
+
+    digests = {}
+    for path in sorted(config_dir.glob("*.json")):
+        experiment = json.loads(path.read_text())["experiment"]
+        for seed in SEEDS:
+            run = f"{path.stem}.seed{seed}"
+            rc = cli.main([experiment, "--config", str(path),
+                           "--out", str(out_dir / run), "--seed", str(seed)])
+            digests[f"{run}/exit"] = str(rc)
+            for f in sorted((out_dir / run).glob("*")):
+                if f.suffix == ".csv" or f.name == "report.json":
+                    digests[f"{run}/{f.name}"] = hashlib.sha256(
+                        f.read_bytes()).hexdigest()
+    return digests
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--src", type=Path, help="checkout of the change")
+    ap.add_argument("--base", type=Path, help="checkout of its parent")
+    ap.add_argument("--child", nargs=2, type=Path, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:
+        print(json.dumps(run_all(*args.child)))
+        return 0
+    if args.src is None or args.base is None:
+        ap.error("--src and --base are required")
+    with tempfile.TemporaryDirectory() as tmp:
+        config_dir = Path(tmp) / "configs"
+        config_dir.mkdir()
+        for name, config in configs().items():
+            (config_dir / f"{name}.json").write_text(json.dumps(config))
+        digests = {}
+        for side in ("src", "base"):
+            tree = getattr(args, side).resolve()
+            print(f"running {len(list(config_dir.iterdir()))} configs x "
+                  f"{len(SEEDS)} seeds on {tree}", file=sys.stderr)
+            digests[side] = child(tree / "src", __file__, str(config_dir),
+                                  str(Path(tmp) / side))
+    differs = 0
+    for name in sorted(digests["src"].keys() | digests["base"].keys()):
+        same = digests["src"].get(name) == digests["base"].get(name)
+        differs += not same
+        print(f"{'equal' if same else 'differs'}  {name}")
+    print(f"{differs} of {len(digests['src'].keys() | digests['base'].keys())}"
+          " outputs differ")
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
