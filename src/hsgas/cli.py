@@ -236,6 +236,7 @@ def _run_md(config, seed, out_dir):
     report = {
         "t_final": traj.t_final, "n_pair": traj.n_pair,
         "n_wall": traj.n_wall, "audits": traj.audits,
+        "diagnostics": traj.diagnostics,
     }
     if snapshots:
         obs = measure(traj, windows=windows)

@@ -6,6 +6,14 @@ component on the planes sigma/2 and box - sigma/2 (center coordinates).
 Scheduling is a binary heap with per-particle invalidation counters, and
 simultaneous events (within 1e-12 box/v_th of each other) are executed in
 ascending particle-index order so runs are bitwise deterministic.
+
+An event re-predicts only the particles it moved (Lubachevsky 1991, J.
+Comput. Phys. 94): one pass over N per moved particle yields its approaching
+partners, their contact times and its squared distances to everyone, which
+the local admissibility check reuses. Apart from those passes an event costs
+O(N) only in the streaming step and one momentum sum (plus one kinetic
+energy sum at a pair event); the energy and momentum before an event are
+those after the previous one, since velocities do not change in between.
 """
 
 from __future__ import annotations
@@ -50,17 +58,29 @@ class Event:
 
 
 def _pair_times_against(positions, velocities, i, sigma):
-    """Vectorized contact times of particle i against all others."""
-    r = positions[i] - positions
-    v = velocities[i] - velocities
-    b = (r * v).sum(axis=1)
-    v2 = (v * v).sum(axis=1)
-    disc = b * b - v2 * ((r * r).sum(axis=1) - sigma * sigma)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = (-b - np.sqrt(disc)) / v2
-    t[(b >= 0.0) | (disc <= 0.0) | (v2 == 0.0)] = math.inf
-    t[i] = math.inf
-    return t
+    """Contact times of particle i against all others, in one pass over N.
+
+    Returns (j, t, d2): the ascending indices j of the partners that i meets
+    (approaching, b < 0, with a real root, disc > 0, and a finite time),
+    their contact times t, and the squared distance d2 of every particle to
+    i, inf at i. Every inner product is formed component by component
+    (x*x + y*y + z*z), which gives the bits of a sum over the length-3 axis;
+    the times are formed on the partners only.
+    """
+    p, v = positions, velocities
+    rx, ry, rz = p[i, 0] - p[:, 0], p[i, 1] - p[:, 1], p[i, 2] - p[:, 2]
+    vx, vy, vz = v[i, 0] - v[:, 0], v[i, 1] - v[:, 1], v[i, 2] - v[:, 2]
+    b = rx * vx + ry * vy + rz * vz
+    v2 = vx * vx + vy * vy + vz * vz
+    d2 = rx * rx + ry * ry + rz * rz
+    disc = b * b - v2 * (d2 - sigma * sigma)
+    d2[i] = math.inf
+    j = ((b < 0.0) & (disc > 0.0)).nonzero()[0]
+    t = (-b[j] - np.sqrt(disc[j])) / v2[j]
+    finite = np.isfinite(t)  # v2 underflows to 0 only for subnormal speeds
+    if not finite.all():
+        j, t = j[finite], t[finite]
+    return j, t, d2
 
 
 def wall_times(r, v, model: HardSphereModel):
@@ -90,6 +110,7 @@ class Trajectory:
     records: list             # resolved pair Events, capped at record_cap
     snapshots: list           # (t, positions, velocities)
     audits: dict
+    diagnostics: dict         # scheduler counts: peak heap, stale pops, ...
 
     def to_event_csv(self, path):
         from .runio import write_csv
@@ -112,7 +133,9 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
     event, monotone event times, and full ensemble admissibility every
     audit_every events (default: after every event) and at the end. The
     first record_cap pair events (none by default) are kept as resolved
-    Events for boundary-condition evaluation.
+    Events for boundary-condition evaluation. The diagnostics count the
+    scheduler's work: the peak heap length, the stale pops (entries that a
+    later event invalidated) and the heap compactions.
     """
     if t_end is None and max_events is None:
         raise ValueError("need t_end and/or max_events")
@@ -122,22 +145,24 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
     tie_tol = 1e-12 * model.box / max(v_th_ref, 1e-300)
     lo, hi = model.wall_box
 
-    counters = np.zeros(n, dtype=np.int64)
+    counters = [0] * n
     heap = []
     seq = 0
 
     def schedule(i, t_now):
+        """Push i's pair and wall events; return its squared distances."""
         nonlocal seq
-        t = _pair_times_against(pos, vel, i, sigma)
-        for j in np.nonzero(np.isfinite(t))[0]:
-            a, b = (i, int(j)) if i < j else (int(j), i)
-            heapq.heappush(heap, (t_now + float(t[j]), seq, "pair", a, b,
+        partners, times, d2 = _pair_times_against(pos, vel, i, sigma)
+        for j, dt in zip(partners.tolist(), times.tolist()):
+            a, b = (i, j) if i < j else (j, i)
+            heapq.heappush(heap, (t_now + dt, seq, "pair", a, b,
                                   counters[a], counters[b]))
             seq += 1
         for dt, face in wall_times(pos[i], vel[i], model):
             heapq.heappush(heap, (t_now + dt, seq, "wall", i, face,
                                   counters[i], -1))
             seq += 1
+        return d2
 
     t = 0.0
     for i in range(n):
@@ -146,12 +171,12 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
             heapq.heappush(heap, (t + dt, seq, "wall", i, face, counters[i], -1))
             seq += 1
     for i in range(n):
-        ti = _pair_times_against(pos, vel, i, sigma)
-        for j in np.nonzero(np.isfinite(ti))[0]:
-            if int(j) > i:
-                heapq.heappush(heap, (t + float(ti[j]), seq, "pair", i, int(j),
-                                      counters[i], counters[j]))
-                seq += 1
+        partners, times, _ = _pair_times_against(pos, vel, i, sigma)
+        later = partners > i
+        for j, dt in zip(partners[later].tolist(), times[later].tolist()):
+            heapq.heappush(heap, (t + dt, seq, "pair", i, j,
+                                  counters[i], counters[j]))
+            seq += 1
 
     def valid(entry):
         _, _, kind, i, j, ci, cj = entry
@@ -168,6 +193,7 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
     max_contact_residual = 0.0
     max_pair_gap = 0.0  # worst admissibility defect seen (negative is overlap)
     events_done = 0
+    peak_heap = stale_pops = compactions = 0
 
     def take_snapshots(up_to):
         nonlocal snap_idx
@@ -190,12 +216,17 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
 
     compact_at = max(200_000, 30 * n * n)
     stream_to_t_end = False  # set when no event is left before t_end
+    ke = 0.5 * float((vel * vel).sum())
+    p_before = vel.sum(axis=0)
     while True:
+        # the heap only grows by the pushes of the previous event
+        peak_heap = max(peak_heap, len(heap))
         if max_events is not None and events_done >= max_events:
             break
         if len(heap) > compact_at:
             heap = [e for e in heap if valid(e)]
             heapq.heapify(heap)
+            compactions += 1
         # pull the earliest valid event, honoring the tie rule
         entry = None
         while heap:
@@ -203,6 +234,7 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
             if valid(cand):
                 entry = cand
                 break
+            stale_pops += 1
         if entry is None:
             if t_end is None:
                 raise RuntimeError(
@@ -221,6 +253,8 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
             cand = heapq.heappop(heap)
             if valid(cand):
                 buffer.append(cand)
+            else:
+                stale_pops += 1
         buffer.sort(key=lambda e: (e[3], e[4], e[0]))
         chosen = buffer.pop(0)
         for e in buffer:
@@ -234,8 +268,7 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
         pos += vel * (t_new - t)
         t = t_new
 
-        ke_before = 0.5 * float((vel * vel).sum())
-        p_before = vel.sum(axis=0)
+        ke_before = ke
         if kind == "pair":
             j = j_or_face
             d = pos[j] - pos[i]
@@ -266,9 +299,8 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
                     x_plus=NBodyConfig(contact, vel.copy()),
                     normal=nhat.copy()))
             n_pair += 1
-            schedule(i, t)
-            schedule(j, t)
-            touched = (i, j)
+            ke = 0.5 * float((vel * vel).sum())
+            touched = ((i, schedule(i, t)), (j, schedule(j, t)))
         else:
             axis = j_or_face // 2
             side = j_or_face % 2
@@ -276,18 +308,17 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
             vel[i][axis] *= -1.0
             counters[i] += 1
             n_wall += 1
-            schedule(i, t)
-            touched = (i,)
+            # a sign flip leaves every squared velocity, so ke, unchanged
+            touched = ((i, schedule(i, t)),)
         events_done += 1
 
-        ke_after = 0.5 * float((vel * vel).sum())
-        dp = vel.sum(axis=0) - p_before
-        event_rows.append([t, kind, i, j_or_face, ke_after - ke_before,
+        p_after = vel.sum(axis=0)
+        dp = p_after - p_before
+        p_before = p_after
+        event_rows.append([t, kind, i, j_or_face, ke - ke_before,
                            float(dp[0]), float(dp[1]), float(dp[2])])
         # local admissibility of the touched particles
-        for a in touched:
-            d2 = ((pos - pos[a]) ** 2).sum(axis=1)
-            d2[a] = math.inf
+        for a, d2 in touched:
             gap = math.sqrt(float(d2.min())) - sigma
             max_pair_gap = min(max_pair_gap, gap)
             if gap < -1e-9 * sigma:
@@ -308,6 +339,11 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
             "max_contact_residual": max_contact_residual,
             "worst_pair_gap": max_pair_gap,
             "events": events_done,
+        },
+        diagnostics={
+            "peak_heap": peak_heap,
+            "stale_pops": stale_pops,
+            "compactions": compactions,
         },
     )
 

@@ -59,6 +59,9 @@ SECTIONS = tuple(dict.fromkeys(s for e in EXPERIMENTS.values()
 
 
 def _format_cell(x) -> str:
+    # most cells are floats; np.float64 is a float subclass
+    if isinstance(x, float):
+        return "%.17g" % x
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):

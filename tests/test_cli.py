@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hsgas import cli, pdfs, runio
@@ -389,6 +390,32 @@ def test_md_stops_at_the_last_event_after_max_events(tmp_path):
     assert report["audits"]["events"] == 20
     assert report["n_pair"] + report["n_wall"] == 20
     assert report["t_final"] < 5.0
+
+
+def test_md_report_carries_the_scheduler_diagnostics(tmp_path):
+    # the scheduler's counts are deterministic, so report.json repeats
+    rc, out = run_cli(tmp_path, MD_CONFIG, "a")
+    assert rc == 0
+    report = json.loads((out / "report.json").read_text())
+    diag = report["diagnostics"]
+    assert sorted(diag) == ["compactions", "peak_heap", "stale_pops"]
+    assert all(isinstance(v, int) for v in diag.values())
+    # every particle starts with at least one wall event queued
+    assert diag["peak_heap"] >= MD_CONFIG["model"]["n"]
+    assert diag["stale_pops"] > 0 and diag["compactions"] == 0
+    rc, again = run_cli(tmp_path, MD_CONFIG, "b")
+    assert rc == 0
+    assert ((out / "report.json").read_bytes()
+            == (again / "report.json").read_bytes())
+
+
+@pytest.mark.parametrize("cell, text", [
+    (True, "1"), (np.bool_(False), "0"), (3, "3"), (np.int64(3), "3"),
+    (0.1, "0.10000000000000001"), (np.float64(0.1), "0.10000000000000001"),
+    (math.inf, "inf"), (math.nan, "nan"), ("pair", "pair"),
+])
+def test_csv_cells_format_exactly(cell, text):
+    assert runio._format_cell(cell) == text
 
 
 def test_ops_both_flavors_equal_the_one_flavor_runs(tmp_path):

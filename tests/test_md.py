@@ -4,6 +4,8 @@ Oracles
 -------
 * Contact times: two-body quadratic solved by hand with binary-exact
   inputs (distance 2, speed 1, sigma 0.5 gives t = 1.5 with no rounding).
+  The scheduler's one-pass kernel is held bit for bit to the full-array
+  computation it replaced, kept here as an oracle.
 * Wall times: linear free flight against the center-coordinate planes
   sigma/2 and box - sigma/2.
 * Time reversal: negating every velocity and rerunning for the elapsed
@@ -107,11 +109,36 @@ def eq_traj():
 # contact and wall times
 
 
+def _pair_times_oracle(positions, velocities, i, sigma):
+    """Contact times of i against all others by full (N, 3) reductions.
+
+    One entry per particle: inf where i meets no partner, and at i.
+    """
+    r = positions[i] - positions
+    v = velocities[i] - velocities
+    b = (r * v).sum(axis=1)
+    v2 = (v * v).sum(axis=1)
+    disc = b * b - v2 * ((r * r).sum(axis=1) - sigma * sigma)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = (-b - np.sqrt(disc)) / v2
+    t[(b >= 0.0) | (disc <= 0.0) | (v2 == 0.0)] = math.inf
+    t[i] = math.inf
+    return t
+
+
+def _times_by_partner(positions, velocities, i, sigma):
+    """The scheduler's times of i, one entry per particle, inf if none."""
+    partners, times, _ = _pair_times_against(positions, velocities, i, sigma)
+    t = np.full(len(positions), math.inf)
+    t[partners] = times
+    return t
+
+
 def _contact_time(ri, vi, rj, vj, sigma):
     """Contact time of sphere i against sphere j, by the scheduler's kernel."""
     pos = np.array([ri, rj], dtype=float)
     vel = np.array([vi, vj], dtype=float)
-    return _pair_times_against(pos, vel, 0, sigma)[1]
+    return _times_by_partner(pos, vel, 0, sigma)[1]
 
 
 def test_pair_collision_time_head_on_exact():
@@ -162,13 +189,62 @@ def test_pair_collision_time_contact_residual_property(coords, vels):
     if float(np.linalg.norm(ri - rj)) <= sigma * (1 + 1e-9):
         return
     pos, vel = np.array([ri, rj]), np.array([vi, vj])
-    t = _pair_times_against(pos, vel, 0, sigma)[1]
+    t = _times_by_partner(pos, vel, 0, sigma)[1]
     # swapping the particle labels leaves every inner product unchanged
-    assert _pair_times_against(pos, vel, 1, sigma)[0] == t
+    assert _times_by_partner(pos, vel, 1, sigma)[0] == t
     if math.isfinite(t):
         assert t >= 0.0
         gap = float(np.linalg.norm((ri - rj) + (vi - vj) * t)) - sigma
         assert abs(gap) < 1e-7 * sigma
+
+
+# coordinates either arbitrary or on a dyadic grid, where a pair offset by
+# sigma (a power of 2) along an axis sits exactly at contact
+_COORD = st.one_of(st.floats(0.0, 1.0),
+                   st.integers(0, 64).map(lambda k: k / 64.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pair_times_against_matches_the_full_array_oracle(data):
+    n = data.draw(st.integers(2, 40))
+    sigma = data.draw(st.sampled_from([0.25, 0.5, 0.0625]))
+    pos = np.array(data.draw(st.lists(_COORD, min_size=3 * n,
+                                      max_size=3 * n))).reshape(n, 3)
+    vel = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=3 * n,
+                                      max_size=3 * n))).reshape(n, 3)
+    # some pairs at contact along an axis, some with zero relative velocity
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.sampled_from(["contact", "comoving", "both"]),
+                      st.integers(0, 2), st.sampled_from([-1.0, 1.0]))
+    for a, b, kind, axis, sign in data.draw(st.lists(pairs, min_size=1,
+                                                             max_size=6)):
+        if a == b:
+            continue
+        if kind != "comoving":
+            pos[b] = pos[a]
+            pos[b, axis] += sign * sigma
+        if kind != "contact":
+            vel[b] = vel[a]
+    i = data.draw(st.integers(0, n - 1))
+    oracle = _pair_times_oracle(pos, vel, i, sigma)
+    partners, times, d2 = _pair_times_against(pos, vel, i, sigma)
+    np.testing.assert_array_equal(partners, np.flatnonzero(np.isfinite(oracle)))
+    assert times.tobytes() == oracle[partners].tobytes()
+    expected = ((pos - pos[i]) ** 2).sum(axis=1)
+    expected[i] = math.inf
+    assert d2.tobytes() == expected.tobytes()
+
+
+def test_pair_times_against_drops_a_partner_whose_v2_underflows():
+    # approaching so slowly that v2 underflows to 0 while b*b does not:
+    # disc > 0 but the root divides by zero, so no time may be returned
+    pos = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    vel = np.array([[1.5e-162] * 3, [0.0, 0.0, 0.0]])
+    assert math.isinf(_pair_times_oracle(pos, vel, 0, 0.5)[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        partners, times, _ = _pair_times_against(pos, vel, 0, 0.5)
+    assert len(partners) == len(times) == 0
 
 
 def test_wall_times_faces_and_values():
