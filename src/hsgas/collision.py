@@ -31,11 +31,25 @@ which others share the pass. Every v1 row is summed over its own (v2, angle)
 points in the same order as a lone v1, and the chunks are added in grid
 order, so the result for a v1 does not depend on which others share its
 batch either.
+
+That independence is what lets a batch of at least two blocks of v1 rows
+(a moment audit; never operator_scan's one-row calls) run on two cores: the
+process forks once, the child evaluates the second half of the rows and
+sends its (gain, loss) arrays back pickled through a pipe, the parent
+evaluates the first half and joins the two. Each row is computed by the same
+code on the same operands as in one process, and pickling keeps every bit of
+a float64, so the result is the same bytes. A host (or an affinity mask)
+with one CPU, a platform without fork, or a process running other threads
+(which a fork would not copy) runs the rows in one process.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +58,7 @@ from .geometry import wall_theta
 from .occupation import ContactOccupancy, hat_normalization
 from .quadrature import (QuadratureSpec, hemisphere_rule, orthonormal_frames,
                          row_norm, tensor_rule, velocity_grid)
+from .runio import usable_cpus
 from .seeding import derive_rng
 
 
@@ -99,17 +114,89 @@ def _rho_hat(density, is_open, z1):
     return density * is_open / z1
 
 
+def _block_rows(points_per_row):
+    """v1 rows per numpy pass when each row holds points_per_row points."""
+    return max(1, _BLOCK_POINTS // points_per_row)
+
+
 def _kernel_batch(model, pdf, r1, V1, quad, flavors, pair_occ=None,
                   rule_variant=(0, 0.0), z1=None):
     """Gain and loss of each flavor at r1 for a batch of v1 values.
 
     The master flavor needs z1 from _master_z1. Returns {flavor: (gain,
     loss)} with arrays of shape (len(V1),), each entry bitwise independent
-    of the rest of the batch and of the other flavors (see the module
-    docstring for the blocking).
+    of the rest of the batch and of the other flavors. A batch of at least
+    two blocks of rows is split between two processes (see the module
+    docstring for the blocking and the split).
     """
-    r1 = np.asarray(r1, dtype=float)
     V1 = np.atleast_2d(np.asarray(V1, dtype=float))
+    n_ang = hemisphere_rule(quad.angle_nodes, u_order_bump=rule_variant[0],
+                            phi_offset=rule_variant[1])[4]
+    block = _block_rows(min(_V2_CHUNK, quad.velocity_nodes ** 3) * n_ang)
+    n_rows = V1.shape[0]
+
+    def rows(V):
+        return _kernel_rows(model, pdf, r1, V, quad, flavors, pair_occ,
+                            rule_variant, z1)
+
+    # fork copies only the calling thread: with others, stay in one process
+    if (n_rows < 2 * block or not hasattr(os, "fork") or usable_cpus() < 2
+            or threading.active_count() > 1):
+        return rows(V1)
+    cut = block * ((-(-n_rows // block) + 1) // 2)  # half the blocks, up
+    here, there = _two_processes(lambda: rows(V1[:cut]),
+                                 lambda: rows(V1[cut:]))
+    return {fl: (np.concatenate([here[fl][0], there[fl][0]]),
+                 np.concatenate([here[fl][1], there[fl][1]]))
+            for fl in here}
+
+
+def _two_processes(first, second):
+    """(first(), second()), with second() run in a forked child.
+
+    The child pickles its result into a pipe, or writes its error there and
+    exits 1, and leaves by os._exit, so it runs no exit handler and flushes
+    no inherited buffer. The parent reaps it whatever happens, killing it
+    first when the parent's own half fails; a failed child raises a
+    RuntimeError.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                try:
+                    pickle.dump(second(), pipe, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                except BaseException as exc:  # the parent reports it
+                    pipe.write(f"{type(exc).__name__}: {exc}".encode())
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    status = None
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            here = first()
+            payload = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        detail = payload.decode(errors="replace") or f"exit code {code}"
+        raise RuntimeError("collision._kernel_batch: the forked half of the "
+                           f"v1 rows failed ({detail})")
+    return here, pickle.loads(payload)
+
+
+def _kernel_rows(model, pdf, r1, V1, quad, flavors, pair_occ, rule_variant,
+                 z1):
+    """_kernel_batch's rows in this process, one block of rows per pass."""
+    r1 = np.asarray(r1, dtype=float)
     master, local = "master" in flavors, "boltzmann" in flavors
     sigma = model.sigma
 
@@ -144,7 +231,7 @@ def _kernel_batch(model, pdf, r1, V1, quad, flavors, pair_occ=None,
         w2_ang = W2[lo:lo + _V2_CHUNK, None] * w_ang
         if local:
             local_part_loss = pdf.density(r1, v2[:, None, :])
-        block = max(1, _BLOCK_POINTS // w2_ang.size)
+        block = _block_rows(w2_ang.size)
         for b0 in range(0, V1.shape[0], block):
             # the geometry both flavors share
             v1 = V1[b0:b0 + block]

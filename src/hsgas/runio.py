@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import platform
 import time
 from dataclasses import fields
@@ -344,6 +345,13 @@ def artifact_path(out_dir: Path, name: str) -> Path:
     return p
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on (its affinity mask)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_manifest(config: dict, *, seed: int, artifacts,
                    wall_clock_s: float) -> dict:
     """Reproduction metadata. wall_clock_s is informational, not deterministic."""
@@ -358,6 +366,7 @@ def build_manifest(config: dict, *, seed: int, artifacts,
             "package": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "usable_cpus": usable_cpus(),
         },
         "wall_clock_s": float(wall_clock_s),
         "written_at_unix": int(time.time()),

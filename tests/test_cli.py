@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,9 @@ def test_run_lists_its_artifacts_and_repeats_its_csvs(tmp_path, config):
                      if p.name != "manifest.json")
     assert manifest["artifacts"] == on_disk
     assert manifest["config"] == config
+    # a host fact: in the manifest, never in report.json
+    assert manifest["versions"]["usable_cpus"] == runio.usable_cpus() >= 1
+    assert "usable_cpus" not in (out / "report.json").read_text()
     csvs = [name for name in on_disk if name.endswith(".csv")]
     assert csvs
 
@@ -436,6 +440,9 @@ def test_ops_both_flavors_equal_the_one_flavor_runs(tmp_path):
         alone = json.loads((runs[flavor] / "report.json").read_text())
         assert list(alone["audits"]) == [flavor]
         assert both["audits"][flavor] == alone["audits"][flavor]
+    # the moment audit's forked half of the rows is reaped before ops exits
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_ops_runs_and_echoes_the_product_pair_form(tmp_path):

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from hsgas.collision import (
     moment_audit,
     operator_scan,
 )
-from hsgas.collision import _BLOCK_POINTS, _V2_CHUNK, _kernel_batch, _master_z1
+from hsgas import collision
+from hsgas.collision import (_BLOCK_POINTS, _V2_CHUNK, _hermite_velocity_grid,
+                             _kernel_batch, _master_z1)
 from hsgas.geometry import HardSphereModel
 from hsgas.occupation import (
     ContactOccupancy,
@@ -239,6 +243,127 @@ def test_kernel_blocks_match_single_v1_evaluations(flavor):
         g1, l1 = _kernel_batch(model, pdf, r1, [v1], quad, (flavor,),
                                alone_occ, z1=alone_z1)[flavor]
         assert gain[i] == g1[0] and loss[i] == l1[0]
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(collision.os, "fork", fork)
+    return forks
+
+
+def assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# 8^3 v2 nodes x 8 angles make 16 v1 rows per block; the 6^3 rows of a
+# 6-node outer rule are more than two blocks, so their pass is split
+SPLIT_QUAD = QuadratureSpec(velocity_nodes=8, angle_nodes=8)
+SPLIT_MODEL = HardSphereModel(n=30, sigma=0.08, box=1.0)
+
+
+def test_the_row_split_gives_the_bytes_of_one_process(monkeypatch):
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    pdf = mixture_pdf()
+    field = OccupationField.constant(4, SPLIT_MODEL.box, model=SPLIT_MODEL)
+    field.values = np.random.default_rng(2).uniform(0.8, 1.0, (4, 4, 4))
+    occ = ContactOccupancy(SPLIT_MODEL, field)
+    z1 = _master_z1(SPLIT_MODEL, pdf, SPLIT_QUAD, FLAVORS, occ)
+    r1 = np.array([0.3, 0.55, 0.06])  # within sigma of a wall
+    V1, _ = _hermite_velocity_grid(6, 1.3 * pdf.v_th, pdf.drift(r1))
+    assert V1.shape[0] >= 2 * (_BLOCK_POINTS // (8 ** 3 * 8))
+
+    forks = _count_forks(monkeypatch)
+    out = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(collision, "usable_cpus", lambda n=cpus: n)
+        out[cpus] = (_kernel_batch(SPLIT_MODEL, pdf, r1, V1, SPLIT_QUAD,
+                                   FLAVORS, occ, z1=z1),
+                     moment_audit(SPLIT_MODEL, pdf, r1, SPLIT_QUAD, FLAVORS,
+                                  occ, outer_nodes=6))
+    assert len(forks) == 2  # the batch and the audit, on 2 CPUs only
+    (split, split_audit), (single, single_audit) = out[2], out[1]
+    assert list(split) == list(FLAVORS)
+    for fl in FLAVORS:
+        for a, b in zip(split[fl], single[fl]):
+            assert a.shape == (V1.shape[0],)
+            assert a.tobytes() == b.tobytes()
+        assert split_audit[fl] == single_audit[fl]
+    assert_no_child_is_left()
+
+
+def test_operator_scan_never_forks(monkeypatch):
+    def fork():
+        raise AssertionError("operator_scan forked")
+
+    monkeypatch.setattr(collision.os, "fork", fork)
+    monkeypatch.setattr(collision, "usable_cpus", lambda: 2)
+    occ = unit_contact_occ(SPLIT_MODEL)
+    probes = [(BULK, np.array([0.2, 0.0, 0.0]))]
+    rows = operator_scan(SPLIT_MODEL, mixture_pdf(), probes, SPLIT_QUAD,
+                         FLAVORS, occ)
+    assert all(len(rows[fl]) == 1 for fl in FLAVORS)
+
+
+def test_a_process_running_threads_does_not_fork(monkeypatch):
+    monkeypatch.setattr(collision, "usable_cpus", lambda: 2)
+    forks = _count_forks(monkeypatch)
+    V1 = np.random.default_rng(5).normal(size=(80, 3))
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        _kernel_batch(SPLIT_MODEL, mixture_pdf(), BULK, V1, SPLIT_QUAD,
+                      ("boltzmann",))
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive() and forks == []
+
+
+class _DensityFailsIn:
+    """A pdf whose density raises in one process: its creator or not."""
+
+    def __init__(self, pdf, where):
+        self._pdf, self._creator, self._where = pdf, os.getpid(), where
+
+    def __getattr__(self, name):
+        return getattr(self._pdf, name)
+
+    def density(self, r, v):
+        if (os.getpid() == self._creator) == (self._where == "parent"):
+            raise ArithmeticError(f"density fails in the {self._where}")
+        return self._pdf.density(r, v)
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_failed_half_leaves_no_process(monkeypatch, where):
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    monkeypatch.setattr(collision, "usable_cpus", lambda: 2)
+    forks = _count_forks(monkeypatch)
+    pdf = _DensityFailsIn(mixture_pdf(), where)
+    V1 = np.random.default_rng(5).normal(size=(80, 3))
+    if where == "child":
+        match = (r"collision\._kernel_batch.*"
+                 r"ArithmeticError: density fails in the child")
+        with pytest.raises(RuntimeError, match=match):
+            _kernel_batch(SPLIT_MODEL, pdf, BULK, V1, SPLIT_QUAD,
+                          ("boltzmann",))
+    else:
+        # the parent's own error, after the child was killed and reaped
+        with pytest.raises(ArithmeticError, match="fails in the parent"):
+            _kernel_batch(SPLIT_MODEL, pdf, BULK, V1, SPLIT_QUAD,
+                          ("boltzmann",))
+    assert len(forks) == 1
+    assert_no_child_is_left()
 
 
 def test_flavors_are_a_tuple_of_known_names():

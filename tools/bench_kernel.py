@@ -8,11 +8,15 @@ times the moment audit that `hsgas ops` runs at its first probe, with the
 same 10-node outer rule: master alone, boltzmann alone, and both flavours.
 A tree that evaluates one flavour per kernel pass runs "both" as the two
 one-flavour audits in turn, as its `hsgas ops` did. Each child runs every
-variant ROUNDS times, interleaved, and reports the fastest of each.
+variant ROUNDS times, interleaved, and reports the least wall and the least
+CPU time of each.
 
 `points_per_s.<set>` counts the kernel points (outer v1 x v2 x angle) of one
 flavour times the flavours in the set, per second, so the three sets are on
-one scale.
+one scale. `cpu_s.<set>` is the CPU time (user plus system) the audit took
+in the child and in any process it forked and reaped (RUSAGE_SELF plus
+RUSAGE_CHILDREN), so a kernel that splits its rows between two cores shows
+its wall time falling while its CPU time stays.
 
 Children of the two trees alternate, one at a time, with one BLAS/OpenMP
 thread, and the order within each pair alternates too. One entry is appended
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -69,18 +74,26 @@ def measure() -> dict:
             collision.moment_audit(model, pdf, r1, quad, arg, pair_occ=occ,
                                    outer_nodes=OUTER_NODES)
 
+    def cpu_seconds():
+        return sum(ru.ru_utime + ru.ru_stime for ru in (
+            resource.getrusage(resource.RUSAGE_SELF),
+            resource.getrusage(resource.RUSAGE_CHILDREN)))
+
     seconds = {name: [] for name in SETS}
+    cpu = {name: [] for name in SETS}
     for _ in range(ROUNDS):
         for name, flavors in SETS.items():
-            t0 = time.perf_counter()
+            c0, t0 = cpu_seconds(), time.perf_counter()
             audit(flavors)
             seconds[name].append(time.perf_counter() - t0)
+            cpu[name].append(cpu_seconds() - c0)
     points = (OUTER_NODES ** 3 * quad.velocity_nodes ** 3
               * hemisphere_rule(quad.angle_nodes)[4])
     figures = {}
     for name, flavors in SETS.items():
         best = min(seconds[name])
         figures[f"audit_s.{name}"] = best
+        figures[f"cpu_s.{name}"] = min(cpu[name])
         figures[f"points_per_s.{name}"] = points * len(flavors) / best
     return figures
 
