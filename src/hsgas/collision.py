@@ -32,24 +32,15 @@ points in the same order as a lone v1, and the chunks are added in grid
 order, so the result for a v1 does not depend on which others share its
 batch either.
 
-That independence is what lets a batch of at least two blocks of v1 rows
-(a moment audit; never operator_scan's one-row calls) run on two cores: the
-process forks once, the child evaluates the second half of the rows and
-sends its (gain, loss) arrays back pickled through a pipe, the parent
-evaluates the first half and joins the two. Each row is computed by the same
-code on the same operands as in one process, and pickling keeps every bit of
-a float64, so the result is the same bytes. A host (or an affinity mask)
-with one CPU, a platform without fork, or a process running other threads
-(which a fork would not copy) runs the rows in one process.
+That independence makes a batch of more than one block of rows (a moment
+audit; never operator_scan's one-row calls) exact on two cores:
+_kernel_batch hands its blocks to runio.split_work, which runs half of them
+in one forked child and returns the same bytes as one process.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +49,7 @@ from .geometry import wall_theta
 from .occupation import ContactOccupancy, hat_normalization
 from .quadrature import (QuadratureSpec, hemisphere_rule, orthonormal_frames,
                          row_norm, tensor_rule, velocity_grid)
-from .runio import usable_cpus
+from .runio import split_work
 from .seeding import derive_rng
 
 
@@ -125,72 +116,23 @@ def _kernel_batch(model, pdf, r1, V1, quad, flavors, pair_occ=None,
 
     The master flavor needs z1 from _master_z1. Returns {flavor: (gain,
     loss)} with arrays of shape (len(V1),), each entry bitwise independent
-    of the rest of the batch and of the other flavors. A batch of at least
-    two blocks of rows is split between two processes (see the module
-    docstring for the blocking and the split).
+    of the rest of the batch and of the other flavors. A batch of more than
+    one block of rows splits its blocks between two processes (see the
+    module docstring).
     """
     V1 = np.atleast_2d(np.asarray(V1, dtype=float))
     n_ang = hemisphere_rule(quad.angle_nodes, u_order_bump=rule_variant[0],
                             phi_offset=rule_variant[1])[4]
     block = _block_rows(min(_V2_CHUNK, quad.velocity_nodes ** 3) * n_ang)
-    n_rows = V1.shape[0]
+    n_blocks = -(-V1.shape[0] // block)
 
-    def rows(V):
-        return _kernel_rows(model, pdf, r1, V, quad, flavors, pair_occ,
-                            rule_variant, z1)
+    def work(lo, hi, gather):
+        parts = gather(_kernel_rows(model, pdf, r1, V1[lo * block:hi * block],
+                                    quad, flavors, pair_occ, rule_variant, z1))
+        return {fl: tuple(np.concatenate([p[fl][k] for p in parts])
+                          for k in (0, 1)) for fl in parts[0]}
 
-    # fork copies only the calling thread: with others, stay in one process
-    if (n_rows < 2 * block or not hasattr(os, "fork") or usable_cpus() < 2
-            or threading.active_count() > 1):
-        return rows(V1)
-    cut = block * ((-(-n_rows // block) + 1) // 2)  # half the blocks, up
-    here, there = _two_processes(lambda: rows(V1[:cut]),
-                                 lambda: rows(V1[cut:]))
-    return {fl: (np.concatenate([here[fl][0], there[fl][0]]),
-                 np.concatenate([here[fl][1], there[fl][1]]))
-            for fl in here}
-
-
-def _two_processes(first, second):
-    """(first(), second()), with second() run in a forked child.
-
-    The child pickles its result into a pipe, or writes its error there and
-    exits 1, and leaves by os._exit, so it runs no exit handler and flushes
-    no inherited buffer. The parent reaps it whatever happens, killing it
-    first when the parent's own half fails; a failed child raises a
-    RuntimeError.
-    """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
-                try:
-                    pickle.dump(second(), pipe, pickle.HIGHEST_PROTOCOL)
-                    status = 0
-                except BaseException as exc:  # the parent reports it
-                    pipe.write(f"{type(exc).__name__}: {exc}".encode())
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    status = None
-    try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            here = first()
-            payload = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-    finally:
-        if status is None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        detail = payload.decode(errors="replace") or f"exit code {code}"
-        raise RuntimeError("collision._kernel_batch: the forked half of the "
-                           f"v1 rows failed ({detail})")
-    return here, pickle.loads(payload)
+    return split_work(n_blocks, work, "collision._kernel_batch")
 
 
 def _kernel_rows(model, pdf, r1, V1, quad, flavors, pair_occ, rule_variant,

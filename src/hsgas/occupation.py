@@ -18,6 +18,16 @@ measure is resolved with per-mille relative error instead of Poisson
 counting noise. Each estimate splits into SHARDS independent replicas for
 its stderr and carries the error of the wall-box measure z_w.
 
+solve_k1 runs its grid nodes on two cores through runio.split_work: the
+process draws the bank once and forks, and each process draws the ball
+proposals of one contiguous half of the nodes and runs the Picard loop on
+it, swapping (values, stderr) halves every iteration, so both hold the same
+whole field and take the same damping and convergence decisions. A node's
+update reads only the bank, its own proposals (each node has its own stream,
+derive_rng(seed, "occupation", "ball", i)) and the current field, and the
+halves travel pickled, which keeps every bit, so the field is the same bytes
+as in one process.
+
 A solved k1 is a table on a cell-centred cubic grid (OccupationField), read
 off the grid by quadrature.multilinear, the interpolator that the tabulated
 pdf shares.
@@ -39,6 +49,7 @@ from .geometry import (
     wall_theta,
 )
 from .quadrature import gauss_legendre, multilinear, row_norm, tensor_rule
+from .runio import split_work, write_csv
 from .seeding import derive_rng
 
 BALL_MIX_FRACTION = 0.1  # share of each node's sample count drawn in-ball
@@ -95,8 +106,6 @@ class OccupationField:
         return float(np.abs(self.values - 1.0).max())
 
     def to_csv(self, path):
-        from .runio import write_csv
-
         pts = self.nodes()
         rows = np.column_stack(
             [pts, self.values.reshape(-1), self.stderr.reshape(-1)]
@@ -310,8 +319,9 @@ def solve_k1(model: HardSphereModel, pdf, *, grid_nodes: int = 8,
 
     Iterates k -> (1 - v[k])^(N-1) where v[k] is the exclusion-ball measure
     of the wall-conditioned position law reweighted by 1/k (damped Picard on
-    oscillation). Raises on non-convergence and when the Monte Carlo error
-    exceeds tol/2 at any node.
+    oscillation), on two cores when it may (see the module docstring).
+    Raises on non-convergence and when the Monte Carlo error exceeds tol/2
+    at any node.
     """
     n, sigma, box = model.n, model.sigma, model.box
     field = OccupationField.constant(grid_nodes, box, 1.0, model=model)
@@ -323,40 +333,48 @@ def solve_k1(model: HardSphereModel, pdf, *, grid_nodes: int = 8,
 
     bank = _Bank(pdf, model, samples_per_node,
                  derive_rng(seed, "occupation", "bank"))
-    # per-node ball proposals are drawn once and reused across iterations so
-    # the Picard map sees a fixed sample (deterministic fixed point)
-    proposals = [
-        _ball_proposals(pdf, model, bank, fixed,
-                        derive_rng(seed, "occupation", "ball", i))
-        for i, fixed in enumerate(field.nodes()[:, None, :])
-    ]
+    nodes = field.nodes()
 
-    history = []
-    converged = False
-    iterations = 0
-    for it in range(PICARD_MAX_ITER):
-        iterations = it + 1
-        k1 = None if it == 0 else field  # the first pass runs at k1 = 1
-        weights = bank.weights(k1)
-        new_vals = np.empty(len(proposals))
-        new_errs = np.empty(len(proposals))
-        for i, prop in enumerate(proposals):
-            v_hat, v_se = _union_measure(bank, weights, prop, k1)
-            new_vals[i] = (1.0 - v_hat) ** (n - 1)
-            new_errs[i] = (n - 1) * (1.0 - v_hat) ** (n - 2) * v_se
-        new_vals = new_vals.reshape(field.values.shape)
-        new_errs = new_errs.reshape(field.values.shape)
-        change = float(np.abs(new_vals - field.values).max())
-        if len(history) >= 1 and change > history[-1]:
-            new_vals = (PICARD_DAMPING * field.values
-                        + (1.0 - PICARD_DAMPING) * new_vals)
-            change = float(np.abs(new_vals - field.values).max())
-        history.append(change)
-        field = OccupationField(axis=field.axis, values=new_vals,
-                                stderr=new_errs, model=model, info=field.info)
-        if change < 0.1 * tol:
-            converged = True
-            break
+    def picard(lo, hi, gather):
+        """The Picard loop on nodes [lo, hi); gather joins the halves."""
+        # per-node ball proposals are drawn once and reused across
+        # iterations so the Picard map sees a fixed sample (deterministic
+        # fixed point)
+        proposals = [
+            _ball_proposals(pdf, model, bank, nodes[i:i + 1],
+                            derive_rng(seed, "occupation", "ball", i))
+            for i in range(lo, hi)
+        ]
+        values, stderr, history = field.values, field.stderr, []
+        for it in range(PICARD_MAX_ITER):
+            # the first pass runs at k1 = 1
+            k1 = None if it == 0 else OccupationField(field.axis, values,
+                                                      stderr)
+            weights = bank.weights(k1)
+            half = np.empty((2, len(proposals)))
+            for i, prop in enumerate(proposals):
+                v_hat, v_se = _union_measure(bank, weights, prop, k1)
+                half[:, i] = ((1.0 - v_hat) ** (n - 1),
+                              (n - 1) * (1.0 - v_hat) ** (n - 2) * v_se)
+            whole = np.concatenate(gather(half), axis=1)
+            new_vals = whole[0].reshape(values.shape)
+            change = float(np.abs(new_vals - values).max())
+            if len(history) >= 1 and change > history[-1]:
+                new_vals = (PICARD_DAMPING * values
+                            + (1.0 - PICARD_DAMPING) * new_vals)
+                change = float(np.abs(new_vals - values).max())
+            history.append(change)
+            values, stderr = new_vals, whole[1].reshape(values.shape)
+            if change < 0.1 * tol:
+                break
+        return values, stderr, history
+
+    values, stderr, history = split_work(len(nodes), picard,
+                                         "occupation.solve_k1")
+    field = OccupationField(axis=field.axis, values=values, stderr=stderr,
+                            model=model, info=field.info)
+    iterations = len(history)
+    converged = history[-1] < 0.1 * tol
     if not converged:
         raise RuntimeError(
             f"occupation solver did not converge in {PICARD_MAX_ITER} "
@@ -376,50 +394,6 @@ def solve_k1(model: HardSphereModel, pdf, *, grid_nodes: int = 8,
         samples_per_node=samples_per_node,
     )
     return field
-
-
-def brute_force_ks(model: HardSphereModel, pdf, fixed_points, samples: int,
-                   seed: int):
-    """Direct estimate of k_s from the full (N-s)-body conditional law.
-
-    Draws complete sets of the remaining N-s wall-conditioned positions,
-    weights each set by its internal pair admissibility, and averages the
-    indicator that every draw clears every fixed exclusion ball. Exact for
-    every N; cost grows with N, so this is the small-N reference.
-    """
-    fixed = np.atleast_2d(np.asarray(fixed_points, dtype=float))
-    s = fixed.shape[0]
-    n, sigma = model.n, model.sigma
-    rest = n - s
-    if rest < 0:
-        raise ValueError(f"s={s} exceeds the particle count N={n}")
-    if sigma == 0.0 or rest == 0:
-        return 1.0, 0.0
-    rng = derive_rng(seed, "occupation", "brute", s)
-    pts, _, _ = wall_conditioned_positions(pdf, model, samples * rest, rng)
-    pts = pts.reshape(samples, rest, 3)
-    # internal admissibility weight over the N-s free spheres
-    w = np.ones(samples, dtype=bool)
-    for a in range(rest):
-        for b in range(a + 1, rest):
-            d2 = ((pts[:, a] - pts[:, b]) ** 2).sum(axis=1)
-            w &= d2 > sigma * sigma
-    clear = np.ones(samples, dtype=bool)
-    for j in range(s):
-        d2 = ((pts - fixed[j]) ** 2).sum(axis=2)
-        clear &= np.all(d2 > sigma * sigma, axis=1)
-    num = (w & clear).astype(float)
-    den = w.astype(float)
-    vals = np.empty(SHARDS)
-    block = samples // SHARDS
-    for q in range(SHARDS):
-        sl = slice(q * block, (q + 1) * block)
-        d = den[sl].sum()
-        vals[q] = num[sl].sum() / d if d > 0 else np.nan
-    vals = vals[np.isfinite(vals)]
-    k = float(num.sum() / den.sum())
-    se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return k, se
 
 
 # ---------------------------------------------------------------------------

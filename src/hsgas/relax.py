@@ -117,16 +117,6 @@ def moment_matched_maxwellian(lattice: VelocityLattice, f: np.ndarray):
     return maxwellian_on_lattice(lattice, mass, u, T)
 
 
-def two_beam_initial(lattice: VelocityLattice):
-    """Two counter-propagating Maxwellian beams of unit total mass along y.
-
-    The beams move at +-1.25 with thermal width 0.5.
-    """
-    u = np.array([0.0, 1.25, 0.0])
-    return 0.5 * (maxwellian_on_lattice(lattice, 1.0, u, 0.25)
-                  + maxwellian_on_lattice(lattice, 1.0, -u, 0.25))
-
-
 def initial_from_pdf(lattice: VelocityLattice, pdf, r=None):
     """Velocity law of a pdf family at position r (default: box center)."""
     if r is None:

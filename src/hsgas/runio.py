@@ -9,10 +9,14 @@ byte-identity claim.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import os
+import pickle
 import platform
+import signal
+import threading
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -350,6 +354,107 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+# set inside either half of split_work, so a nested call stays in its process
+_IN_HALF = contextvars.ContextVar("split_work_half", default=False)
+
+
+def split_work(n: int, work, layer: str):
+    """work(lo, hi, gather) over the items [0, n), in one process or two.
+
+    With two or more usable CPUs the process forks once: it runs
+    work(0, cut, gather) and the child work(cut, n, gather), cut = (n + 1)
+    // 2. gather(x) returns the list of both halves' x in item order, in
+    both processes, so both can go on from the same whole; each gather
+    swaps the halves' x pickled through two pipes (the first half writes,
+    then reads, so no gather deadlocks), and pickling keeps every bit of a
+    float64. In one process work(0, n, gather) runs and gather(x) returns
+    [x]. Returns the first half's (or the one) result.
+
+    One process runs when n < 2, on one usable CPU, without os.fork, while
+    other threads run (a fork copies only the calling thread) and inside
+    either half of another split_work. The child leaves by os._exit, so it
+    runs no exit handler and flushes no inherited buffer. Its error reaches
+    the parent as a RuntimeError naming layer. The parent reaps the child
+    whatever happens, killing it first when its own half fails.
+    """
+    if (n < 2 or _IN_HALF.get() or not hasattr(os, "fork")
+            or usable_cpus() < 2 or threading.active_count() > 1):
+        return work(0, n, lambda x: [x])
+    cut = (n + 1) // 2
+    down_read, down_write = os.pipe()  # first half -> second half
+    up_read, up_write = os.pipe()      # second half -> first half
+    pid = os.fork()
+    if pid == 0:
+        _IN_HALF.set(True)
+        status = 1
+        try:
+            os.close(down_write)
+            os.close(up_read)
+            with (os.fdopen(down_read, "rb") as down,
+                  os.fdopen(up_write, "wb", buffering=0) as up):
+                def gather(x):
+                    first = pickle.load(down)
+                    _send(up, ("ok", x))
+                    return [first, x]
+
+                try:
+                    work(cut, n, gather)
+                    status = 0
+                except BaseException as exc:  # the parent reports it
+                    _send(up, ("error", f"{type(exc).__name__}: {exc}"))
+        finally:
+            os._exit(status)
+    os.close(down_read)
+    os.close(up_write)
+    status = None
+    try:
+        with (os.fdopen(up_read, "rb") as up,
+              os.fdopen(down_write, "wb", buffering=0) as down):
+            def gather(x):
+                try:
+                    _send(down, x)
+                except BrokenPipeError:
+                    pass  # the child has left; its message says why
+                return [x, _receive(up, layer)]
+
+            token = _IN_HALF.set(True)
+            try:
+                result = work(0, cut, gather)
+            finally:
+                _IN_HALF.reset(token)
+            down.close()  # a child still waiting for a gather reads EOF
+            if up.peek(1):
+                _receive(up, layer)  # a message after the last gather
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise RuntimeError(f"{layer}: the forked half failed "
+                           f"(exit code {code})")
+    return result
+
+
+def _send(pipe, message):
+    """Write message pickled, whole, to an unbuffered pipe."""
+    view = memoryview(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+    while view:
+        view = view[pipe.write(view):]
+
+
+def _receive(pipe, layer):
+    """The second half's x from its next message; raises on its error."""
+    try:
+        tag, x = pickle.load(pipe)
+    except EOFError:
+        tag, x = "error", "it ended before sending its half"
+    if tag != "ok":
+        raise RuntimeError(f"{layer}: the forked half failed ({x})")
+    return x
 
 
 def build_manifest(config: dict, *, seed: int, artifacts,

@@ -18,7 +18,7 @@ from hsgas.collision import (
     moment_audit,
     operator_scan,
 )
-from hsgas import collision
+from hsgas import runio
 from hsgas.collision import (_BLOCK_POINTS, _V2_CHUNK, _hermite_velocity_grid,
                              _kernel_batch, _master_z1)
 from hsgas.geometry import HardSphereModel
@@ -245,30 +245,13 @@ def test_kernel_blocks_match_single_v1_evaluations(flavor):
         assert gain[i] == g1[0] and loss[i] == l1[0]
 
 
-def _count_forks(monkeypatch):
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(collision.os, "fork", fork)
-    return forks
-
-
-def assert_no_child_is_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 # 8^3 v2 nodes x 8 angles make 16 v1 rows per block; the 6^3 rows of a
 # 6-node outer rule are more than two blocks, so their pass is split
 SPLIT_QUAD = QuadratureSpec(velocity_nodes=8, angle_nodes=8)
 SPLIT_MODEL = HardSphereModel(n=30, sigma=0.08, box=1.0)
 
 
-def test_the_row_split_gives_the_bytes_of_one_process(monkeypatch):
+def test_the_row_split_gives_the_bytes_of_one_process(monkeypatch, forks):
     if not hasattr(os, "fork"):
         pytest.skip("no os.fork on this platform")
     pdf = mixture_pdf()
@@ -280,10 +263,9 @@ def test_the_row_split_gives_the_bytes_of_one_process(monkeypatch):
     V1, _ = _hermite_velocity_grid(6, 1.3 * pdf.v_th, pdf.drift(r1))
     assert V1.shape[0] >= 2 * (_BLOCK_POINTS // (8 ** 3 * 8))
 
-    forks = _count_forks(monkeypatch)
     out = {}
     for cpus in (2, 1):
-        monkeypatch.setattr(collision, "usable_cpus", lambda n=cpus: n)
+        monkeypatch.setattr(runio, "usable_cpus", lambda n=cpus: n)
         out[cpus] = (_kernel_batch(SPLIT_MODEL, pdf, r1, V1, SPLIT_QUAD,
                                    FLAVORS, occ, z1=z1),
                      moment_audit(SPLIT_MODEL, pdf, r1, SPLIT_QUAD, FLAVORS,
@@ -296,15 +278,15 @@ def test_the_row_split_gives_the_bytes_of_one_process(monkeypatch):
             assert a.shape == (V1.shape[0],)
             assert a.tobytes() == b.tobytes()
         assert split_audit[fl] == single_audit[fl]
-    assert_no_child_is_left()
+    forks.assert_none_left()
 
 
 def test_operator_scan_never_forks(monkeypatch):
     def fork():
         raise AssertionError("operator_scan forked")
 
-    monkeypatch.setattr(collision.os, "fork", fork)
-    monkeypatch.setattr(collision, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(runio, "usable_cpus", lambda: 2)
     occ = unit_contact_occ(SPLIT_MODEL)
     probes = [(BULK, np.array([0.2, 0.0, 0.0]))]
     rows = operator_scan(SPLIT_MODEL, mixture_pdf(), probes, SPLIT_QUAD,
@@ -312,9 +294,8 @@ def test_operator_scan_never_forks(monkeypatch):
     assert all(len(rows[fl]) == 1 for fl in FLAVORS)
 
 
-def test_a_process_running_threads_does_not_fork(monkeypatch):
-    monkeypatch.setattr(collision, "usable_cpus", lambda: 2)
-    forks = _count_forks(monkeypatch)
+def test_a_process_running_threads_does_not_fork(monkeypatch, forks):
+    monkeypatch.setattr(runio, "usable_cpus", lambda: 2)
     V1 = np.random.default_rng(5).normal(size=(80, 3))
     release = threading.Event()
     other = threading.Thread(target=release.wait)
@@ -344,11 +325,10 @@ class _DensityFailsIn:
 
 
 @pytest.mark.parametrize("where", ["child", "parent"])
-def test_a_failed_half_leaves_no_process(monkeypatch, where):
+def test_a_failed_half_leaves_no_process(monkeypatch, forks, where):
     if not hasattr(os, "fork"):
         pytest.skip("no os.fork on this platform")
-    monkeypatch.setattr(collision, "usable_cpus", lambda: 2)
-    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(runio, "usable_cpus", lambda: 2)
     pdf = _DensityFailsIn(mixture_pdf(), where)
     V1 = np.random.default_rng(5).normal(size=(80, 3))
     if where == "child":
@@ -363,7 +343,7 @@ def test_a_failed_half_leaves_no_process(monkeypatch, where):
             _kernel_batch(SPLIT_MODEL, pdf, BULK, V1, SPLIT_QUAD,
                           ("boltzmann",))
     assert len(forks) == 1
-    assert_no_child_is_left()
+    forks.assert_none_left()
 
 
 def test_flavors_are_a_tuple_of_known_names():

@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from hsgas import occupation, runio
 from hsgas.geometry import HardSphereModel, PhasePoint
 from hsgas.occupation import (
     SHARDS,
@@ -15,7 +18,6 @@ from hsgas.occupation import (
     analytic_contact_k2_uniform,
     analytic_k1_uniform,
     ball_fraction_from_k1,
-    brute_force_ks,
     contact_pair_tuples,
     correlation_delta,
     estimate_ks,
@@ -28,6 +30,52 @@ from hsgas.occupation import (
 from hsgas.occupation import _Bank, _ball_proposals
 from hsgas.pdfs import TiltedExponential, UniformMaxwellian
 from hsgas.quadrature import INTERP_BLOCK
+from hsgas.seeding import derive_rng
+
+
+def brute_force_ks(model: HardSphereModel, pdf, fixed_points, samples: int,
+                   seed: int):
+    """Direct estimate of k_s from the full (N-s)-body conditional law.
+
+    Draws complete sets of the remaining N-s wall-conditioned positions,
+    weights each set by its internal pair admissibility, and averages the
+    indicator that every draw clears every fixed exclusion ball. Exact for
+    every N; cost grows with N, so this is the small-N reference.
+    """
+    fixed = np.atleast_2d(np.asarray(fixed_points, dtype=float))
+    s = fixed.shape[0]
+    n, sigma = model.n, model.sigma
+    rest = n - s
+    if rest < 0:
+        raise ValueError(f"s={s} exceeds the particle count N={n}")
+    if sigma == 0.0 or rest == 0:
+        return 1.0, 0.0
+    rng = derive_rng(seed, "occupation", "brute", s)
+    pts, _, _ = wall_conditioned_positions(pdf, model, samples * rest, rng)
+    pts = pts.reshape(samples, rest, 3)
+    # internal admissibility weight over the N-s free spheres
+    w = np.ones(samples, dtype=bool)
+    for a in range(rest):
+        for b in range(a + 1, rest):
+            d2 = ((pts[:, a] - pts[:, b]) ** 2).sum(axis=1)
+            w &= d2 > sigma * sigma
+    clear = np.ones(samples, dtype=bool)
+    for j in range(s):
+        d2 = ((pts - fixed[j]) ** 2).sum(axis=2)
+        clear &= np.all(d2 > sigma * sigma, axis=1)
+    num = (w & clear).astype(float)
+    den = w.astype(float)
+    vals = np.empty(SHARDS)
+    block = samples // SHARDS
+    for q in range(SHARDS):
+        sl = slice(q * block, (q + 1) * block)
+        d = den[sl].sum()
+        vals[q] = num[sl].sum() / d if d > 0 else np.nan
+    vals = vals[np.isfinite(vals)]
+    k = float(num.sum() / den.sum())
+    se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
+    return k, se
+
 
 # Frozen closed form: (1 - (4 pi/3) sigma^3 / (box - sigma)^3)^(N-1)
 ANALYTIC_K1_N16_S008 = 0.9594740972243314
@@ -219,6 +267,136 @@ def test_solve_k1_matches_brute_force_n16():
     se_solver = field.stderr[i, i, i]
     combined = math.hypot(se_bf, se_solver)
     assert abs(k_solver - k_bf) < 3 * combined
+
+
+# solve_k1 on two processes: (model, grid nodes, tol). Grid 4 splits 64
+# nodes evenly, grid 3 splits 27 as 14 + 13; the dense model's Picard loop
+# grows its sup-change at its fourth iteration and takes the damped step
+SPLIT_CASES = {
+    "even": (HardSphereModel(n=20, sigma=0.1, box=1.0), 4, 0.05),
+    "odd-damped": (HardSphereModel(n=400, sigma=0.08, box=1.0), 3, 0.02),
+}
+SPLIT_SAMPLES = 20_000
+
+
+def _solve_on(monkeypatch, cpus, model, grid_nodes, tol,
+              pdf=UniformMaxwellian(1.0)):
+    monkeypatch.setattr(runio, "usable_cpus", lambda: cpus)
+    return solve_k1(model, pdf, grid_nodes=grid_nodes,
+                    samples_per_node=SPLIT_SAMPLES, seed=1, tol=tol)
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_the_node_split_gives_the_bytes_of_one_process(monkeypatch, forks,
+                                                       case):
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    split = _solve_on(monkeypatch, 2, *SPLIT_CASES[case])
+    assert len(forks) == 1
+    single = _solve_on(monkeypatch, 1, *SPLIT_CASES[case])
+    assert len(forks) == 1
+    assert split.values.tobytes() == single.values.tobytes()
+    assert split.stderr.tobytes() == single.stderr.tobytes()
+    assert repr(split.info) == repr(single.info)
+    forks.assert_none_left()
+
+
+def test_the_dense_split_case_takes_the_damped_step(monkeypatch):
+    model, grid_nodes, tol = SPLIT_CASES["odd-damped"]
+    field = _solve_on(monkeypatch, 1, model, grid_nodes, tol)
+    monkeypatch.setattr(occupation, "PICARD_DAMPING", 0.3)
+    other = _solve_on(monkeypatch, 1, model, grid_nodes, tol)
+    assert field.info["iterations"] == other.info["iterations"] == 4
+    assert not np.array_equal(field.values, other.values)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_solver_keeps_its_own_errors(monkeypatch, forks, cpus):
+    dense = HardSphereModel(n=300, sigma=0.1, box=1.0)
+    with pytest.raises(RuntimeError, match=r"^occupation solver did not "
+                       r"converge in 12 iterations; last sup-change "):
+        _solve_on(monkeypatch, cpus, dense, 3, 0.02)
+    model = HardSphereModel(n=40, sigma=0.1, box=1.0)
+    with pytest.raises(RuntimeError, match=r"^occupation Monte Carlo error "
+                       r"\S+ exceeds tol/2 \(1\.000e-03\); raise "
+                       r"k1\.samples_per_node$"):
+        _solve_on(monkeypatch, cpus, model, 3, 2e-3)
+    assert len(forks) == (2 if cpus == 2 else 0)
+    forks.assert_none_left()
+
+
+class _PositionDensityFailsIn:
+    """A pdf whose position_density raises in one process after the bank.
+
+    The bank's call comes first and runs before any split; every later call
+    raises in the process named: the pdf's creator or any other.
+    """
+
+    def __init__(self, pdf, where):
+        self._pdf, self._creator, self._where = pdf, os.getpid(), where
+        self._calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._pdf, name)
+
+    def position_density(self, r):
+        self._calls += 1
+        here = (os.getpid() == self._creator) == (self._where == "parent")
+        if here and self._calls > 1:
+            raise ArithmeticError(f"density fails in the {self._where}")
+        return self._pdf.position_density(r)
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_failed_half_of_the_nodes_leaves_no_process(monkeypatch, forks,
+                                                       where):
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    model, grid_nodes, tol = SPLIT_CASES["even"]
+    pdf = _PositionDensityFailsIn(UniformMaxwellian(1.0), where)
+    if where == "child":
+        error, match = RuntimeError, (r"occupation\.solve_k1.*"
+                                      r"ArithmeticError: density fails in "
+                                      r"the child")
+    else:
+        # the parent's own error, after the child was killed and reaped
+        error, match = ArithmeticError, "fails in the parent"
+    with pytest.raises(error, match=match):
+        _solve_on(monkeypatch, 2, model, grid_nodes, tol, pdf)
+    assert len(forks) == 1
+    forks.assert_none_left()
+
+
+def test_a_solve_inside_a_half_does_not_fork(monkeypatch, forks):
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    model, grid_nodes, tol = SPLIT_CASES["even"]
+
+    def work(lo, hi, gather):
+        field = _solve_on(monkeypatch, 2, model, grid_nodes, tol)
+        # every half sees only the one fork of the outer split
+        return gather((len(forks), field.values.tobytes()))
+
+    halves = runio.split_work(2, work, "test")
+    assert [count for count, _ in halves] == [1, 1]
+    assert halves[0][1] == halves[1][1]
+    forks.assert_none_left()
+
+
+def test_a_process_running_threads_solves_without_forking(monkeypatch,
+                                                          forks):
+    model, grid_nodes, tol = SPLIT_CASES["even"]
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        field = _solve_on(monkeypatch, 2, model, grid_nodes, tol)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive() and forks == []
+    single = _solve_on(monkeypatch, 1, model, grid_nodes, tol)
+    assert field.values.tobytes() == single.values.tobytes()
 
 
 def test_estimate_ks_at_s1_reproduces_the_k1_fixed_point():

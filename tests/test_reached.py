@@ -25,8 +25,6 @@ UNREACHED = {
     "md.wall_contact_rate_prediction": "the md report's next prediction "
                                        "(ROADMAP A)",
     "occupation.ContactOccupancy.g_contact": "the benchmark traces it",
-    "occupation.brute_force_ks": "the Monte Carlo oracle of the k_s tests",
-    "relax.two_beam_initial": "the relax tests' initial state",
 }
 # cli.runner dispatches subcommand <name> to cli._run_<name> by its name
 DISPATCHED_PREFIX = "cli._run_"

@@ -16,11 +16,20 @@ from hsgas.relax import (
     l1_distance,
     maxwellian_on_lattice,
     moment_matched_maxwellian,
-    two_beam_initial,
 )
 
 TWO_BEAM_T_FINAL = 0.7708333333333334  # (3*0.25 + 1.25^2)/3
 MODEL = HardSphereModel(n=100, sigma=0.1, box=1.0)  # rate prefactor 1.0
+
+
+def two_beam_initial(lattice: VelocityLattice):
+    """Two counter-propagating Maxwellian beams of unit total mass along y.
+
+    The beams move at +-1.25 with thermal width 0.5.
+    """
+    u = np.array([0.0, 1.25, 0.0])
+    return 0.5 * (maxwellian_on_lattice(lattice, 1.0, u, 0.25)
+                  + maxwellian_on_lattice(lattice, 1.0, -u, 0.25))
 
 
 def test_lattice_geometry():
