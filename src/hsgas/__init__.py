@@ -1,9 +1,8 @@
 """Hard-sphere kinetic-theory workbench.
 
 Finite-N excluded-volume occupation coefficients, contact-sphere vs binary
-collision operators, event-driven N-body dynamics with collision boundary
-conditions, a homogeneous relaxation solver, and scaled-sequence convergence
-experiments, all behind a deterministic seeded CLI.
+collision operators, event-driven N-body dynamics, a homogeneous relaxation
+solver, and scaled-sequence convergence experiments, all behind a deterministic seeded CLI.
 """
 
 from __future__ import annotations

@@ -2,10 +2,11 @@
 
 Along such a sequence the free path stays of order the box while the packing
 fraction and all occupation corrections shrink; the small parameter is
-epsilon = 1/N. Every sweep here runs one metric over the sequence with common
-random numbers per entry and returns the per-entry values together with a
-weighted log-log rate fit, so "the correction vanishes like epsilon^q" is an
-output, not an assumption.
+epsilon = 1/N. Every sweep runs one metric over the sequence through one
+driver, _sweep, which seeds each model with common random numbers, solves its
+k1 field and records one row; the sweeps then return the rows together with
+a weighted log-log rate fit, so "the correction vanishes like epsilon^q" is
+an output, not an assumption.
 """
 
 from __future__ import annotations
@@ -40,24 +41,8 @@ PLATEAU_TOL = 0.05  # relative change of a noncomm plateau
 # the sequence
 
 
-@dataclass(frozen=True)
-class SequenceEntry:
-    n: int
-    sigma: float
-    epsilon: float
-    model: HardSphereModel
-
-
-@dataclass(frozen=True)
-class EpsilonSequence:
-    entries: tuple
-
-    def epsilons(self):
-        return np.array([e.epsilon for e in self.entries])
-
-
-def build_sequence(c: float, box: float, ns) -> EpsilonSequence:
-    """Sequence of models with N sigma^2 = c, epsilon = 1/N.
+def build_sequence(c: float, box: float, ns) -> tuple:
+    """Models with N sigma^2 = c, one per N; epsilon = 1/N is model.epsilon.
 
     Rejects diameters at or beyond half the box (the geometry cannot hold a
     sphere) and verifies the held product to 1e-12 relative.
@@ -67,7 +52,7 @@ def build_sequence(c: float, box: float, ns) -> EpsilonSequence:
     ns = [int(n) for n in ns]
     if sorted(set(ns)) != ns:
         raise ValueError("particle counts must be strictly increasing")
-    entries = []
+    models = []
     for n in ns:
         if n < 2:
             raise ValueError("need at least two particles per entry")
@@ -78,10 +63,8 @@ def build_sequence(c: float, box: float, ns) -> EpsilonSequence:
                 "shrink c")
         if abs(n * sigma ** 2 - c) > 1e-12 * c:
             raise ValueError(f"held product drifted at N={n}")
-        entries.append(SequenceEntry(
-            n=n, sigma=sigma, epsilon=1.0 / n,
-            model=HardSphereModel(n=n, sigma=sigma, box=box)))
-    return EpsilonSequence(entries=tuple(entries))
+        models.append(HardSphereModel(n=n, sigma=sigma, box=box))
+    return tuple(models)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +148,11 @@ class ConvergenceReport:
     info: dict = dataclass_field(default_factory=dict)
 
 
-def _convergence_report(metric, seq, rows, info, sample_keys):
+def _convergence_report(metric, rows, info, sample_keys):
     """The rate fit of a sweep's rows and whether their values decrease."""
     values = [r["value"] for r in rows]
-    fit = fit_rate(seq.epsilons(), values, [r["error"] for r in rows],
-                   sample_keys=sample_keys)
+    fit = fit_rate([r["epsilon"] for r in rows], values,
+                   [r["error"] for r in rows], sample_keys=sample_keys)
     return ConvergenceReport(metric=metric, entries=rows, fit=fit,
                              decreasing=bool(np.all(np.diff(values) < 0)),
                              info=info)
@@ -179,10 +162,24 @@ def _convergence_report(metric, seq, rows, info, sample_keys):
 # sweeps
 
 
-def _k1_budget(field) -> dict:
-    """The k1 budget a solved field used, for a report's info."""
-    return {"grid_nodes": field.grid_nodes,
-            "samples_per_node": field.info["samples_per_node"]}
+def _sweep(models, pdf, *, seed, label, k1, measure):
+    """The loop of every sweep: per model, solve k1 and measure one row.
+
+    Each model's child seed derive_child_seed(seed, "bg", label, n) seeds
+    its solve_k1 (with the budget k1) and is passed on as
+    measure(model, field, child), whose dict completes the row after n,
+    epsilon and sigma. Returns (rows, info); info holds the seed, the pdf's
+    class name and the k1 budget the solves used.
+    """
+    rows = []
+    for model in models:
+        child = derive_child_seed(seed, "bg", label, model.n)
+        field = solve_k1(model, pdf, seed=child, **k1)
+        rows.append({"n": model.n, "epsilon": model.epsilon,
+                     "sigma": model.sigma, **measure(model, field, child)})
+    return rows, {"seed": seed, "pdf": type(pdf).__name__,
+                  "grid_nodes": field.grid_nodes,
+                  "samples_per_node": field.info["samples_per_node"]}
 
 
 def sweep_k1(c: float, box: float, ns, *, pdf, seed: int = 0,
@@ -194,32 +191,24 @@ def sweep_k1(c: float, box: float, ns, *, pdf, seed: int = 0,
     the extremal node. The deviation is largest in the bulk, so the sup
     doubles as the bulk occupation correction.
     """
-    seq = build_sequence(c, box, ns)
-    rows = []
-    for entry in seq.entries:
-        field = solve_k1(entry.model, pdf,
-                         seed=derive_child_seed(seed, "bg", "k1", entry.n),
-                         **k1)
+    def measure(model, field, child):
         dev = np.abs(field.values - 1.0)
         idx = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        rows.append({
-            "n": entry.n, "epsilon": entry.epsilon, "sigma": entry.sigma,
-            "value": float(dev[idx]), "error": float(field.stderr[idx]),
-            "iterations": field.info.get("iterations"),
-        })
-    return _convergence_report(
-        "sup_node_abs_k1_minus_1", seq, rows,
-        {"c": c, "box": box, **_k1_budget(field), "seed": seed,
-         "pdf": type(pdf).__name__},
-        ("k1.samples_per_node",))
+        return {"value": float(dev[idx]), "error": float(field.stderr[idx]),
+                "iterations": field.info.get("iterations")}
+
+    rows, info = _sweep(build_sequence(c, box, ns), pdf, seed=seed,
+                        label="k1", k1=k1, measure=measure)
+    return _convergence_report("sup_node_abs_k1_minus_1", rows,
+                               {"c": c, "box": box, **info},
+                               ("k1.samples_per_node",))
 
 
 def bulk_phase_probes(model: HardSphereModel, pdf, count: int, seed: int):
-    """Fixed (r, v) probes clear of the walls, shared across a sequence.
+    """Fixed (r, v) probes clear of the walls of one model.
 
     Positions are uniform on the box shrunk by PROBE_CLEARANCE * sigma per
-    face (pass the largest-sigma model of the sequence so the same probes
-    stay in the bulk of every entry); velocities come from the pdf.
+    face (at least 2% of the box); velocities come from the pdf.
     """
     rng = derive_rng(seed, "bg", "probes")
     margin = max(PROBE_CLEARANCE * model.sigma, 0.02 * model.box)
@@ -241,9 +230,9 @@ def chaos_sweep(c: float, box: float, ns, *, pdf, tuple_count: int = 20,
     control entry (sigma = 0, same N as the first entry) must give exactly
     zero.
     """
-    seq = build_sequence(c, box, ns)
-    sigma_max = max(e.sigma for e in seq.entries)
-    tuple_model = HardSphereModel(n=seq.entries[0].n, sigma=sigma_max, box=box)
+    models = build_sequence(c, box, ns)
+    sigma_max = max(m.sigma for m in models)
+    tuple_model = HardSphereModel(n=models[0].n, sigma=sigma_max, box=box)
     try:
         tuples = contact_pair_tuples(tuple_model, pdf, tuple_count,
                                      derive_child_seed(seed, "bg", "tuples"))
@@ -254,31 +243,29 @@ def chaos_sweep(c: float, box: float, ns, *, pdf, tuple_count: int = 20,
         raise
     positions = [np.stack([p.r for p in tp]) for tp in tuples]
     k1 = {**COARSE_K1, **k1}
-    rows = []
-    for entry in seq.entries:
-        child = derive_child_seed(seed, "bg", "chaos", entry.n)
-        field = solve_k1(entry.model, pdf, seed=child, **k1)
-        pair_occ = estimate_ks(entry.model, pdf, positions, samples=samples,
+
+    def measure(model, field, child):
+        pair_occ = estimate_ks(model, pdf, positions, samples=samples,
                                seed=child, k1_field=field)
-        cs = correlation_delta(entry.model, pdf, field, tuples,
-                               pair_occ=pair_occ)
+        cs = correlation_delta(model, pdf, field, tuples, pair_occ=pair_occ)
         i_max = int(np.argmax(np.abs(cs.delta_rho)))
-        rows.append({
-            "n": entry.n, "epsilon": entry.epsilon, "sigma": entry.sigma,
+        return {
             "value": float(np.abs(cs.delta_rho[i_max])),
             "error": float(cs.mc_error[i_max]),
             "sup_abs_k2_minus_1": float(np.abs(pair_occ.ks_values - 1).max()),
             "argmax_tuple": i_max,
-        })
-    control_model = HardSphereModel(n=seq.entries[0].n, sigma=0.0, box=box)
+        }
+
+    rows, info = _sweep(models, pdf, seed=seed, label="chaos", k1=k1,
+                        measure=measure)
+    control_model = HardSphereModel(n=models[0].n, sigma=0.0, box=box)
     zero_field = solve_k1(control_model, pdf, seed=seed, **k1)
     cs0 = correlation_delta(control_model, pdf, zero_field, tuples)
-    info = {"c": c, "box": box, "tuple_count": tuple_count,
-            "separation": PAIR_SEPARATION * sigma_max, "samples": samples,
-            "seed": seed, **_k1_budget(field), "pdf": type(pdf).__name__,
-            "control_max_abs": float(np.abs(cs0.delta_rho).max())}
-    return _convergence_report("sup_pair_factorization_defect", seq, rows,
-                               info, ("bg.samples",))
+    info.update(c=c, box=box, tuple_count=tuple_count,
+                separation=PAIR_SEPARATION * sigma_max, samples=samples,
+                control_max_abs=float(np.abs(cs0.delta_rho).max()))
+    return _convergence_report("sup_pair_factorization_defect", rows, info,
+                               ("bg.samples",))
 
 
 @dataclass
@@ -319,24 +306,21 @@ def noncommutativity_report(c: float, box: float, ns, pdf, *, quad,
     anything. Densities whose transport derivative vanishes identically
     (uniform bulk: the flux integrand is odd) come out flagged commutative.
     """
-    seq = build_sequence(c, box, ns)
     r1 = np.full(3, box / 2.0)
-    k1 = {"samples_per_node": 400_000, **k1}
-    rows = []
-    for entry in seq.entries:
-        field = solve_k1(entry.model, pdf,
-                         seed=derive_child_seed(seed, "bg", "noncomm",
-                                                entry.n), **k1)
-        occ = ContactOccupancy(entry.model, field)
-        rep = l1_k1_contact_integral(pdf, occ, entry.model, r1, quad=quad)
-        scale = entry.epsilon ** -0.5
-        rows.append({
-            "n": entry.n, "epsilon": entry.epsilon, "sigma": entry.sigma,
-            "raw_value": rep.value, "raw_error": rep.error,
-            "rescaled_value": rep.value * scale,
-            "rescaled_error": rep.error * scale,
-            "sup_abs_k1_minus_1": field.sup_abs_deviation(),
-        })
+
+    def measure(model, field, child):
+        rep = l1_k1_contact_integral(pdf, ContactOccupancy(model, field),
+                                     model, r1, quad=quad)
+        scale = model.epsilon ** -0.5
+        return {"raw_value": rep.value, "raw_error": rep.error,
+                "rescaled_value": rep.value * scale,
+                "rescaled_error": rep.error * scale,
+                "sup_abs_k1_minus_1": field.sup_abs_deviation()}
+
+    rows, info = _sweep(build_sequence(c, box, ns), pdf, seed=seed,
+                        label="noncomm",
+                        k1={"samples_per_node": 400_000, **k1},
+                        measure=measure)
     commutative = all(abs(r["raw_value"]) <= 10.0 * r["raw_error"]
                       for r in rows)
     last, prev = rows[-1], rows[-2]
@@ -349,10 +333,8 @@ def noncommutativity_report(c: float, box: float, ns, pdf, *, quad,
         plateau_rel_change=rel_change,
         plateau_ok=bool(rel_change < PLATEAU_TOL) and not commutative,
         nonzero_limit=bool(nonzero),
-        sup_k1_final=rows[-1]["sup_abs_k1_minus_1"],
+        sup_k1_final=last["sup_abs_k1_minus_1"],
         limit_then_transport=0.0,
         commutative=commutative,
-        info={"c": c, "box": box, "r1": [float(x) for x in r1],
-              "seed": seed, **_k1_budget(field),
-              "plateau_tol": PLATEAU_TOL, "pdf": type(pdf).__name__,
-              "rescale_exponent": -0.5})
+        info={"c": c, "box": box, "r1": [float(x) for x in r1], **info,
+              "plateau_tol": PLATEAU_TOL, "rescale_exponent": -0.5})

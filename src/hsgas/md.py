@@ -38,25 +38,6 @@ from .quadrature import gauss_legendre, sphere_grid, tensor_rule
 # event prediction
 
 
-@dataclass(frozen=True)
-class Event:
-    """A resolved event: the system state immediately before and after.
-
-    kind "pair" carries the colliding indices (i < j_or_face) and the unit
-    contact normal from i toward j; kind "wall" carries the particle index
-    and the face index (axis*2, lower; axis*2+1, upper). x_minus and x_plus
-    share one positions array; only velocities differ across a collision.
-    """
-
-    t: float
-    kind: str                 # "pair" or "wall"
-    i: int
-    j_or_face: int
-    x_minus: NBodyConfig = None
-    x_plus: NBodyConfig = None
-    normal: np.ndarray = None
-
-
 def _pair_times_against(positions, velocities, i, sigma):
     """Contact times of particle i against all others, in one pass over N.
 
@@ -107,7 +88,6 @@ class Trajectory:
     n_pair: int
     n_wall: int
     event_rows: list          # [t, kind, i, j_or_face, dKE, dPx, dPy, dPz]
-    records: list             # resolved pair Events, capped at record_cap
     snapshots: list           # (t, positions, velocities)
     audits: dict
     diagnostics: dict         # scheduler counts: peak heap, stale pops, ...
@@ -121,7 +101,7 @@ class Trajectory:
 
 
 def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
-        max_events: int = None, snapshot_times=None, record_cap: int = 0,
+        max_events: int = None, snapshot_times=None,
         audit_every: int = 1, v_th_ref: float = 1.0) -> Trajectory:
     """Advance the configuration by event-driven dynamics.
 
@@ -132,10 +112,8 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
     times must be ascending. Audits: exact-contact residual at every pair
     event, monotone event times, and full ensemble admissibility every
     audit_every events (default: after every event) and at the end. The
-    first record_cap pair events (none by default) are kept as resolved
-    Events for boundary-condition evaluation. The diagnostics count the
-    scheduler's work: the peak heap length, the stale pops (entries that a
-    later event invalidated) and the heap compactions.
+    diagnostics count the scheduler's work: the peak heap length, the stale
+    pops (entries that a later event invalidated) and the heap compactions.
     """
     if t_end is None and max_events is None:
         raise ValueError("need t_end and/or max_events")
@@ -188,7 +166,6 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
     snap_idx = 0
     snapshots = []
     event_rows = []
-    records = []
     n_pair = n_wall = 0
     max_contact_residual = 0.0
     max_pair_gap = 0.0  # worst admissibility defect seen (negative is overlap)
@@ -283,21 +260,11 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
             mid = 0.5 * (pos[i] + pos[j])
             pos[i] = mid - 0.5 * sigma * nhat
             pos[j] = mid + 0.5 * sigma * nhat
-            keep = len(records) < record_cap
-            if keep:
-                v_in = vel.copy()
             vi_new, vj_new = elastic_map(vel[i], vel[j], nhat)
             vel[i] = vi_new
             vel[j] = vj_new
             counters[i] += 1
             counters[j] += 1
-            if keep:
-                contact = pos.copy()
-                records.append(Event(
-                    t=t, kind="pair", i=i, j_or_face=j,
-                    x_minus=NBodyConfig(contact, v_in),
-                    x_plus=NBodyConfig(contact, vel.copy()),
-                    normal=nhat.copy()))
             n_pair += 1
             ke = 0.5 * float((vel * vel).sum())
             touched = ((i, schedule(i, t)), (j, schedule(j, t)))
@@ -334,7 +301,7 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
     return Trajectory(
         model=model, config=NBodyConfig(pos, vel), t_final=t,
         n_pair=n_pair, n_wall=n_wall, event_rows=event_rows,
-        records=records, snapshots=snapshots,
+        snapshots=snapshots,
         audits={
             "max_contact_residual": max_contact_residual,
             "worst_pair_gap": max_pair_gap,
@@ -697,84 +664,3 @@ def wall_contact_rate_prediction(model: HardSphereModel,
 
     ratio = mean_k1(face, w_face) / mean_k1(bulk, w_bulk)
     return wall_rate_prediction(model, T) * ratio
-
-
-# ---------------------------------------------------------------------------
-# collision boundary conditions
-
-
-@dataclass
-class FactorizedNBodyForm:
-    """Product closure form: uniform positions x anisotropic Maxwell x theta.
-
-    axis_temps breaks velocity isotropy so that re-evaluating the form after
-    the elastic map gives a genuinely different value on non-grazing events.
-    Calling the form on a configuration returns the plain density value;
-    inadmissible states (beyond a contact tolerance of 1e-9 sigma) give 0,
-    log_value returns -inf there.
-    """
-
-    model: HardSphereModel
-    axis_temps: tuple = (1.0, 1.2, 0.8)
-    drift: tuple = (0.0, 0.0, 0.0)
-
-    def log_value(self, positions, velocities) -> float:
-        m = self.model
-        pos = np.asarray(positions, float)
-        vel = np.asarray(velocities, float)
-        sigma = m.sigma
-        tol = 1e-9 * sigma
-        lo, hi = m.wall_box
-        if np.any(pos < lo - tol) or np.any(pos > hi + tol):
-            return -math.inf
-        if np.any(close_pairs(pos, sigma)[2] < (sigma - tol) ** 2):
-            return -math.inf
-        log_pos = -m.n * 3.0 * math.log(m.box)
-        temps = np.asarray(self.axis_temps, float)
-        u = np.asarray(self.drift, float)
-        w = vel - u
-        log_vel = float(
-            (-0.5 * (w ** 2 / temps) - 0.5 * np.log(2 * math.pi * temps)).sum()
-        )
-        return log_pos + log_vel
-
-    def __call__(self, config: NBodyConfig) -> float:
-        lv = self.log_value(config.positions, config.velocities)
-        return 0.0 if lv == -math.inf else math.exp(lv)
-
-
-def cbc_evaluate(event: Event, form, mode: str):
-    """Boundary-condition values (incoming, outgoing) at one pair event.
-
-    mode "pdf_conserving": the value is transported through the collision
-    unchanged, outgoing = incoming = form(x_minus). mode "mcbc": the
-    outgoing value is the closure form re-evaluated at the post-collisional
-    state, outgoing = form(x_plus).
-    """
-    if event.kind != "pair":
-        raise ValueError(f"boundary conditions apply to pair events, "
-                         f"got {event.kind!r}")
-    if mode not in ("pdf_conserving", "mcbc"):
-        raise ValueError(f"unknown mode {mode!r}")
-    incoming = form(event.x_minus)
-    outgoing = incoming if mode == "pdf_conserving" else form(event.x_plus)
-    return incoming, outgoing
-
-
-def is_grazing(event: Event) -> bool:
-    """True when the normal relative speed is at most 1e-8 |g|."""
-    v = event.x_minus.velocities
-    g = v[event.i] - v[event.j_or_face]
-    gn = float(g @ event.normal)
-    return abs(gn) <= 1e-8 * max(float(np.linalg.norm(g)), 1e-300)
-
-
-def cbc_scan(events, form, mode: str):
-    """Batch cbc_evaluate: arrays (incoming, outgoing, grazing)."""
-    incoming = np.empty(len(events))
-    outgoing = np.empty(len(events))
-    grazing = np.empty(len(events), dtype=bool)
-    for k, ev in enumerate(events):
-        incoming[k], outgoing[k] = cbc_evaluate(ev, form, mode)
-        grazing[k] = is_grazing(ev)
-    return incoming, outgoing, grazing

@@ -6,7 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from hsgas.bg import MIN_RESOLVED, RESOLUTION, build_sequence, fit_rate
+from hsgas.bg import (
+    MIN_RESOLVED,
+    RESOLUTION,
+    _sweep,
+    build_sequence,
+    fit_rate,
+)
+from hsgas.occupation import analytic_k1_uniform, solve_k1
+from hsgas.pdfs import UniformMaxwellian
+from hsgas.seeding import derive_child_seed
 
 EPS = 1.0 / np.array([20.0, 40.0, 80.0, 160.0, 320.0])
 
@@ -60,11 +69,67 @@ def test_fit_rate_stderr_grows_with_the_scatter():
                                         rel=1e-9)
 
 
+def test_fit_rate_stderr_covers_a_known_exponent_under_noise():
+    # a pure power law at N = 20..640, each row drawn with Gaussian noise at
+    # its stated relative error: slope +- 2 stderr must cover the truth
+    eps = 1.0 / (20.0 * 2.0 ** np.arange(6))
+    true = 0.3 * eps ** 0.5
+    for rel in (0.05, 0.1, 0.2):
+        rng = np.random.default_rng(20261019)
+        fits = [fit_rate(eps, true * (1.0 + rel * rng.standard_normal(6)),
+                         rel * true) for _ in range(200)]
+        covered = [abs(f.slope - 0.5) <= 2.0 * f.stderr for f in fits]
+        assert np.mean(covered) >= 0.9, rel
+        assert np.mean([f.slope for f in fits]) == pytest.approx(0.5,
+                                                                 abs=0.01)
+
+
+def test_fit_rate_approaches_the_exponent_of_the_closed_k1():
+    # 1 - k1 = 1 - (1 - v)^(N-1) with v ~ sigma^3 ~ N^(-3/2) along N sigma^2
+    # = c: exponent 1/2 in epsilon, approached from above as the
+    # higher-order terms fade. Noise-free rows leave the fit's stderr to the
+    # curvature alone, so the check is the trend, not a coverage.
+    slopes = []
+    for n0 in (20, 1_000, 10_000, 100_000):
+        models = build_sequence(0.2, 1.0, [n0 * 2 ** k for k in range(4)])
+        slopes.append(fit_rate([m.epsilon for m in models],
+                               [1.0 - analytic_k1_uniform(m)
+                                for m in models]).slope)
+    assert all(a > b > 0.5 for a, b in zip(slopes, slopes[1:]))
+    assert all(abs(q - 0.5) < 0.015 for q in slopes[1:])
+
+
+def test_sweep_seeds_and_rows_follow_the_driver_contract():
+    models = build_sequence(0.2, 1.0, [20, 40])
+    pdf = UniformMaxwellian(1.0)
+    k1 = {"grid_nodes": 2, "samples_per_node": 20_000, "tol": 0.05}
+    calls = []
+
+    def measure(model, field, child):
+        calls.append((model, field, child))
+        return {"value": float(model.n)}
+
+    rows, info = _sweep(models, pdf, seed=3, label="chaos", k1=k1,
+                        measure=measure)
+    assert [c[0] for c in calls] == list(models)
+    for row, model, (_, field, child) in zip(rows, models, calls):
+        assert row == {"n": model.n, "epsilon": model.epsilon,
+                       "sigma": model.sigma, "value": float(model.n)}
+        # the child-seed labels keep every sweep's bytes
+        assert child == derive_child_seed(3, "bg", "chaos", model.n)
+        direct = solve_k1(model, pdf, seed=child, **k1)
+        assert np.array_equal(field.values, direct.values)
+        assert np.array_equal(field.stderr, direct.stderr)
+    assert info == {"seed": 3, "pdf": "UniformMaxwellian", "grid_nodes": 2,
+                    "samples_per_node": 20_000}
+
+
 def test_build_sequence_holds_the_product_and_rejects_bad_entries():
-    seq = build_sequence(0.2, 1.0, [20, 40, 80])
-    for e in seq.entries:
-        assert e.n * e.sigma ** 2 == pytest.approx(0.2, rel=1e-12)
-        assert e.epsilon == 1.0 / e.n
+    models = build_sequence(0.2, 1.0, [20, 40, 80])
+    assert [m.n for m in models] == [20, 40, 80]
+    for m in models:
+        assert m.n * m.sigma ** 2 == pytest.approx(0.2, rel=1e-12)
+        assert m.epsilon == 1.0 / m.n and m.box == 1.0
     with pytest.raises(ValueError, match="strictly increasing"):
         build_sequence(0.2, 1.0, [40, 20, 80])
     with pytest.raises(ValueError, match="strictly increasing"):

@@ -1,4 +1,4 @@
-"""Event-driven hard-sphere dynamics: scheduling, conservation, rates, CBC.
+"""Event-driven hard-sphere dynamics: scheduling, conservation, rates.
 
 Oracles
 -------
@@ -24,10 +24,6 @@ Oracles
   the excluded volume the simulation contains; it is pinned by limits
   that do not depend on its output (one sphere, sigma -> 0) and by the
   exact clipped-ball fractions at a face, an edge and a corner.
-* Boundary-condition semantics: "pdf_conserving" transports the incoming
-  value unchanged; "mcbc" re-evaluates the closure form on the outgoing
-  state, which differs on every non-grazing collision because the form's
-  axis temperatures are anisotropic.
 """
 
 from __future__ import annotations
@@ -42,12 +38,7 @@ from hypothesis.extra.numpy import arrays
 
 from hsgas.geometry import HardSphereModel, NBodyConfig, uniform_admissible_sample
 from hsgas.md import (
-    Event,
-    FactorizedNBodyForm,
-    cbc_evaluate,
-    cbc_scan,
     enskog_frequency_prediction,
-    is_grazing,
     measure,
     near_contact_pair_prediction,
     run,
@@ -102,7 +93,6 @@ def eq_traj():
         t_end=20.0,
         snapshot_times=np.linspace(1.0, 19.5, 40),
         audit_every=10,
-        record_cap=400,
     )
 
 
@@ -274,27 +264,20 @@ def test_next_event_pair_resolution():
         [[4.0, 5.0, 5.0], [6.0, 5.0, 5.0], [1.0, 1.0, 1.0]],
         [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
     )
-    traj = run(model, cfg, max_events=1, record_cap=1)
-    (ev,) = traj.records
-    assert (ev.kind, ev.i, ev.j_or_face) == ("pair", 0, 1)
-    assert ev.t == 0.75
-    np.testing.assert_allclose(ev.normal, [1.0, 0.0, 0.0], atol=1e-15)
-    # x_minus: streamed to exact contact, velocities untouched
-    np.testing.assert_allclose(ev.x_minus.positions[0], [4.75, 5.0, 5.0],
-                               atol=1e-14)
-    np.testing.assert_allclose(ev.x_minus.positions[1], [5.25, 5.0, 5.0],
-                               atol=1e-14)
-    gap = np.linalg.norm(ev.x_minus.positions[1] - ev.x_minus.positions[0])
-    assert abs(gap - model.sigma) < 1e-14
-    np.testing.assert_array_equal(ev.x_minus.velocities[0], [1.0, 0.0, 0.0])
+    traj = run(model, cfg, max_events=1)
+    (row,) = traj.event_rows
+    assert row[:4] == [0.75, "pair", 0, 1]
+    # after max_events the state stays at the event: exact contact
+    assert traj.t_final == 0.75
+    pos, vel = traj.config.positions, traj.config.velocities
+    np.testing.assert_allclose(pos[0], [4.75, 5.0, 5.0], atol=1e-14)
+    np.testing.assert_allclose(pos[1], [5.25, 5.0, 5.0], atol=1e-14)
+    assert abs(np.linalg.norm(pos[1] - pos[0]) - model.sigma) < 1e-14
     # head-on elastic map swaps the velocities
-    np.testing.assert_allclose(ev.x_plus.velocities[0], [-1.0, 0.0, 0.0],
-                               atol=1e-15)
-    np.testing.assert_allclose(ev.x_plus.velocities[1], [1.0, 0.0, 0.0],
-                               atol=1e-15)
-    # bystander streamed in place; positions shared between the two states
-    np.testing.assert_array_equal(ev.x_minus.positions[2], [1.0, 1.0, 1.0])
-    assert ev.x_minus.positions is ev.x_plus.positions
+    np.testing.assert_allclose(vel[0], [-1.0, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(vel[1], [1.0, 0.0, 0.0], atol=1e-15)
+    # the bystander stays in place
+    np.testing.assert_array_equal(pos[2], [1.0, 1.0, 1.0])
 
 
 def test_next_event_wall_resolution():
@@ -453,18 +436,9 @@ def test_run_snapshots_and_records(eq_traj):
         assert p.shape == (EQ_MODEL.n, 3) and v.shape == (EQ_MODEL.n, 3)
         lo, hi = EQ_MODEL.wall_box
         assert p.min() >= lo - 1e-9 and p.max() <= hi + 1e-9
-    # records: capped, positions shared at contact, velocities differ
-    recs = eq_traj.records
-    assert len(recs) == 400 <= eq_traj.n_pair
-    for ev in recs[:50]:
-        assert ev.kind == "pair" and ev.i < ev.j_or_face
-        assert ev.x_minus.positions is ev.x_plus.positions
-        gap = np.linalg.norm(ev.x_minus.positions[ev.j_or_face]
-                             - ev.x_minus.positions[ev.i])
-        assert abs(gap - EQ_MODEL.sigma) < 1e-12
-        assert not np.array_equal(ev.x_minus.velocities[ev.i],
-                                  ev.x_plus.velocities[ev.i])
-        assert np.linalg.norm(ev.normal) == pytest.approx(1.0, abs=1e-12)
+    # the event rows record each pair with its indices ascending
+    pairs = [r[2:4] for r in eq_traj.event_rows if r[1] == "pair"]
+    assert pairs and all(i < j for i, j in pairs)
 
 
 def test_event_csv_round_trip(tmp_path, eq_traj):
@@ -607,81 +581,3 @@ def test_measure_rejects_too_few_snapshots():
     assert len(traj.snapshots) == 3
     with pytest.raises(ValueError):
         measure(traj, windows=10)
-
-
-# ---------------------------------------------------------------------------
-# collision boundary conditions
-
-
-def test_factorized_form_admissibility_zeros():
-    model = HardSphereModel(n=2, sigma=0.1, box=1.0)
-    form = FactorizedNBodyForm(model)
-    ok = NBodyConfig([[0.3, 0.3, 0.3], [0.7, 0.7, 0.7]],
-                     [[0.1, 0.0, 0.0], [0.0, 0.2, 0.0]])
-    assert form(ok) > 0.0
-    overlapping = NBodyConfig([[0.3, 0.3, 0.3], [0.35, 0.3, 0.3]],
-                              [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    assert form(overlapping) == 0.0
-    assert form.log_value(overlapping.positions,
-                          overlapping.velocities) == -math.inf
-    outside = NBodyConfig([[0.01, 0.5, 0.5], [0.7, 0.7, 0.7]],
-                          [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    assert form(outside) == 0.0
-
-
-def test_cbc_evaluate_semantics(eq_traj):
-    form = FactorizedNBodyForm(EQ_MODEL)
-    for ev in eq_traj.records[:100]:
-        inc_pc, out_pc = cbc_evaluate(ev, form, "pdf_conserving")
-        inc_m, out_m = cbc_evaluate(ev, form, "mcbc")
-        # incoming value is the form on the pre-collision state, exactly
-        assert inc_pc == form(ev.x_minus)
-        assert inc_m == inc_pc
-        # pdf_conserving transports it unchanged, exactly
-        assert out_pc == inc_pc
-        # mcbc re-evaluates the form on the post-collision state, exactly
-        assert out_m == form(ev.x_plus)
-        # anisotropic axis temperatures: every non-grazing collision moves
-        # the value
-        if not is_grazing(ev):
-            assert out_m != inc_m
-        assert inc_pc > 0.0 and out_m > 0.0
-
-
-def test_cbc_scan_matches_elementwise(eq_traj):
-    form = FactorizedNBodyForm(EQ_MODEL)
-    events = eq_traj.records[:60]
-    inc, out, grazing = cbc_scan(events, form, "mcbc")
-    assert inc.shape == out.shape == grazing.shape == (60,)
-    for k, ev in enumerate(events):
-        i_k, o_k = cbc_evaluate(ev, form, "mcbc")
-        assert inc[k] == i_k and out[k] == o_k
-        assert grazing[k] == is_grazing(ev)
-    # thermal equilibrium collisions are generically non-grazing
-    assert not grazing.any()
-    assert np.all(out[~grazing] != inc[~grazing])
-
-
-def test_cbc_evaluate_guards(eq_traj):
-    form = FactorizedNBodyForm(EQ_MODEL)
-    wall_ev = Event(t=0.0, kind="wall", i=0, j_or_face=4)
-    with pytest.raises(ValueError):
-        cbc_evaluate(wall_ev, form, "mcbc")
-    with pytest.raises(ValueError):
-        cbc_evaluate(eq_traj.records[0], form, "specular")
-
-
-def test_is_grazing_classification():
-    sigma = 0.1
-    contact = np.array([[0.0, 0.0, 0.0], [sigma, 0.0, 0.0]])
-    normal = np.array([1.0, 0.0, 0.0])
-    tangential = Event(
-        t=0.0, kind="pair", i=0, j_or_face=1,
-        x_minus=NBodyConfig(contact, [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]),
-        x_plus=None, normal=normal)
-    assert is_grazing(tangential)
-    head_on = Event(
-        t=0.0, kind="pair", i=0, j_or_face=1,
-        x_minus=NBodyConfig(contact, [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
-        x_plus=None, normal=normal)
-    assert not is_grazing(head_on)

@@ -20,8 +20,6 @@ UNREACHED = {
     "collision.boltzmann_op": "per-probe API; tests use it as the reference",
     "collision.master_op": "per-probe API; tests use it as the reference",
     "geometry.pair_theta": "the strong-theta convention the tests pin",
-    "md.FactorizedNBodyForm": "collision boundary conditions (ROADMAP H)",
-    "md.cbc_scan": "collision boundary conditions (ROADMAP H)",
     "md.wall_contact_rate_prediction": "the md report's next prediction "
                                        "(ROADMAP A)",
     "occupation.ContactOccupancy.g_contact": "the benchmark traces it",

@@ -68,9 +68,8 @@ def measure(name: str) -> dict:
         k1_seed = derive_child_seed(seed, "cli", "ops", "k1")
     else:  # one entry of bg.chaos_sweep's sequence
         sequence = config["sequence"]
-        entries = build_sequence(sequence["c"], sequence["box"],
-                                 sequence["ns"]).entries
-        model = next(e.model for e in entries if e.n == n)
+        seq = build_sequence(sequence["c"], sequence["box"], sequence["ns"])
+        model = next(m for m in seq if m.n == n)
         pdf = cli._pdf_from(config, model.box)
         k1_seed = derive_child_seed(seed, "bg", "chaos", n)
 
