@@ -43,13 +43,13 @@ from .seeding import derive_child_seed
 
 def _model_from(config: dict) -> HardSphereModel:
     m = config["model"]
-    return HardSphereModel(n=int(m["n"]), sigma=float(m["sigma"]),
+    return HardSphereModel(n=m["n"], sigma=float(m["sigma"]),
                            box=float(m["box"]))
 
 
 def _sequence_args(config: dict):
     s = config["sequence"]
-    return float(s["c"]), float(s["box"]), [int(n) for n in s["ns"]]
+    return float(s["c"]), float(s["box"]), s["ns"]
 
 
 def _pdf_from(config: dict, box: float):
@@ -416,7 +416,7 @@ def main(argv=None) -> int:
               f"{config['experiment']!r} but the subcommand is "
               f"{args.command!r}", file=sys.stderr)
         return 2
-    seed = args.seed if args.seed is not None else int(config["seed"])
+    seed = args.seed if args.seed is not None else config["seed"]
     out_dir = resolve_out_dir(args.out or config.get("output_dir", "out"))
     t0 = time.time()
     try:

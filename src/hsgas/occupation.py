@@ -26,7 +26,9 @@ whole field and take the same damping and convergence decisions. A node's
 update reads only the bank, its own proposals (each node has its own stream,
 derive_rng(seed, "occupation", "ball", i)) and the current field, and the
 halves travel pickled, which keeps every bit, so the field is the same bytes
-as in one process.
+as in one process. The 1/k1 bank weights split the same way: each process
+weights its share of the bank rows (the interpolation is pointwise) and a
+gather joins the shares before the shard means are taken on the whole.
 
 A solved k1 is a table on a cell-centred cubic grid (OccupationField), read
 off the grid by quadrature.multilinear, the interpolator that the tabulated
@@ -221,10 +223,15 @@ class _Bank:
         self.m_tot = size // SHARDS + ball_count // SHARDS
         self.beta_eff = (ball_count // SHARDS) / self.m_tot
 
-    def weights(self, k1_field):
-        """1/k1 on the bank and its per-shard means; k1 = 1 when None."""
+    def weights(self, k1_field, rows=slice(None), gather=lambda x: [x]):
+        """1/k1 on the bank and its per-shard means; k1 = 1 when None.
+
+        This process weights the bank rows `rows` and gather joins every
+        process's rows, in order, into the whole bank.
+        """
         inv_k = (np.ones(len(self.pts)) if k1_field is None
-                 else 1.0 / k1_field.interp(self.pts))
+                 else np.concatenate(gather(
+                     1.0 / k1_field.interp(self.pts[rows]))))
         # shard_of holds SHARDS equal contiguous blocks
         return inv_k, inv_k.reshape(SHARDS, -1).mean(axis=1)
 
@@ -346,11 +353,14 @@ def solve_k1(model: HardSphereModel, pdf, *, grid_nodes: int = 8,
             for i in range(lo, hi)
         ]
         values, stderr, history = field.values, field.stderr, []
+        # this half's share of the bank rows, in proportion to its nodes
+        rows = slice(len(bank.pts) * lo // len(nodes),
+                     len(bank.pts) * hi // len(nodes))
         for it in range(PICARD_MAX_ITER):
             # the first pass runs at k1 = 1
             k1 = None if it == 0 else OccupationField(field.axis, values,
                                                       stderr)
-            weights = bank.weights(k1)
+            weights = bank.weights(k1, rows, gather)
             half = np.empty((2, len(proposals)))
             for i, prop in enumerate(proposals):
                 v_hat, v_se = _union_measure(bank, weights, prop, k1)

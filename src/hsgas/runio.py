@@ -5,6 +5,11 @@ precision ("%.17g"), rows are written in a fixed order, and nothing
 machine-specific (timestamps, wall clock) enters them. Manifests carry the
 reproduction metadata instead; their wall-clock field is excluded from any
 byte-identity claim.
+
+The config schema, CONFIG_SCHEMA, is checked by a walker of its own
+(_schema_errors), which gives jsonschema's Draft 2020-12 messages without
+importing it; its one stricter rule is that an integer key takes only a
+JSON integer, never a whole-number float such as 4.0.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ from __future__ import annotations
 import contextvars
 import json
 import math
+import numbers
+import operator
 import os
 import pickle
 import platform
@@ -307,21 +314,110 @@ def _unread_key_errors(config: dict) -> list:
     return [f"$.{p}: not read, as {why}" for p in paths if p in given]
 
 
+# the instance kinds the schema's "type" names; integer is strict (see below)
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": lambda x: (isinstance(x, numbers.Number)
+                         and not isinstance(x, bool)),
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+}
+# bound keyword: (the number breaks it, the message's words)
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le,
+                         "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge,
+                         "is greater than or equal to the maximum of"),
+}
+# size keyword: (type, the length breaks it, edge, message at edge, else)
+_SIZES = {
+    "minItems": ("array", operator.lt, 1, "should be non-empty",
+                 "is too short"),
+    "maxItems": ("array", operator.gt, 0, "is expected to be empty",
+                 "is too long"),
+    "minLength": ("string", operator.lt, 1, "should be non-empty",
+                  "is too short"),
+}
+
+
+def _same(a, b) -> bool:
+    """JSON equality of scalars: a bool equals only a bool."""
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _schema_errors(value, schema: dict, path: str):
+    """(json path, message) for each keyword of schema that value breaks.
+
+    Walks the keywords CONFIG_SCHEMA uses in the schema's own order, with
+    the messages and order of jsonschema's Draft 2020-12 validator, apart
+    from one rule: 'integer' admits only a JSON integer (an int, never a
+    bool), not a whole-number float such as 4.0. "$schema" is skipped, and
+    any other keyword raises ValueError.
+    """
+    for key, arg in schema.items():
+        if key == "$schema":
+            continue
+        if key == "type":
+            if not _TYPES[arg](value):
+                yield path, f"{value!r} is not of type {arg!r}"
+        elif key == "const":
+            if not _same(value, arg):
+                yield path, f"{arg!r} was expected"
+        elif key == "enum":
+            if not any(_same(value, each) for each in arg):
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif key in _BOUNDS:
+            breaks, words = _BOUNDS[key]
+            if _TYPES["number"](value) and breaks(value, arg):
+                yield path, f"{value!r} {words} {arg!r}"
+        elif key in _SIZES:
+            kind, breaks, edge, at_edge, words = _SIZES[key]
+            if _TYPES[kind](value) and breaks(len(value), arg):
+                yield path, f"{value!r} {at_edge if arg == edge else words}"
+        elif key == "items":
+            for i, item in enumerate(value if _TYPES["array"](value) else ()):
+                yield from _schema_errors(item, arg, f"{path}[{i}]")
+        elif key == "required":
+            for name in arg if _TYPES["object"](value) else ():
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            for name, sub in arg.items() if _TYPES["object"](value) else ():
+                if name in value:
+                    yield from _schema_errors(value[name], sub,
+                                              f"{path}.{name}")
+        elif key == "additionalProperties" and arg is False:
+            extra = sorted((k for k in value
+                            if k not in schema.get("properties", {})),
+                           key=str) if _TYPES["object"](value) else []
+            if extra:
+                yield path, ("Additional properties are not allowed "
+                             f"({', '.join(map(repr, extra))} "
+                             f"{'was' if len(extra) == 1 else 'were'} "
+                             "unexpected)")
+        else:
+            raise ValueError(f"schema keyword {key!r}: {arg!r} is not "
+                             "implemented")
+
+
 def validate_config(config: dict) -> list:
     """Schema violations as '<json path>: <message>' strings (empty = valid).
 
-    Beyond the schema, the config must hold its subcommand's geometry
-    section and no section or quadrature key the subcommand does not read
-    (EXPERIMENTS) or that the values of other keys leave unread, and the
-    pdf section must name a family the subcommand admits and hold exactly
-    the keys that family's factory takes (pdfs.family_keys).
+    The schema lines come from _schema_errors, a walker over CONFIG_SCHEMA,
+    sorted by path; they are jsonschema's Draft 2020-12 lines except that
+    an integer key takes only a JSON integer, so 4.0 is "not of type
+    'integer'". Beyond the schema, the config must hold its subcommand's
+    geometry section and no section or quadrature key the subcommand does
+    not read (EXPERIMENTS) or that the values of other keys leave unread,
+    and the pdf section must name a family the subcommand admits and hold
+    exactly the keys that family's factory takes (pdfs.family_keys).
     """
-    import jsonschema
-
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    out = []
-    for err in sorted(validator.iter_errors(config), key=lambda e: e.json_path):
-        out.append(f"{err.json_path}: {err.message}")
+    out = [f"{path}: {message}" for path, message in
+           sorted(_schema_errors(config, CONFIG_SCHEMA, "$"),
+                  key=lambda e: e[0])]
     if isinstance(config, dict):
         out += _section_errors(config)
         out += _unread_key_errors(config)

@@ -223,6 +223,14 @@ def test_entropy_lists_its_artifacts_and_repeats_its_report(tmp_path):
      "$.md.equilibration_fraction: not read, as md.snapshots is 0"),
     ({**RELAX_CONFIG, "relax": {**RELAX_CONFIG["relax"], "cfl": 0.2}}, None,
      "$.relax.cfl: not read, as relax.dt fixes the time step"),
+    # an integer key takes only a JSON integer, never a whole-number float
+    ({**K1_CONFIG, "k1": {**K1_CONFIG["k1"], "grid_nodes": 2.0}}, None,
+     "$.k1.grid_nodes: 2.0 is not of type 'integer'"),
+    ({**RELAX_CONFIG, "relax": {**RELAX_CONFIG["relax"], "grid_nodes": 8.0}},
+     None, "$.relax.grid_nodes: 8.0 is not of type 'integer'"),
+    ({**MD_CONFIG, "md": {**MD_CONFIG["md"], "snapshots": 4.0}}, None,
+     "$.md.snapshots: 4.0 is not of type 'integer'"),
+    ({**K1_CONFIG, "seed": 3.0}, None, "$.seed: 3.0 is not of type 'integer'"),
 ], ids=["threads", "bg.probes", "bg.oracle_samples", "unknown-nested",
         "unknown-top", "mismatch", "rho2_form", "relax.phi_nodes", "md.record_cap", "ks.probes",
         "bg-sweep.k1.probes", "noncomm.sequence.sigma", "pdf.alpha-negative",
@@ -233,7 +241,9 @@ def test_entropy_lists_its_artifacts_and_repeats_its_report(tmp_path):
         "entropy.quadrature.angle_nodes", "ops.boltzmann.k1",
         "ops.boltzmann.rho2_form", "ops.boltzmann.position_nodes",
         "md.windows-without-snapshots",
-        "md.equilibration_fraction-without-snapshots", "relax.cfl-with-dt"])
+        "md.equilibration_fraction-without-snapshots", "relax.cfl-with-dt",
+        "k1.grid_nodes-float", "relax.grid_nodes-float",
+        "md.snapshots-float", "seed-float"])
 def test_schema_violations_exit_2(tmp_path, capsys, config, command, named):
     rc, out = run_cli(tmp_path, config, "bad", command)
     assert rc == 2
