@@ -4,9 +4,10 @@ Along such a sequence the free path stays of order the box while the packing
 fraction and all occupation corrections shrink; the small parameter is
 epsilon = 1/N. Every sweep runs one metric over the sequence through one
 driver, _sweep, which seeds each model with common random numbers, solves its
-k1 field and records one row; the sweeps then return the rows together with
-a weighted log-log rate fit, so "the correction vanishes like epsilon^q" is
-an output, not an assumption.
+k1 field and records one row, on two cores when it may (half of the sequence
+in each process); the sweeps then return the rows together with a weighted
+log-log rate fit, so "the correction vanishes like epsilon^q" is an output,
+not an assumption.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .occupation import (
     l1_k1_contact_integral,
     solve_k1,
 )
+from .runio import split_work
 from .seeding import derive_child_seed, derive_rng
 
 MIN_RESOLVED = 4  # resolved rows a rate fit needs
@@ -170,16 +172,28 @@ def _sweep(models, pdf, *, seed, label, k1, measure):
     measure(model, field, child), whose dict completes the row after n,
     epsilon and sigma. Returns (rows, info); info holds the seed, the pdf's
     class name and the k1 budget the solves used.
+
+    The models run on two cores when they may (runio.split_work): the
+    process takes the first half of the sequence and one forked child the
+    rest. Each entry's solve and measure run whole in one process, since a
+    solve inside a half does not split its nodes, and the halves swap their
+    rows once, at the end, pickled, so every bit is kept.
     """
-    rows = []
-    for model in models:
-        child = derive_child_seed(seed, "bg", label, model.n)
-        field = solve_k1(model, pdf, seed=child, **k1)
-        rows.append({"n": model.n, "epsilon": model.epsilon,
-                     "sigma": model.sigma, **measure(model, field, child)})
-    return rows, {"seed": seed, "pdf": type(pdf).__name__,
-                  "grid_nodes": field.grid_nodes,
-                  "samples_per_node": field.info["samples_per_node"]}
+    def work(lo, hi, gather):
+        rows = []
+        for model in models[lo:hi]:
+            child = derive_child_seed(seed, "bg", label, model.n)
+            field = solve_k1(model, pdf, seed=child, **k1)
+            rows.append({"n": model.n, "epsilon": model.epsilon,
+                         "sigma": model.sigma,
+                         **measure(model, field, child)})
+        return gather((rows, {"grid_nodes": field.grid_nodes,
+                              "samples_per_node":
+                                  field.info["samples_per_node"]}))
+
+    halves = split_work(len(models), work, "bg._sweep")
+    return ([row for rows, _ in halves for row in rows],
+            {"seed": seed, "pdf": type(pdf).__name__, **halves[-1][1]})
 
 
 def sweep_k1(c: float, box: float, ns, *, pdf, seed: int = 0,

@@ -32,6 +32,7 @@ from .runio import (
     EXPERIMENTS,
     artifact_path,
     build_manifest,
+    raising_module,
     read_json,
     resolve_out_dir,
     validate_config,
@@ -381,18 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _error_origin(exc: BaseException, command: str) -> str:
-    """The package layer that raised exc: its innermost hsgas frame.
+    """The package layer that raised exc (runio.raising_module).
 
     Errors raised by the runners in this module name the subcommand.
     """
-    origin = command
-    tb = exc.__traceback__
-    while tb is not None:
-        module = tb.tb_frame.f_globals.get("__name__", "")
-        if module.startswith("hsgas.") and module != __name__:
-            origin = module.split(".")[-1]
-        tb = tb.tb_next
-    return origin
+    module = raising_module(exc, skip=__name__)
+    return module.split(".")[-1] if module else command
 
 
 def main(argv=None) -> int:

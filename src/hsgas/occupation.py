@@ -28,7 +28,16 @@ derive_rng(seed, "occupation", "ball", i)) and the current field, and the
 halves travel pickled, which keeps every bit, so the field is the same bytes
 as in one process. The 1/k1 bank weights split the same way: each process
 weights its share of the bank rows (the interpolation is pointwise) and a
-gather joins the shares before the shard means are taken on the whole.
+gather joins the shares before the shard means are taken on the whole. A
+solve inside a half of another split (a sweep's entries, bg._sweep) runs
+whole in its process.
+
+The proposals of a solve keep only the in-ball positions and the bank hits:
+the first Picard pass (k1 = 1, bank weights all ones) is taken as each
+node's draws are made, and each later pass recomputes the draws' densities
+p theta_w and q (_ball_densities) with the same expressions, so the same
+bits, instead of holding them for every node. The bank's cell index and
+its densities are released once the draws are made.
 
 A solved k1 is a table on a cell-centred cubic grid (OccupationField), read
 off the grid by quadrature.multilinear, the interpolator that the tabulated
@@ -201,7 +210,9 @@ class _Bank:
 
     The sample budget splits into the bank and ball_count in-ball proposals
     per s-point stack (BALL_MIX_FRACTION of the budget); both divide into
-    SHARDS equal blocks, the independent replicas behind each stderr.
+    SHARDS equal blocks, the independent replicas behind each stderr, so
+    bank row j is in shard j // (len(pts) // SHARDS). The cell index and
+    the densities p serve only the draws of _ball_proposals.
     """
 
     def __init__(self, pdf, model: HardSphereModel, samples: int, rng):
@@ -218,7 +229,6 @@ class _Bank:
         self.p = pdf.position_density(self.pts)
         self.index = _CellIndex(self.pts, max(model.sigma, model.box / 64.0),
                                 model.box)
-        self.shard_of = np.repeat(np.arange(SHARDS), size // SHARDS)
         self.ball_count = ball_count
         self.m_tot = size // SHARDS + ball_count // SHARDS
         self.beta_eff = (ball_count // SHARDS) / self.m_tot
@@ -232,7 +242,6 @@ class _Bank:
         inv_k = (np.ones(len(self.pts)) if k1_field is None
                  else np.concatenate(gather(
                      1.0 / k1_field.interp(self.pts[rows]))))
-        # shard_of holds SHARDS equal contiguous blocks
         return inv_k, inv_k.reshape(SHARDS, -1).mean(axis=1)
 
 
@@ -240,19 +249,28 @@ class _Proposals(NamedTuple):
     """In-ball draws around one s-point stack and the bank hits of its union.
 
     Everything here is fixed once drawn; only the 1/k1 weights change
-    between Picard iterations.
+    between Picard iterations. The draws keep only their positions:
+    _ball_densities recomputes their densities where a pass reads them.
     """
 
+    fixed: np.ndarray       # the s-point stack, one ball centre per row
     pts: np.ndarray         # in-ball draws
-    p_thw: np.ndarray       # target density p theta_w at the draws
-    q: np.ndarray           # mixture proposal density at the draws
-    bank_share: float       # mean share of q from the bank law (z_w term)
     hit_idx: np.ndarray     # bank points inside the union
     p_hit: np.ndarray
     q_hit: np.ndarray
 
 
-def _ball_proposals(pdf, model: HardSphereModel, bank: _Bank, fixed,
+def _ball_law(bank: _Bank, fixed, sigma: float, at):
+    """beta x (balls covering each point) / (s |ball|)."""
+    covering = np.zeros(at.shape[0], dtype=np.intp)
+    for center in fixed:
+        dx, dy, dz = (at[:, k] - center[k] for k in range(3))
+        covering += dx * dx + dy * dy + dz * dz < sigma * sigma
+    v_ball_vol = 4.0 / 3.0 * math.pi * sigma ** 3
+    return bank.beta_eff * covering / (fixed.shape[0] * v_ball_vol)
+
+
+def _ball_proposals(model: HardSphereModel, bank: _Bank, fixed,
                     rng) -> _Proposals:
     """Uniform draws in the union of the exclusion balls of an s-point stack.
 
@@ -269,35 +287,38 @@ def _ball_proposals(pdf, model: HardSphereModel, bank: _Bank, fixed,
     hits = [bank.index.query_ball(r, sigma) for r in fixed]
     # a point in several overlapping balls is still one bank sample
     hit_idx = hits[0] if s == 1 else np.unique(np.concatenate(hits))
-    beta_eff, z_w = bank.beta_eff, bank.z_w
-    v_ball_vol = 4.0 / 3.0 * math.pi * sigma ** 3
-
-    def ball_law(at):  # beta x (balls covering each point) / (s |ball|)
-        covering = np.zeros(at.shape[0], dtype=np.intp)
-        for center in fixed:
-            dx, dy, dz = (at[:, k] - center[k] for k in range(3))
-            covering += dx * dx + dy * dy + dz * dz < sigma * sigma
-        return beta_eff * covering / (s * v_ball_vol)
-
-    p_thw = pdf.position_density(pts) * wall_theta(pts, model).astype(float)
-    bank_law = (1.0 - beta_eff) * p_thw / z_w
-    q = bank_law + ball_law(pts)
     p_hit = bank.p[hit_idx]
-    q_hit = (1.0 - beta_eff) * p_hit / z_w + ball_law(bank.pts[hit_idx])
-    return _Proposals(pts, p_thw, q, float((bank_law / q).mean()), hit_idx,
-                      p_hit, q_hit)
+    q_hit = ((1.0 - bank.beta_eff) * p_hit / bank.z_w
+             + _ball_law(bank, fixed, sigma, bank.pts[hit_idx]))
+    return _Proposals(fixed, pts, hit_idx, p_hit, q_hit)
 
 
-def _union_measure(bank: _Bank, weights, prop: _Proposals, k1_field):
+def _ball_densities(pdf, model: HardSphereModel, bank: _Bank,
+                    prop: _Proposals):
+    """(p theta_w, q) at prop's draws: the target and the mixture density.
+
+    The same expressions on the same draws, so every call gives the same
+    bits; a solve recomputes them per pass instead of holding them.
+    """
+    p_thw = (pdf.position_density(prop.pts)
+             * wall_theta(prop.pts, model).astype(float))
+    q = ((1.0 - bank.beta_eff) * p_thw / bank.z_w
+         + _ball_law(bank, prop.fixed, model.sigma, prop.pts))
+    return p_thw, q
+
+
+def _union_measure(pdf, model: HardSphereModel, bank: _Bank, weights,
+                   prop: _Proposals, k1_field):
     """(v_hat, v_se): reweighted measure of the union of the s balls.
 
     weights = bank.weights(k1_field); k1 = 1 when k1_field is None.
     """
     inv_k_bank, den = weights
+    p_thw, q_pts = _ball_densities(pdf, model, bank, prop)
     inv_k_pts = 1.0 if k1_field is None else 1.0 / k1_field.interp(prop.pts)
-    contrib_ball = prop.p_thw * inv_k_pts / prop.q
+    contrib_ball = p_thw * inv_k_pts / q_pts
     contrib_hit = prop.p_hit * inv_k_bank[prop.hit_idx] / prop.q_hit
-    hit_shards = bank.shard_of[prop.hit_idx]
+    hit_shards = prop.hit_idx // (len(bank.pts) // SHARDS)
     block = bank.ball_count // SHARDS
     v_shards = np.empty(SHARDS)
     for q in range(SHARDS):
@@ -309,9 +330,12 @@ def _union_measure(bank: _Bank, weights, prop: _Proposals, k1_field):
     v_hat = float(np.clip(v_shards.mean(), 0.0, 1.0 - 1e-12))
     v_se = float(v_shards.std(ddof=1) / math.sqrt(SHARDS))
     # z_w sensitivity: the explicit 1/z_w factor and the mixture
-    # denominator shift pull in opposite directions
+    # denominator shift pull in opposite directions; bank_share is the
+    # mean share of q from the bank law
+    bank_share = float(((1.0 - bank.beta_eff) * p_thw / bank.z_w
+                        / q_pts).mean())
     v_se = math.hypot(v_se, v_hat * (bank.z_w_se / bank.z_w)
-                      * abs(1.0 - prop.bank_share))
+                      * abs(1.0 - bank_share))
     return v_hat, v_se
 
 
@@ -342,30 +366,36 @@ def solve_k1(model: HardSphereModel, pdf, *, grid_nodes: int = 8,
                  derive_rng(seed, "occupation", "bank"))
     nodes = field.nodes()
 
+    def update(prop, weights, k1):
+        """k1 at a node and its stderr, from the node's proposals."""
+        v_hat, v_se = _union_measure(pdf, model, bank, weights, prop, k1)
+        return ((1.0 - v_hat) ** (n - 1),
+                (n - 1) * (1.0 - v_hat) ** (n - 2) * v_se)
+
     def picard(lo, hi, gather):
         """The Picard loop on nodes [lo, hi); gather joins the halves."""
         # per-node ball proposals are drawn once and reused across
         # iterations so the Picard map sees a fixed sample (deterministic
-        # fixed point)
-        proposals = [
-            _ball_proposals(pdf, model, bank, nodes[i:i + 1],
-                            derive_rng(seed, "occupation", "ball", i))
-            for i in range(lo, hi)
-        ]
+        # fixed point). The first pass runs at k1 = 1, whose bank weights
+        # are all ones, so it is taken as each node's draws are made
+        ones = bank.weights(None)
+        proposals, half = [], np.empty((2, hi - lo))
+        for i in range(lo, hi):
+            prop = _ball_proposals(model, bank, nodes[i:i + 1],
+                                   derive_rng(seed, "occupation", "ball", i))
+            half[:, i - lo] = update(prop, ones, None)
+            proposals.append(prop)
+        bank.index = bank.p = None  # only the draws read them
         values, stderr, history = field.values, field.stderr, []
         # this half's share of the bank rows, in proportion to its nodes
         rows = slice(len(bank.pts) * lo // len(nodes),
                      len(bank.pts) * hi // len(nodes))
         for it in range(PICARD_MAX_ITER):
-            # the first pass runs at k1 = 1
-            k1 = None if it == 0 else OccupationField(field.axis, values,
-                                                      stderr)
-            weights = bank.weights(k1, rows, gather)
-            half = np.empty((2, len(proposals)))
-            for i, prop in enumerate(proposals):
-                v_hat, v_se = _union_measure(bank, weights, prop, k1)
-                half[:, i] = ((1.0 - v_hat) ** (n - 1),
-                              (n - 1) * (1.0 - v_hat) ** (n - 2) * v_se)
+            if it > 0:
+                k1 = OccupationField(field.axis, values, stderr)
+                weights = bank.weights(k1, rows, gather)
+                for i, prop in enumerate(proposals):
+                    half[:, i] = update(prop, weights, k1)
             whole = np.concatenate(gather(half), axis=1)
             new_vals = whole[0].reshape(values.shape)
             change = float(np.abs(new_vals - values).max())
@@ -453,10 +483,11 @@ def estimate_ks(model: HardSphereModel, pdf, tuples, *,
     ks = np.empty(m)
     err = np.empty(m)
     for t_idx, fixed in enumerate(tuples):
-        proposals = _ball_proposals(
-            pdf, model, bank, fixed,
+        prop = _ball_proposals(
+            model, bank, fixed,
             derive_rng(seed, "occupation", "ks", "ball", t_idx))
-        v_hat, v_se = _union_measure(bank, weights, proposals, k1_field)
+        v_hat, v_se = _union_measure(pdf, model, bank, weights, prop,
+                                     k1_field)
         ks[t_idx] = (1.0 - v_hat) ** rest
         err[t_idx] = rest * (1.0 - v_hat) ** (rest - 1) * v_se
     return PairOccupation(

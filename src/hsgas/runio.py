@@ -472,8 +472,10 @@ def split_work(n: int, work, layer: str):
     other threads run (a fork copies only the calling thread) and inside
     either half of another split_work. The child leaves by os._exit, so it
     runs no exit handler and flushes no inherited buffer. Its error reaches
-    the parent as a RuntimeError naming layer. The parent reaps the child
-    whatever happens, killing it first when its own half fails.
+    the parent as a RuntimeError naming layer, whose raised_in attribute
+    holds the hsgas module that raised in the child (raising_module). The
+    parent reaps the child whatever happens, killing it first when its own
+    half fails.
     """
     if (n < 2 or _IN_HALF.get() or not hasattr(os, "fork")
             or usable_cpus() < 2 or threading.active_count() > 1):
@@ -499,7 +501,8 @@ def split_work(n: int, work, layer: str):
                     work(cut, n, gather)
                     status = 0
                 except BaseException as exc:  # the parent reports it
-                    _send(up, ("error", f"{type(exc).__name__}: {exc}"))
+                    _send(up, ("error", (f"{type(exc).__name__}: {exc}",
+                                         raising_module(exc))))
         finally:
             os._exit(status)
     os.close(down_read)
@@ -547,10 +550,32 @@ def _receive(pipe, layer):
     try:
         tag, x = pickle.load(pipe)
     except EOFError:
-        tag, x = "error", "it ended before sending its half"
+        tag, x = "error", ("it ended before sending its half", "")
     if tag != "ok":
-        raise RuntimeError(f"{layer}: the forked half failed ({x})")
+        text, module = x
+        error = RuntimeError(f"{layer}: the forked half failed ({text})")
+        error.raised_in = module
+        raise error
     return x
+
+
+def raising_module(exc: BaseException, skip: str = "") -> str:
+    """The hsgas module that raised exc; '' when no hsgas frame did.
+
+    That is the innermost frame of exc's traceback whose module is in the
+    package and is not skip, or, for the error of a forked half of
+    split_work, the module that raised in the child.
+    """
+    if getattr(exc, "raised_in", ""):
+        return exc.raised_in
+    module = ""
+    tb = exc.__traceback__
+    while tb is not None:
+        name = tb.tb_frame.f_globals.get("__name__", "")
+        if name.startswith(f"{__package__}.") and name != skip:
+            module = name
+        tb = tb.tb_next
+    return module
 
 
 def build_manifest(config: dict, *, seed: int, artifacts,

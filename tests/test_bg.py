@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hsgas import runio
 from hsgas.bg import (
     MIN_RESOLVED,
     RESOLUTION,
@@ -99,7 +100,9 @@ def test_fit_rate_approaches_the_exponent_of_the_closed_k1():
     assert all(abs(q - 0.5) < 0.015 for q in slopes[1:])
 
 
-def test_sweep_seeds_and_rows_follow_the_driver_contract():
+def test_sweep_seeds_and_rows_follow_the_driver_contract(monkeypatch):
+    # one process: a forked half could not append to calls
+    monkeypatch.setattr(runio, "usable_cpus", lambda: 1)
     models = build_sequence(0.2, 1.0, [20, 40])
     pdf = UniformMaxwellian(1.0)
     k1 = {"grid_nodes": 2, "samples_per_node": 20_000, "tol": 0.05}

@@ -4,12 +4,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hsgas import cli, pdfs, runio
+from hsgas import bg, cli, occupation, pdfs, runio
 
 WORKLOADS = sorted(
     (Path(__file__).resolve().parents[1] / "perfbench" / "workloads")
@@ -383,6 +384,100 @@ def test_chaos_honours_k1_tol(tmp_path, capsys):
     assert "raise k1.samples_per_node" in err
     # the tag names the layer that raised, not the subcommand
     assert err.startswith("error[occupation]: ")
+
+
+SWEEP_CONFIGS = {"bg-sweep": BG_SWEEP_CONFIG, "chaos": CHAOS_CONFIG,
+                 "noncomm": NONCOMM_CONFIG}
+
+
+def _log_solves(monkeypatch, forks, log, **override):
+    """bg's solve_k1, logging each solve's pid and the forks seen after it.
+
+    A forked half logs to the same file, so the log sees both processes;
+    override replaces solve arguments on the last sequence entry.
+    """
+    def solve_k1(model, pdf, **k1):
+        if override and model.n == max(CHAOS_CONFIG["sequence"]["ns"]):
+            k1 = {**k1, **override}
+        field = occupation.solve_k1(model, pdf, **k1)
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()} {len(forks)}\n")
+        return field
+
+    monkeypatch.setattr(bg, "solve_k1", solve_k1)
+
+
+def _outputs(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+            if p.suffix == ".csv" or p.name == "report.json"}
+
+
+@pytest.mark.parametrize("sweep", SWEEP_CONFIGS)
+def test_a_sweep_splits_its_entries_with_the_bytes_of_one_process(
+        tmp_path, monkeypatch, forks, sweep):
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    config = SWEEP_CONFIGS[sweep]
+    solves = len(config["sequence"]["ns"]) + (sweep == "chaos")  # control
+    outputs, logs = {}, {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(runio, "usable_cpus", lambda n=cpus: n)
+        logs[cpus] = tmp_path / f"solves{cpus}.txt"
+        _log_solves(monkeypatch, forks, logs[cpus])
+        rc, out = run_cli(tmp_path, config, f"cpus{cpus}")
+        assert rc == 0
+        outputs[cpus] = _outputs(out)
+        assert len(forks) == cpus - 1  # the sweep's one fork, on 2 CPUs
+    assert outputs[1] == outputs[2]
+    assert "report.json" in outputs[2]
+    for cpus, log in logs.items():
+        lines = [line.split() for line in log.read_text().splitlines()]
+        assert len(lines) == solves
+        # each solve ran whole in one process: none forked inside a half
+        assert {count for _, count in lines} == {str(cpus - 1)}
+        assert len({pid for pid, _ in lines}) == cpus
+        assert str(os.getpid()) in {pid for pid, _ in lines}
+    forks.assert_none_left()
+
+
+@pytest.mark.parametrize("sweep", SWEEP_CONFIGS)
+def test_a_process_running_threads_sweeps_without_forking(
+        tmp_path, monkeypatch, forks, sweep):
+    monkeypatch.setattr(runio, "usable_cpus", lambda: 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        rc, _ = run_cli(tmp_path, SWEEP_CONFIGS[sweep], "threaded")
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert rc == 0 and forks == []
+
+
+def test_a_failed_last_entry_names_the_layer_that_raised(
+        tmp_path, monkeypatch, capsys, forks):
+    # only the last entry misses its tol; on 2 CPUs the forked half runs it
+    errors = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(runio, "usable_cpus", lambda n=cpus: n)
+        _log_solves(monkeypatch, forks, tmp_path / "solves.txt", tol=1e-7)
+        rc, out = run_cli(tmp_path, CHAOS_CONFIG, f"cpus{cpus}")
+        assert rc == 1
+        assert not (out / "report.json").exists()
+        errors[cpus] = capsys.readouterr().err
+    assert len(forks) == (1 if hasattr(os, "fork") else 0)
+    forks.assert_none_left()
+    tag = "error[occupation]: "
+    assert errors[1].startswith(tag) and errors[2].startswith(tag)
+    original = errors[1][len(tag):].strip()
+    assert original.startswith("occupation ")
+    if forks:
+        assert errors[2] == (f"{tag}bg._sweep: the forked half failed "
+                             f"(RuntimeError: {original})\n")
+    else:
+        assert errors[2] == errors[1]
 
 
 def test_k1_report_carries_the_picard_history(tmp_path):

@@ -27,7 +27,7 @@ from hsgas.occupation import (
     solve_k1,
     wall_conditioned_positions,
 )
-from hsgas.occupation import _Bank, _ball_proposals
+from hsgas.occupation import _Bank, _ball_densities, _ball_proposals
 from hsgas.pdfs import TiltedExponential, UniformMaxwellian
 from hsgas.quadrature import INTERP_BLOCK
 from hsgas.seeding import derive_rng
@@ -193,7 +193,8 @@ def test_ball_proposals_and_bank_weights_match_the_old_formulas_bitwise(s):
     # overlapping balls, so the union has points that two or three cover
     fixed = np.array([[0.5, 0.5, 0.5], [0.56, 0.5, 0.5],
                       [0.5, 0.57, 0.52]])[:s]
-    prop = _ball_proposals(pdf, model, bank, fixed, np.random.default_rng(9))
+    prop = _ball_proposals(model, bank, fixed, np.random.default_rng(9))
+    p_thw, q = _ball_densities(pdf, model, bank, prop)
 
     # the draws, normalised with np.linalg.norm
     rng = np.random.default_rng(9)
@@ -211,8 +212,8 @@ def test_ball_proposals_and_bank_weights_match_the_old_formulas_bitwise(s):
 
     covered = _covering_balls_oracle(pts, fixed, model.sigma)
     assert covered.min() == 1 and covered.max() == s
-    bank_law = (1.0 - bank.beta_eff) * prop.p_thw / bank.z_w
-    assert np.array_equal(prop.q, bank_law + ball_law(pts))
+    bank_law = (1.0 - bank.beta_eff) * p_thw / bank.z_w
+    assert np.array_equal(q, bank_law + ball_law(pts))
     q_hit = ((1.0 - bank.beta_eff) * prop.p_hit / bank.z_w
              + ball_law(bank.pts[prop.hit_idx]))
     assert np.array_equal(prop.q_hit, q_hit)
@@ -221,7 +222,8 @@ def test_ball_proposals_and_bank_weights_match_the_old_formulas_bitwise(s):
     field = OccupationField.constant(4, model.box, model=model)
     field.values = np.random.default_rng(4).uniform(0.8, 1.0, (4, 4, 4))
     inv_k, den = bank.weights(field)
-    assert np.array_equal(den, [inv_k[bank.shard_of == q].mean()
+    shard_of = np.repeat(np.arange(SHARDS), len(bank.pts) // SHARDS)
+    assert np.array_equal(den, [inv_k[shard_of == q].mean()
                                 for q in range(SHARDS)])
 
 
