@@ -14,7 +14,6 @@ from .geometry import (
     NBodyConfig,
     PhasePoint,
     ensemble_theta,
-    pair_theta,
     uniform_admissible_sample,
     wall_theta,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "PhasePoint",
     "QuadratureSpec",
     "ensemble_theta",
-    "pair_theta",
     "uniform_admissible_sample",
     "wall_theta",
 ]

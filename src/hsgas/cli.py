@@ -398,6 +398,8 @@ def main(argv=None) -> int:
         print(f"error[config]: cannot read {args.config}: {exc}",
               file=sys.stderr)
         return 2
+    if args.seed is not None and isinstance(config, dict):
+        config = {**config, "seed": args.seed}
     errors = validate_config(config)
     if errors:
         for e in errors:
@@ -411,7 +413,7 @@ def main(argv=None) -> int:
               f"{config['experiment']!r} but the subcommand is "
               f"{args.command!r}", file=sys.stderr)
         return 2
-    seed = args.seed if args.seed is not None else config["seed"]
+    seed = config["seed"]
     out_dir = resolve_out_dir(args.out or config.get("output_dir", "out"))
     t0 = time.time()
     try:

@@ -110,8 +110,7 @@ def _block_rows(points_per_row):
     return max(1, _BLOCK_POINTS // points_per_row)
 
 
-def _kernel_batch(model, pdf, r1, V1, quad, flavors, pair_occ=None,
-                  rule_variant=(0, 0.0), z1=None):
+def _kernel_batch(model, pdf, r1, V1, quad, flavors, pair_occ=None, z1=None):
     """Gain and loss of each flavor at r1 for a batch of v1 values.
 
     The master flavor needs z1 from _master_z1. Returns {flavor: (gain,
@@ -121,22 +120,20 @@ def _kernel_batch(model, pdf, r1, V1, quad, flavors, pair_occ=None,
     module docstring).
     """
     V1 = np.atleast_2d(np.asarray(V1, dtype=float))
-    n_ang = hemisphere_rule(quad.angle_nodes, u_order_bump=rule_variant[0],
-                            phi_offset=rule_variant[1])[4]
+    n_ang = hemisphere_rule(quad.angle_nodes)[4]
     block = _block_rows(min(_V2_CHUNK, quad.velocity_nodes ** 3) * n_ang)
     n_blocks = -(-V1.shape[0] // block)
 
     def work(lo, hi, gather):
         parts = gather(_kernel_rows(model, pdf, r1, V1[lo * block:hi * block],
-                                    quad, flavors, pair_occ, rule_variant, z1))
+                                    quad, flavors, pair_occ, z1))
         return {fl: tuple(np.concatenate([p[fl][k] for p in parts])
                           for k in (0, 1)) for fl in parts[0]}
 
     return split_work(n_blocks, work, "collision._kernel_batch")
 
 
-def _kernel_rows(model, pdf, r1, V1, quad, flavors, pair_occ, rule_variant,
-                 z1):
+def _kernel_rows(model, pdf, r1, V1, quad, flavors, pair_occ, z1):
     """_kernel_batch's rows in this process, one block of rows per pass."""
     r1 = np.asarray(r1, dtype=float)
     master, local = "master" in flavors, "boltzmann" in flavors
@@ -144,9 +141,7 @@ def _kernel_rows(model, pdf, r1, V1, quad, flavors, pair_occ, rule_variant,
 
     drift = pdf.drift(r1)
     V2, W2 = velocity_grid(quad, pdf.v_th, center=drift)
-    u_nodes, wu, phi, wphi, _ = hemisphere_rule(
-        quad.angle_nodes, u_order_bump=rule_variant[0],
-        phi_offset=rule_variant[1])
+    u_nodes, wu, phi, wphi, _ = hemisphere_rule(quad.angle_nodes)
     cosphi, sinphi = np.cos(phi), np.sin(phi)
     su = np.sqrt(np.clip(1.0 - u_nodes ** 2, 0.0, 1.0))
     w_ang = (wu[:, None] * wphi).reshape(-1)
@@ -251,15 +246,14 @@ def _kernel_mc(model, pdf, r1, v1, quad, flavor, pair_occ=None, z1=None):
 
 
 def _operator(model, pdf, r1, v1, quad, flavors, pair_occ=None,
-              rule_variant=(0, 0.0), z1=None) -> dict:
+              z1=None) -> dict:
     """{flavor: OperatorValue} at one phase point (r1, v1)."""
     if quad.mode == "mc":
         return {fl: _kernel_mc(model, pdf, r1, v1, quad, fl, pair_occ, z1)
                 for fl in flavors}
-    fine = _kernel_batch(model, pdf, r1, [v1], quad, flavors, pair_occ,
-                         rule_variant, z1)
+    fine = _kernel_batch(model, pdf, r1, [v1], quad, flavors, pair_occ, z1)
     coarse = _kernel_batch(model, pdf, r1, [v1], quad.coarsened(), flavors,
-                           pair_occ, rule_variant, z1)
+                           pair_occ, z1)
     out = {}
     for fl, (gain, loss) in fine.items():
         g_c, l_c = coarse[fl]
@@ -271,21 +265,13 @@ def _operator(model, pdf, r1, v1, quad, flavors, pair_occ=None,
     return out
 
 
-def boltzmann_op(model, pdf, r1, v1, quad: QuadratureSpec,
-                 hemisphere: str = "outgoing") -> OperatorValue:
+def boltzmann_op(model, pdf, r1, v1, quad: QuadratureSpec) -> OperatorValue:
     """Local binary collision operator at phase point (r1, v1).
 
     The elastic map and the flux factor are both even under e -> -e, so one
-    kernel covers both hemisphere conventions; selecting "incoming" swaps in
-    an independently parameterized angular rule (bumped polar order, offset
-    azimuths), making the incoming-vs-outgoing comparison a genuine check of
-    quadrature independence rather than a bitwise identity.
+    hemisphere of contact directions covers both conventions.
     """
-    if hemisphere not in ("outgoing", "incoming"):
-        raise ValueError(f"unknown hemisphere {hemisphere!r}")
-    rule_variant = (0, 0.0) if hemisphere == "outgoing" else (1, 0.5)
-    return _operator(model, pdf, r1, v1, quad, ("boltzmann",),
-                     rule_variant=rule_variant)["boltzmann"]
+    return _operator(model, pdf, r1, v1, quad, ("boltzmann",))["boltzmann"]
 
 
 def master_op(model, pdf, r1, v1, quad: QuadratureSpec,

@@ -102,15 +102,6 @@ def wall_theta(r, model: HardSphereModel):
     return out if out.ndim else int(out)
 
 
-def pair_theta(r_i, r_j, sigma: float):
-    """1 iff |r_i - r_j| > sigma (strict)."""
-    r_i = np.asarray(r_i, dtype=float)
-    r_j = np.asarray(r_j, dtype=float)
-    d2 = ((r_i - r_j) ** 2).sum(axis=-1)
-    out = (d2 > sigma * sigma).astype(int)
-    return out if out.ndim else int(out)
-
-
 def close_pairs(positions, cutoff: float):
     """Every pair i < j with d2 = |r_i - r_j|^2 <= cutoff^2, as (i, j, d2).
 

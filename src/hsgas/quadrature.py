@@ -100,18 +100,16 @@ def _hemisphere_counts(angle_nodes: int) -> tuple[int, int]:
     return n_u, n_phi
 
 
-def hemisphere_rule(angle_nodes: int, u_order_bump: int = 0, phi_offset: float = 0.0):
+def hemisphere_rule(angle_nodes: int):
     """Product rule on the hemisphere u in (0,1], phi in [0,2pi).
 
     Returns (u, wu, phi, wphi, realized) where realized = len(u)*len(phi).
     Weights integrate dOmega restricted to the hemisphere: sum(wu)*sum(wphi)
-    equals 2*pi. u_order_bump and phi_offset produce an independently
-    parameterized rule for cross-checking hemisphere equivalence.
+    equals 2*pi.
     """
     n_u, n_phi = _hemisphere_counts(angle_nodes)
-    n_u += int(u_order_bump)
     u, wu = gauss_legendre(n_u, 0.0, 1.0)
-    phi = (np.arange(n_phi) + 0.5) / n_phi * 2.0 * np.pi + phi_offset
+    phi = (np.arange(n_phi) + 0.5) / n_phi * 2.0 * np.pi
     wphi = np.full(n_phi, 2.0 * np.pi / n_phi)
     return u, wu, phi, wphi, n_u * n_phi
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from .pdfs import FAMILIES, UniformMaxwellian, family_keys
 from .quadrature import QuadratureSpec
+from .seeding import MAX_SEED
 
 SCHEMA_VERSION = 1
 QUADRATURE_KEYS = tuple(f.name for f in fields(QuadratureSpec))
@@ -126,6 +127,7 @@ def read_json(path) -> dict:
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
+_SEED = {"type": "integer", "minimum": 0, "maximum": MAX_SEED}
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -134,7 +136,7 @@ CONFIG_SCHEMA = {
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
         "experiment": {"enum": list(EXPERIMENTS)},
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": _SEED,
         "output_dir": {"type": "string", "minLength": 1},
         "model": {
             "type": "object",
@@ -188,7 +190,7 @@ CONFIG_SCHEMA = {
                 "angle_nodes": {"type": "integer", "minimum": 8},
                 "position_nodes": {"type": "integer", "minimum": 2},
                 "mode": {"enum": ["deterministic", "mc"]},
-                "seed": {"type": "integer", "minimum": 0},
+                "seed": _SEED,
             },
             "additionalProperties": False,
         },

@@ -12,9 +12,17 @@ import hashlib
 
 import numpy as np
 
+MAX_SEED = (1 << 63) - 1  # the largest root seed
+
 
 def derive_seedseq(root_seed: int, *labels) -> np.random.SeedSequence:
-    """SeedSequence for (root_seed, labels). Labels are stringified."""
+    """SeedSequence for (root_seed, labels). Labels are stringified.
+
+    root_seed must lie in [0, 2^63): a seed outside it raises ValueError
+    rather than wrap onto the stream of another seed.
+    """
+    if not 0 <= root_seed <= MAX_SEED:
+        raise ValueError(f"seed {root_seed} is outside [0, {MAX_SEED}]")
     tag = ":".join(str(x) for x in labels)
     digest = hashlib.sha256(tag.encode("utf-8")).digest()
     # two 64-bit words of the digest as the spawn key
@@ -22,7 +30,7 @@ def derive_seedseq(root_seed: int, *labels) -> np.random.SeedSequence:
         int.from_bytes(digest[:8], "little"),
         int.from_bytes(digest[8:16], "little"),
     )
-    return np.random.SeedSequence(entropy=int(root_seed) & ((1 << 63) - 1), spawn_key=key)
+    return np.random.SeedSequence(entropy=int(root_seed), spawn_key=key)
 
 
 def derive_rng(root_seed: int, *labels) -> np.random.Generator:
@@ -33,4 +41,4 @@ def derive_rng(root_seed: int, *labels) -> np.random.Generator:
 def derive_child_seed(root_seed: int, *labels) -> int:
     """Stable integer seed for a labelled sub-task that takes plain seeds."""
     state = derive_seedseq(root_seed, *labels).generate_state(1, np.uint64)[0]
-    return int(state & ((1 << 63) - 1))
+    return int(state & MAX_SEED)

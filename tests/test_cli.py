@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from hsgas import bg, cli, occupation, pdfs, runio
+from hsgas.seeding import MAX_SEED, derive_rng, derive_seedseq
 
 WORKLOADS = sorted(
     (Path(__file__).resolve().parents[1] / "perfbench" / "workloads")
@@ -253,6 +254,38 @@ def test_schema_violations_exit_2(tmp_path, capsys, config, command, named):
     for name in (named,) if isinstance(named, str) else named:
         assert name in err
     assert not out.exists()
+
+
+def test_seed_option_is_checked_as_the_config_seed(tmp_path, capsys):
+    # a root seed is a 63-bit integer: larger ones would share streams
+    rc, out = run_cli(tmp_path, {**ENTROPY_CONFIG, "seed": 2 ** 63}, "big")
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "schema error: $.seed: 9223372036854775808 is greater than the "
+        "maximum of 9223372036854775807\n")
+    assert not out.exists()
+    path = tmp_path / "entropy.json"
+    path.write_text(json.dumps(ENTROPY_CONFIG), encoding="utf-8")
+    out = tmp_path / "out"
+    rc = cli.main(["entropy", "--config", str(path), "--out", str(out),
+                   "--seed", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "schema error: $.seed: -1 is less than the minimum of 0\n")
+    assert not out.exists()
+    # the seed that ran is the config's seed in the manifest
+    rc = cli.main(["entropy", "--config", str(path), "--out", str(out),
+                   "--seed", "5"])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["root_seed"] == manifest["config"]["seed"] == 5
+
+
+def test_seeds_outside_63_bits_raise_rather_than_wrap():
+    assert derive_rng(MAX_SEED, "a").random() != derive_rng(0, "a").random()
+    for seed in (-1, 2 ** 63):
+        with pytest.raises(ValueError, match="outside"):
+            derive_seedseq(seed, "a")
 
 
 def test_entropy_with_a_missing_table_exits_1_and_names_the_layer(

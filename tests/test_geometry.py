@@ -17,7 +17,6 @@ from hsgas.geometry import (
     close_pairs,
     ensemble_theta,
     maxwell_velocities,
-    pair_theta,
     uniform_admissible_sample,
     wall_theta,
 )
@@ -55,20 +54,23 @@ def test_wall_theta_literals():
     assert arr.tolist() == [1, 0]
 
 
-def test_pair_theta_literals():
-    assert pair_theta([0, 0, 0], [0.2, 0, 0], 0.1) == 1
-    assert pair_theta([0, 0, 0], [0.05, 0, 0], 0.1) == 0
+def test_two_sphere_theta_literals():
+    # dyadic coordinates, so the contact distance is exactly sigma
+    m = HardSphereModel(n=2, sigma=0.125, box=1.0)
+    a = [0.5, 0.5, 0.5]
+    assert ensemble_theta([a, [0.75, 0.5, 0.5]], m) == 1
+    assert ensemble_theta([a, [0.5625, 0.5, 0.5]], m) == 0
     # strong convention: exact contact counts as overlap
-    assert pair_theta([0, 0, 0], [0.1, 0, 0], 0.1) == 0
-    assert pair_theta([0, 0, 0], [0, 0, 0], 0.0) == 0
+    assert ensemble_theta([a, [0.625, 0.5, 0.5]], m) == 0
+    assert ensemble_theta([a, [0.5, 0.375, 0.5]], m) == 0
+    assert ensemble_theta([a, [0.5, 0.5, 0.6250001]], m) == 1
 
 
-def test_pair_theta_symmetry_and_batch():
-    a = np.array([[0.3, 0.3, 0.3], [0.5, 0.5, 0.5]])
-    b = np.array([0.31, 0.3, 0.3])
-    out = pair_theta(a, b, 0.05)
-    assert out.tolist() == [0, 1]
-    assert pair_theta(a[0], b, 0.05) == pair_theta(b, a[0], 0.05)
+def test_two_sphere_theta_symmetry():
+    m = HardSphereModel(n=2, sigma=0.05, box=1.0)
+    b = [0.31, 0.3, 0.3]
+    for a, theta in (([0.3, 0.3, 0.3], 0), ([0.5, 0.5, 0.5], 1)):
+        assert ensemble_theta([a, b], m) == ensemble_theta([b, a], m) == theta
 
 
 @given(st.integers(0, 10 ** 6))
@@ -202,8 +204,11 @@ def test_bulk_clearance_probability_matches_analytic():
         rng = np.random.default_rng(42)
         lo, hi = m.wall_box
         pts = rng.uniform(lo, hi, size=(400_000, 3))
-        hits = pair_theta(pts, np.array([0.5, 0.5, 0.5]), sigma)
-        phat = hits.mean()
+        # the centre is row 0 of each chunk; its pairs are the overlaps
+        overlaps = sum(
+            (close_pairs(np.vstack([[0.5, 0.5, 0.5], chunk]), sigma)[0]
+             == 0).sum() for chunk in np.array_split(pts, 8000))
+        phat = 1.0 - overlaps / len(pts)
         se = math.sqrt(phat * (1 - phat) / len(pts))
         assert abs(phat - frozen) < 4 * se
 

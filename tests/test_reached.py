@@ -19,7 +19,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "hsgas"
 UNREACHED = {
     "collision.boltzmann_op": "per-probe API; tests use it as the reference",
     "collision.master_op": "per-probe API; tests use it as the reference",
-    "geometry.pair_theta": "the strong-theta convention the tests pin",
     "md.wall_contact_rate_prediction": "the md report's next prediction "
                                        "(ROADMAP A)",
     "occupation.ContactOccupancy.g_contact": "the benchmark traces it",

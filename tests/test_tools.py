@@ -1,0 +1,72 @@
+"""The tools' own contract: the bench pairing core, the options, the configs.
+
+No CI runs the scripts under tools/, so this is their only guard.
+"""
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import test_cli
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+
+import bench  # noqa: E402
+import same_bytes  # noqa: E402
+
+
+def test_pairs_alternate_and_summarise_per_pair(capsys):
+    values = {"base": iter([1.0, 2.0, 3.0, 4.0]),
+              "src": iter([2.0, 2.0, 6.0, 2.0])}
+    order = []
+
+    def run(side):
+        order.append(side)
+        return {"t": next(values[side]), "digest": "same"}
+
+    runs = bench.pair_runs(run, 4)
+    # base runs first in even pairs, src in odd ones
+    assert order == ["base", "src", "src", "base"] * 2
+    out = bench.compare(runs)
+    assert out["digests"] == {"digest": "same"}
+    assert out["pair_ratio_src_over_base"] == {"t": [2.0, 1.0, 2.0, 0.5]}
+    assert out["figures"]["base"]["t"] == {
+        "median": 2.5, "q1": 1.75, "q3": 3.25, "min": 1.0, "max": 4.0,
+        "spread": 1.2, "runs": [1.0, 2.0, 3.0, 4.0]}
+    assert out["figures"]["src"]["t"]["median"] == 2.0
+    assert capsys.readouterr().err.count("\n") == 8
+
+
+def test_a_digest_that_differs_stops_the_comparison():
+    runs = {"src": [{"t": 1.0, "digest": "a"}],
+            "base": [{"t": 1.0, "digest": "b"}]}
+    with pytest.raises(SystemExit, match="digest differs"):
+        bench.compare(runs)
+
+
+@pytest.mark.parametrize("args", [["bench.py", *layer, "--help"] for layer in
+                                  ([], ["md"], ["k1"], ["kernel"], ["cli"])]
+                         + [["same_bytes.py", "--help"]],
+                         ids=["bench", "md", "k1", "kernel", "cli",
+                              "same_bytes"])
+def test_help_exits_0(args):
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / args[0]),
+                          *args[1:]], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: ")
+
+
+def test_same_bytes_loads_every_workload_and_test_config():
+    workloads = sorted((ROOT / "perfbench" / "workloads").glob("*.json"))
+    assert workloads
+    expected = {f"workload.{p.stem}": json.loads(p.read_text())
+                for p in workloads}
+    expected.update({f"test_cli.{name}": value
+                     for name, value in vars(test_cli).items()
+                     if name.endswith("_CONFIG")})
+    assert same_bytes.configs() == expected

@@ -5,7 +5,7 @@
 Runs the configs in `perfbench/workloads/` and the module-level `*_CONFIG`
 dicts of `tests/test_cli.py`, all read from this checkout, at program seeds
 7 and 8 (`--seed`) on both checkouts, each tree in one fresh child that
-imports `hsgas` from its `src/` (the child harness of `tools/bench_md.py`).
+imports `hsgas` from its `src/` (the child of `tools/bench.py`).
 It prints one line per output file, `equal` or `differs`, with the exit code
 of each run among them, and exits 1 if any differs. The manifests are left
 out: they carry the wall clock.
@@ -21,7 +21,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_md import child
+from bench import child
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (7, 8)
@@ -62,16 +62,16 @@ def run_all(config_dir: Path, out_dir: Path) -> dict:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--src", type=Path, help="checkout of the change")
-    ap.add_argument("--base", type=Path, help="checkout of its parent")
-    ap.add_argument("--child", nargs=2, type=Path, help=argparse.SUPPRESS)
-    args = ap.parse_args(argv)
-    if args.child:
-        print(json.dumps(run_all(*args.child)))
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--child"]:
+        print(json.dumps(run_all(*map(Path, argv[1:]))))
         return 0
-    if args.src is None or args.base is None:
-        ap.error("--src and --base are required")
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--src", type=Path, required=True,
+                    help="checkout of the change")
+    ap.add_argument("--base", type=Path, required=True,
+                    help="checkout of its parent")
+    args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         config_dir = Path(tmp) / "configs"
         config_dir.mkdir()
@@ -82,7 +82,7 @@ def main(argv=None) -> int:
             tree = getattr(args, side).resolve()
             print(f"running {len(list(config_dir.iterdir()))} configs x "
                   f"{len(SEEDS)} seeds on {tree}", file=sys.stderr)
-            digests[side] = child(tree / "src", __file__, str(config_dir),
+            digests[side] = child(tree, __file__, str(config_dir),
                                   str(Path(tmp) / side))
     differs = 0
     for name in sorted(digests["src"].keys() | digests["base"].keys()):
