@@ -6,11 +6,12 @@ Two flavors share one kernel (FLAVORS):
   same position r1, prefactor N sigma^2.
 * contact operator ("master"): the partner sits on the contact sphere
   r2 = r1 + sigma e, the prefactor is (N-1) sigma^2, and the two-body density
-  at contact is k2(r1, r2) rho_hat(r1, v1) rho_hat(r2, v2), with the
+  at contact is k2 rho_hat(r1, v1) rho_hat(r2, v2), with the
   occupation-stripped density rho_hat = p theta_w / Z1 (see
-  occupation.hat_normalization). k2 from ContactOccupancy is the only
-  contact-sphere factor; its mode selects the pair form ("product" is
-  k1(r1) k1(r2)).
+  occupation.hat_normalization). k2 is ContactOccupancy.k2_contact(r1, e),
+  the only contact-sphere factor: the partner is always at exact contact,
+  so its lens term is the constant CONTACT_LENS. Its mode selects the pair
+  form ("product" is k1(r1) k1(r2)).
 
 The angular rule is aligned with the relative velocity: contact directions
 e = u ghat + sqrt(1-u^2)(cos phi e1 + sin phi e2) with u in [0, 1], so the
@@ -25,12 +26,27 @@ block of v1 values per numpy pass, sized to a fixed budget of _BLOCK_POINTS
 velocities g and their frames, the contact directions e, the flux |g| u, v1'
 and v2', the quadrature-weighted flux and p(r1, v1'). Each flavor then adds
 only its own factors: boltzmann p(r1, v2') and p(r1, v2); master k2 at
-r2 = r1 + sigma e, theta_w(r2) and rho_hat at r2. Every product keeps the
-operand order of a one-flavor pass, so a flavor's result does not depend on
-which others share the pass. Every v1 row is summed over its own (v2, angle)
-points in the same order as a lone v1, and the chunks are added in grid
-order, so the result for a v1 does not depend on which others share its
-batch either.
+contact, theta_w(r2) and rho_hat at r2. Factors two partners share are
+evaluated once:
+
+* a family whose velocity law is the same at every position
+  (pdf.uniform_velocity_law) factors p(r, v) as position_density(r) times
+  velocity_density(v), so the velocity factor at v2' is evaluated once per
+  block for p(r1, v2') and p(r2, v2'), and the factor at v2 once per chunk;
+* position_density(r2) is evaluated once per block for the gain partner
+  p(r2, v2') and the loss partner p(r2, v2) (pdf.densities for a family
+  that does not factor);
+* theta_w(r2) is skipped when r1's sigma-ball clears the sigma/2 wall layer
+  on every face, where it is 1 on the whole contact sphere (so for every
+  bg.bulk_phase_probes probe, which keep 1.5 sigma from the faces).
+
+Each shared factor enters the same products as before, so every value keeps
+the bits of pdf.density and wall_theta at its own point. Every product keeps
+the operand order of a one-flavor pass, so a flavor's result does not depend
+on which others share the pass. Every v1 row is summed over its own
+(v2, angle) points in the same order as a lone v1, and the chunks are added
+in grid order, so the result for a v1 does not depend on which others share
+its batch either.
 
 That independence makes a batch of more than one block of rows (a moment
 audit; never operator_scan's one-row calls) exact on two cores:
@@ -105,6 +121,36 @@ def _rho_hat(density, is_open, z1):
     return density * is_open / z1
 
 
+def _ball_is_open(r1, model):
+    """True when wall_theta is 1 at every r1 + sigma e with |e| = 1.
+
+    The sigma-ball around r1 then keeps more than sigma/2 from every face;
+    a pad of 1e-12 box covers the rounding of r1 + sigma e.
+    """
+    near = np.minimum(r1, model.box - r1).min()
+    return bool(near > 1.5 * model.sigma + 1e-12 * model.box)
+
+
+def _partner_factors(pdf):
+    """(at, velocity): at(r, *factors) is [p(r, v) for each v's factor].
+
+    The factor of a velocity array is velocity(v). A family whose velocity
+    law is the same at every position (uniform_velocity_law) factors as
+    position_density(r) times velocity_density(v), so a velocity factor
+    serves every position and each position law is evaluated once for all
+    factors; otherwise the factor is v itself and at is pdf.densities. Both
+    keep the bits of pdf.density(r, v).
+    """
+    if not pdf.uniform_velocity_law:
+        return pdf.densities, lambda v: v
+
+    def at(r, *factors):
+        pos = pdf.position_density(r)
+        return [pos * m for m in factors]
+
+    return at, pdf.velocity_density
+
+
 def _block_rows(points_per_row):
     """v1 rows per numpy pass when each row holds points_per_row points."""
     return max(1, _BLOCK_POINTS // points_per_row)
@@ -138,6 +184,7 @@ def _kernel_rows(model, pdf, r1, V1, quad, flavors, pair_occ, z1):
     r1 = np.asarray(r1, dtype=float)
     master, local = "master" in flavors, "boltzmann" in flavors
     sigma = model.sigma
+    at, velocity = _partner_factors(pdf)
 
     drift = pdf.drift(r1)
     V2, W2 = velocity_grid(quad, pdf.v_th, center=drift)
@@ -151,6 +198,7 @@ def _kernel_rows(model, pdf, r1, V1, quad, flavors, pair_occ, z1):
     if master:
         open1 = wall_theta(r1, model) > 0
         f1_loss["master"] = _rho_hat(f1, open1, z1)
+        ball_open = _ball_is_open(r1, model)
 
     sums = {fl: (np.zeros(V1.shape[0]), np.zeros(V1.shape[0]))
             for fl in flavors}
@@ -166,8 +214,9 @@ def _kernel_rows(model, pdf, r1, V1, quad, flavors, pair_occ, z1):
         v2 = V2[lo:lo + _V2_CHUNK]
         m2 = v2.shape[0]
         w2_ang = W2[lo:lo + _V2_CHUNK, None] * w_ang
+        vel2 = velocity(v2[:, None, :])
         if local:
-            local_part_loss = pdf.density(r1, v2[:, None, :])
+            (local_part_loss,) = at(r1, vel2)
         block = _block_rows(w2_ang.size)
         for b0 in range(0, V1.shape[0], block):
             # the geometry both flavors share
@@ -187,17 +236,20 @@ def _kernel_rows(model, pdf, r1, V1, quad, flavors, pair_occ, z1):
             v2p = v2[:, None, :] + gdote
             base = w2_ang * flux
             f1p = pdf.density(r1, v1p)
+            vel2p = velocity(v2p)
             rows = slice(b0, b0 + nb)
             if master:
-                # rho_2 at contact = k2(r1, r2) rho_hat(r1) rho_hat(r2)
+                # rho_2 at contact = k2 rho_hat(r1) rho_hat(r2)
                 r2 = r1 + sigma * e
-                open2 = wall_theta(r2, model) > 0
-                add("master", rows, base * pair_occ.k2(r1, r2),
+                open2 = True if ball_open else wall_theta(r2, model) > 0
+                part_gain, part_loss = at(r2, vel2p, vel2)
+                add("master", rows, base * pair_occ.k2_contact(r1, e),
                     _rho_hat(f1p, open1, z1),
-                    _rho_hat(pdf.density(r2, v2p), open2, z1),
-                    _rho_hat(pdf.density(r2, v2[:, None, :]), open2, z1))
+                    _rho_hat(part_gain, open2, z1),
+                    _rho_hat(part_loss, open2, z1))
             if local:
-                add("boltzmann", rows, base, f1p, pdf.density(r1, v2p),
+                (local_part_gain,) = at(r1, vel2p)
+                add("boltzmann", rows, base, f1p, local_part_gain,
                     local_part_loss)
     return {fl: (_prefactor(model, fl) * gain, _prefactor(model, fl) * loss)
             for fl, (gain, loss) in sums.items()}
@@ -224,7 +276,7 @@ def _kernel_mc(model, pdf, r1, v1, quad, flavor, pair_occ=None, z1=None):
     v1p, v2p = elastic_map(np.broadcast_to(v1, v2.shape), v2, e)
     if flavor == "master":
         r2 = r1 + sigma * e
-        k2 = pair_occ.k2(r1, r2)
+        k2 = pair_occ.k2_contact(r1, e)
         open1 = wall_theta(r1, model) > 0
         open2 = wall_theta(r2, model) > 0
         gains = (k2 * _rho_hat(pdf.density(r1, v1p), open1, z1)

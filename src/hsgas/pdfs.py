@@ -88,6 +88,14 @@ class OneBodyPdf:
     """
 
     family_tag = "abstract"
+    # True when the velocity law is the same at every position, so that
+    # density(r, v) = position_density(r) * velocity_density(v); a fact of
+    # the family's class, which no config sets
+    uniform_velocity_law = False
+
+    def densities(self, r, *vs):
+        """[density(r, v) for v in vs], each with the bits of density."""
+        return [self.density(r, v) for v in vs]
 
     def drift(self, r):
         """Mean velocity at position r, broadcast to r's shape."""
@@ -115,6 +123,7 @@ class UniformMaxwellian(OneBodyPdf):
     """
 
     family_tag = "uniform_maxwell"
+    uniform_velocity_law = True
 
     def __init__(self, box: float, v_th: float = 1.0):
         self.box = float(box)
@@ -145,6 +154,10 @@ class UniformMaxwellian(OneBodyPdf):
         # a scalar mean keeps the Gaussian on v's shape, not r's
         return _maxwell(v, 0.0, self.v_th)
 
+    def velocity_density(self, v):
+        """The velocity law of a family with uniform_velocity_law."""
+        return self._velocity_density(None, v)
+
     def sample_velocities(self, positions, rng):
         return rng.normal(scale=self.v_th, size=(len(positions), 3))
 
@@ -167,6 +180,11 @@ class UniformMaxwellian(OneBodyPdf):
     # -- the product of the two laws ---------------------------------------
     def density(self, r, v):
         return self.position_density(r) * self._velocity_density(r, v)
+
+    def densities(self, r, *vs):
+        # the position law once for every v
+        pos = self.position_density(r)
+        return [pos * self._velocity_density(r, v) for v in vs]
 
     def sample(self, count: int, seed: int):
         rng = derive_rng(seed, "pdf", self.family_tag)
@@ -199,6 +217,7 @@ class DriftedMaxwellian(UniformMaxwellian):
     """
 
     family_tag = "drifted_maxwell"
+    uniform_velocity_law = False  # the drift moves with x under shear
 
     def __init__(self, box, v_th=1.0, u0=(0.0, 0.0, 0.0), shear_rate: float = 0.0):
         super().__init__(box, v_th)

@@ -152,6 +152,12 @@ def multilinear(axes, values, points) -> np.ndarray:
     corner's weight multiplies the axis weights in axis order, and the
     corners add up in corner order. Points are handled INTERP_BLOCK at a
     time, which bounds the temporaries for large inputs.
+
+    A block compares its points only against the nodes between its least and
+    its greatest coordinate on each axis. Where no node falls between them,
+    the block sits in one cell on that axis, and its cell, left and right
+    nodes are scalars; in one cell on every axis, its 2^d corner values are
+    read as scalars. Each point keeps the arithmetic of a lone point.
     """
     points = np.asarray(points, dtype=float)
     flat = points.reshape(-1, len(axes))
@@ -162,24 +168,35 @@ def multilinear(axes, values, points) -> np.ndarray:
     out = np.zeros(flat.shape[0])
     for lo in range(0, flat.shape[0], INTERP_BLOCK):
         block = flat[lo:lo + INTERP_BLOCK]
-        cell = np.zeros(block.shape[0], dtype=np.intp)
+        cell = 0
         prefix = [1.0]  # corner weights over every axis but the last
         for k, ax in enumerate(axes):
             x = np.clip(block[:, k], ax[0], ax[-1])
-            i = np.zeros(block.shape[0], dtype=np.intp)
-            for node in ax[1:-1]:
-                i += x >= node
-            left = ax.take(i)
-            f = np.clip((x - left) / (ax.take(i + 1) - left), 0.0, 1.0)
+            inner = ax[1:-1]
+            least, most = x.min(), x.max()
+            if least <= most:  # no NaN among the block's points
+                below = np.searchsorted(inner, [least, most], side="right")
+            else:
+                below = (0, len(inner))
+            i = below[0]
+            if below[1] > below[0]:
+                i = np.full(block.shape[0], i, dtype=np.intp)
+                for node in inner[below[0]:below[1]]:
+                    i += x >= node
+                left, right = ax.take(i), ax.take(i + 1)
+            else:
+                left, right = ax[i], ax[i + 1]
+            f = np.clip((x - left) / (right - left), 0.0, 1.0)
             lo_hi = (1.0 - f, f)
-            cell *= len(ax)
-            cell += i
+            cell = cell * len(ax) + i
             if k < len(axes) - 1:
                 prefix = [w * lo_hi[h] for h in (0, 1) for w in prefix]
         acc = out[lo:lo + INTERP_BLOCK]
+        scalar = np.ndim(cell) == 0
         for corner, off in enumerate(offsets):
             w = prefix[corner % len(prefix)] * lo_hi[corner // len(prefix)]
-            acc += w * values[off:].take(cell)
+            acc += w * (values[off + cell] if scalar
+                        else values[off:].take(cell))
     return out.reshape(points.shape[:-1])
 
 

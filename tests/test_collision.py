@@ -19,16 +19,19 @@ from hsgas.collision import (
     operator_scan,
 )
 from hsgas import runio
-from hsgas.collision import (_BLOCK_POINTS, _V2_CHUNK, _hermite_velocity_grid,
-                             _kernel_batch, _master_z1)
-from hsgas.geometry import HardSphereModel
+from hsgas.collision import (_BLOCK_POINTS, _V2_CHUNK, _ball_is_open,
+                             _hermite_velocity_grid, _kernel_batch,
+                             _master_z1)
+from hsgas.geometry import HardSphereModel, wall_theta
 from hsgas.occupation import (
     ContactOccupancy,
     OccupationField,
     analytic_k1_uniform,
 )
-from hsgas.pdfs import UniformMaxwellian, VelocityMixture
-from hsgas.quadrature import QuadratureSpec
+from hsgas.pdfs import (DriftedMaxwellian, TiltedExponential,
+                        UniformMaxwellian, VelocityMixture)
+from hsgas.quadrature import (QuadratureSpec, hemisphere_rule,
+                              orthonormal_frames, velocity_grid)
 
 BULK = np.array([0.5, 0.5, 0.5])
 MODEL = HardSphereModel(n=64, sigma=0.02, box=1.0)
@@ -242,6 +245,74 @@ def test_kernel_blocks_match_single_v1_evaluations(flavor):
         g1, l1 = _kernel_batch(model, pdf, r1, [v1], quad, (flavor,),
                                alone_occ, z1=alone_z1)[flavor]
         assert gain[i] == g1[0] and loss[i] == l1[0]
+
+
+def _master_per_point(model, pdf, r1, v1, quad, occ, z1):
+    """Master gain and loss at one v1, one v2 node at a time, with every
+    factor from pdf.density and wall_theta at its own point."""
+    V2, W2 = velocity_grid(quad, pdf.v_th, center=pdf.drift(r1))
+    u, wu, phi, wphi, _ = hemisphere_rule(quad.angle_nodes)
+    u, phi = np.repeat(u, len(phi)), np.tile(phi, len(u))
+    w_ang = np.repeat(wu, len(wphi)) * np.tile(wphi, len(wu))
+    open1 = wall_theta(r1, model)
+    f1 = pdf.density(r1, v1) * open1 / z1
+    gain = loss = 0.0
+    for v2, w2 in zip(V2, W2):
+        g = v1 - v2
+        ghat, e1, e2 = (a[0] for a in orthonormal_frames(g[None, :]))
+        e = (u[:, None] * ghat + np.sqrt(1.0 - u ** 2)[:, None]
+             * (np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2))
+        flux = np.linalg.norm(g) * u
+        v1p = v1 - flux[:, None] * e
+        v2p = v2 + flux[:, None] * e
+        r2 = r1 + model.sigma * e
+        open2 = wall_theta(r2, model)
+        base = w2 * w_ang * flux * occ.k2_contact(r1, e)
+        gain += (base * pdf.density(r1, v1p) * open1 / z1
+                 * pdf.density(r2, v2p) * open2 / z1).sum()
+        loss += (base * f1 * pdf.density(r2, v2) * open2 / z1).sum()
+    pref = (model.n - 1) * model.sigma ** 2
+    return pref * gain, pref * loss
+
+
+@pytest.mark.parametrize("case", ["crossing", "clear", "sheared"])
+def test_master_matches_the_per_point_densities(case):
+    # crossing: the contact sphere dips into the sigma/2 wall layer, so
+    # theta_w(r2) is evaluated; clear: it cannot, so it is skipped; sheared:
+    # the velocity law moves with x, so no velocity factor is shared
+    model = HardSphereModel(n=30, sigma=0.08, box=1.0)
+    quad = QuadratureSpec(velocity_nodes=8, angle_nodes=26)
+    if case == "sheared":
+        pdf = DriftedMaxwellian(1.0, u0=(0.2, -0.1, 0.0), shear_rate=0.9)
+    else:
+        pdf = TiltedExponential(1.0, tilt=(1.0, -0.5, 0.3))
+    assert pdf.uniform_velocity_law is (case != "sheared")
+    r1 = np.array([0.5, 0.45, 0.6] if case == "clear"
+                  else [0.3, 0.55, 0.07])
+    field = OccupationField.constant(4, model.box, model=model)
+    field.values = np.random.default_rng(2).uniform(0.8, 1.0, (4, 4, 4))
+    occ = ContactOccupancy(model, field)
+    z1 = _master_z1(model, pdf, quad, ("master",), occ)
+    V1 = np.random.default_rng(5).normal(size=(3, 3))
+    gain, loss = _kernel_batch(model, pdf, r1, V1, quad, ("master",), occ,
+                               z1=z1)["master"]
+    assert _ball_is_open(r1, model) is (case == "clear")
+    # the contact point nearest the z = 0 face
+    assert wall_theta(r1 - [0.0, 0.0, model.sigma], model) == (case == "clear")
+    for i, v1 in enumerate(V1):
+        g_ref, l_ref = _master_per_point(model, pdf, r1, v1, quad, occ, z1)
+        assert gain[i] == pytest.approx(g_ref, rel=1e-13, abs=0.0)
+        assert loss[i] == pytest.approx(l_ref, rel=1e-13, abs=0.0)
+
+
+def test_a_ball_at_the_layer_is_not_taken_as_open():
+    # 1.5 sigma from a face, the contact sphere touches the sigma/2 layer,
+    # where wall_theta is 0
+    model = HardSphereModel(n=30, sigma=0.08, box=1.0)
+    r1 = np.array([0.5, 0.5, 1.5 * model.sigma])
+    assert not _ball_is_open(r1, model)
+    assert wall_theta(r1 - [0.0, 0.0, model.sigma], model) == 0
+    assert _ball_is_open(r1 + [0.0, 0.0, 1e-9], model)
 
 
 # 8^3 v2 nodes x 8 angles make 16 v1 rows per block; the 6^3 rows of a

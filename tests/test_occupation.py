@@ -460,6 +460,47 @@ def test_contact_occupancy_reproduces_uniform_closed_form():
         analytic_contact_k2_uniform(HardSphereModel(n=1, sigma=0.05, box=1.0))
 
 
+def _k2_general(occ, r1, r2):
+    """The former two-point k2(r1, r2): the lens at the centres' distance."""
+    n, sigma = occ.model.n, occ.model.sigma
+    if occ.mode == "unit":
+        return np.ones(np.broadcast_shapes(r1.shape, r2.shape)[:-1])
+    if occ.mode == "product":
+        return occ.k1_field.interp(r1) * occ.k1_field.interp(r2)
+    v1 = ball_fraction_from_k1(occ.k1_field, r1, n)
+    v2 = ball_fraction_from_k1(occ.k1_field, r2, n)
+    vball = 4.0 / 3.0 * math.pi * sigma ** 3
+    lens = lens_volume(np.linalg.norm(r2 - r1, axis=-1), sigma) / vball
+    vmid = ball_fraction_from_k1(occ.k1_field, 0.5 * (r1 + r2), n)
+    vu = np.clip(v1 + v2 - lens * vmid, 0.0, 1.0 - 1e-12)
+    return (1.0 - vu) ** (n - 2)
+
+
+@pytest.mark.parametrize("mode", ContactOccupancy.MODES)
+@pytest.mark.parametrize("r1", [[0.5, 0.45, 0.55], [0.03, 0.5, 0.97]],
+                         ids=["bulk", "near-wall"])
+def test_k2_contact_is_the_general_k2_at_contact(mode, r1):
+    model = HardSphereModel(n=40, sigma=0.1, box=1.0)
+    field = OccupationField.constant(5, 1.0, model=model)
+    # a field that varies over the contact sphere: 0.6 to 0.95
+    nodes = field.nodes()
+    field.values = (0.6 + 0.35 * np.cos(3.0 * nodes[:, 0])
+                    * np.sin(2.0 + nodes[:, 1] + nodes[:, 2]) ** 2
+                    ).reshape(field.values.shape)
+    occ = ContactOccupancy(model, field, mode=mode)
+    r1 = np.array(r1)
+    rng = np.random.default_rng(11)
+    n21 = rng.normal(size=(500, 3))
+    n21 /= np.linalg.norm(n21, axis=1, keepdims=True)
+    got = occ.k2_contact(r1, n21)
+    want = _k2_general(occ, r1, r1 + model.sigma * n21)
+    assert got.shape == want.shape == (500,)
+    assert np.all(want > 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    if mode != "insertion":  # no lens term: the same bits
+        assert np.array_equal(got, want)
+
+
 def test_contact_pair_tuples_geometry():
     model = HardSphereModel(n=64, sigma=0.05, box=1.0)
     pdf = UniformMaxwellian(1.0)

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from hsgas.quadrature import (
+    INTERP_BLOCK,
     QuadratureSpec,
     gauss_legendre,
     hemisphere_rule,
+    multilinear,
     orthonormal_frames,
     sphere_grid,
     velocity_grid,
@@ -129,3 +131,97 @@ def test_orthonormal_frames_properties():
     np.testing.assert_allclose(
         ghat[nz], g[nz] / np.linalg.norm(g[nz], axis=1, keepdims=True),
         atol=1e-12)
+
+
+def _multilinear_at(axes, values, point):
+    """multilinear at one point, node by node in Python floats."""
+    flat = np.asarray(values, dtype=float).ravel()
+    cell, lo_hi = 0, []
+    for ax, x in zip(axes, point):
+        x = min(max(float(x), ax[0]), ax[-1])
+        i = sum(x >= node for node in ax[1:-1])
+        left, right = float(ax[i]), float(ax[i + 1])
+        f = min(max((x - left) / (right - left), 0.0), 1.0)
+        lo_hi.append((1.0 - f, f))
+        cell = cell * len(ax) + i
+    out = 0.0
+    for corner in range(2 ** len(axes)):
+        w, off = 1.0, 0
+        for k, ax in enumerate(axes):
+            bit = corner >> k & 1
+            w *= lo_hi[k][bit]
+            off = off * len(ax) + bit
+        out += w * flat[cell + off]
+    return out
+
+
+def _point_kinds(axes, rng, count=40):
+    """Blocks of points: inside one cell, straddling an interior node on the
+    first axis (inside one cell on the others), beyond the hull's upper
+    faces (clamped to its corner), and spread past the hull."""
+    lo = np.array([a[0] for a in axes])
+    hi = np.array([a[-1] for a in axes])
+    # the cell above each axis's first node; the second node of the first
+    # axis is the node straddled
+    cell_lo = np.array([a[0] for a in axes])
+    cell_hi = np.array([a[1] for a in axes])
+    width = cell_hi - cell_lo
+    inside = rng.uniform(cell_lo + 0.2 * width, cell_hi - 0.2 * width,
+                         size=(count, len(axes)))
+    straddle = inside.copy()
+    if len(axes[0]) > 2:
+        node = axes[0][1]
+        straddle[:, 0] = rng.uniform(node - 0.1 * width[0],
+                                     node + 0.1 * width[0], size=count)
+        straddle[::7, 0] = node  # on the node itself
+    clamped = rng.uniform(hi, hi + (hi - lo), size=(count, len(axes)))
+    clamped[::5] = hi  # on the corner itself
+    spread = rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo),
+                         size=(count, len(axes)))
+    return {"inside": inside, "straddle": straddle, "clamped": clamped,
+            "spread": spread}
+
+
+def _uneven_axes(d, rng):
+    """d strictly increasing axes of 2 to 6 nodes at uneven spacings."""
+    return [np.cumsum(rng.uniform(0.1, 1.0, size=rng.integers(2, 7)))
+            for _ in range(d)]
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_multilinear_is_the_per_point_rule_bitwise(d):
+    rng = np.random.default_rng(40 + d)
+    if d == 6:  # the tabulated pdf's 6-d table
+        from test_pdfs import _uneven_table
+
+        tab = _uneven_table()
+        axes, values = tab.axes, tab.values
+    else:
+        axes = _uneven_axes(d, rng)
+        axes[0] = np.array([0.0, 0.3, 0.35, 0.9, 1.6])
+        values = rng.normal(size=[len(a) for a in axes])
+    kinds = _point_kinds(axes, rng)
+    for kind, pts in kinds.items():
+        want = np.array([_multilinear_at(axes, values, p) for p in pts])
+        got = multilinear(axes, values, pts)
+        assert np.array_equal(got, want), kind
+    # one call over every kind, and a call longer than one block whose
+    # blocks are of different kinds
+    every = np.concatenate(list(kinds.values()))
+    want = np.array([_multilinear_at(axes, values, p) for p in every])
+    assert np.array_equal(multilinear(axes, values, every), want)
+    long = np.concatenate([np.resize(kinds["inside"], (INTERP_BLOCK, d)),
+                           kinds["spread"], kinds["straddle"]])
+    want = np.concatenate([
+        np.resize(want[:len(kinds["inside"])], INTERP_BLOCK),
+        [_multilinear_at(axes, values, p)
+         for p in np.concatenate([kinds["spread"], kinds["straddle"]])]])
+    assert np.array_equal(multilinear(axes, values, long), want)
+
+
+def test_multilinear_keeps_nan_points_apart():
+    axes = [np.array([0.0, 1.0, 2.0, 3.0])]
+    values = np.array([0.0, 10.0, 20.0, 40.0])
+    pts = np.array([[0.5], [np.nan], [2.5]])
+    got = multilinear(axes, values, pts)
+    assert got[0] == 5.0 and got[2] == 30.0 and np.isnan(got[1])

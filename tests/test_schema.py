@@ -4,6 +4,12 @@ runio._schema_errors checks CONFIG_SCHEMA on its own; jsonschema's Draft
 2020-12 validator is its oracle here. The one intended difference is the
 integer rule: the walker's 'integer' takes only a JSON integer, where
 jsonschema also takes a whole-number float such as 4.0.
+
+Each pinned config draws its own mutations from a stream seeded by its
+content, so a config added to the pinned set (a new row of test_cli's exit-2
+table) adds its draws and leaves every other config's as they were. Each
+keyword the schema uses also has one targeted config (TARGETED), so every
+keyword is checked whatever the draws reach.
 """
 from __future__ import annotations
 
@@ -24,7 +30,7 @@ import test_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = sorted((ROOT / "perfbench" / "workloads").glob("*.json"))
-MUTATIONS = 10_000
+MUTATIONS_PER_CONFIG = 215  # about 10,000 over the pinned configs
 MUTATION_SEED = 20
 
 
@@ -56,6 +62,12 @@ def _containers(node, out):
         for child in (node.values() if isinstance(node, dict) else node):
             _containers(child, out)
     return out
+
+
+def mutation_rng(config) -> random.Random:
+    """The mutation stream of one pinned config, seeded by its content."""
+    content = json.dumps(config, sort_keys=True)
+    return random.Random(f"{MUTATION_SEED}:{content}")
 
 
 def mutate(config, rng: random.Random):
@@ -130,6 +142,29 @@ KEYWORD_MESSAGES = {
 }
 
 
+def _ops(**keys) -> dict:
+    return {"schema_version": 1, "experiment": "ops", **keys}
+
+
+# keyword -> a config that breaks the schema through that keyword
+TARGETED = {
+    "type": _ops(seed="7"),
+    "const": {**_ops(), "schema_version": 2},
+    "enum": _ops(ops={"flavor": "neither"}),
+    "required": {"schema_version": 1},
+    "additionalProperties": _ops(extra=1),
+    "minItems": _ops(pdf={"family": "tilted_exponential", "tilt": [1.0]}),
+    "maxItems": _ops(pdf={"family": "tilted_exponential",
+                          "tilt": [1.0, 0.0, 0.0, 0.0]}),
+    "minLength": _ops(output_dir=""),
+    "minimum": _ops(seed=-1),
+    "maximum": _ops(seed=2 ** 63),
+    "exclusiveMinimum": _ops(model={"n": 8, "sigma": 0.05, "box": 0.0}),
+    "exclusiveMaximum": _ops(pdf={"family": "sinusoidal_maxwell",
+                                  "alpha": 1.0}),
+}
+
+
 def test_the_walker_gives_jsonschemas_lines_apart_from_the_integer_rule():
     jsonschema = pytest.importorskip("jsonschema")
     base = jsonschema.Draft202012Validator
@@ -140,11 +175,14 @@ def test_the_walker_gives_jsonschemas_lines_apart_from_the_integer_rule():
     strict = jsonschema.validators.extend(
         base, type_checker=strict_integer)(runio.CONFIG_SCHEMA)
 
-    rng = random.Random(MUTATION_SEED)
     pinned = pinned_configs()
-    configs = pinned + [mutate(rng.choice(pinned), rng)
-                        for _ in range(MUTATIONS)]
-    seen, invalid, integer_rule = set(), 0, 0
+    mutations = []
+    for config in pinned:
+        rng = mutation_rng(config)
+        mutations += [mutate(config, rng)
+                      for _ in range(MUTATIONS_PER_CONFIG)]
+    configs = pinned + list(TARGETED.values()) + mutations
+    invalid, integer_rule = 0, 0
     for config in configs:
         lines = runio.validate_config(config)
         expected = _oracle_lines(strict, config)
@@ -154,11 +192,13 @@ def test_the_walker_gives_jsonschemas_lines_apart_from_the_integer_rule():
         assert kept == _oracle_lines(stock, config), config
         integer_rule += len(kept) < len(expected)
         invalid += bool(expected)
-        seen.update(k for k, words in KEYWORD_MESSAGES.items()
-                    if any(words in line for line in expected))
-    # the mutations reach every keyword and the integer rule
-    assert seen == set(KEYWORD_MESSAGES)
-    assert invalid > MUTATIONS // 2
+    # each keyword's targeted config breaks it, and the mutations reach the
+    # integer rule
+    assert TARGETED.keys() == KEYWORD_MESSAGES.keys()
+    for keyword, config in TARGETED.items():
+        assert any(KEYWORD_MESSAGES[keyword] in line
+                   for line in _oracle_lines(strict, config)), keyword
+    assert invalid > len(mutations) // 2
     assert integer_rule > 100
 
 

@@ -5,6 +5,7 @@ No CI runs the scripts under tools/, so this is their only guard.
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -70,3 +71,32 @@ def test_same_bytes_loads_every_workload_and_test_config():
                      for name, value in vars(test_cli).items()
                      if name.endswith("_CONFIG")})
     assert same_bytes.configs() == expected
+
+
+def test_relative_difference_names_the_largest_field(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("x,y,tag\n1.0,2.0,p\n3.0,-0.0,q\nnan,inf,r\n")
+    b.write_text("x,y,tag\n1.0,2.000000000000001,p\n3.0000000000000004,0.0,q\n"
+                 "nan,inf,r\n")
+    rel, field = same_bytes.relative_difference(a, b)
+    assert (rel, field) == ((2.000000000000001 - 2.0) / 2.000000000000001,
+                            "1/1")
+    assert same_bytes.relative_difference(a, a) == (0.0, None)
+    b.write_text("x,y,tag\n1.0,2.0,p\n3.0,-0.0,Q\nnan,inf,r\n")
+    assert same_bytes.relative_difference(a, b) == (math.inf, "2/2")
+
+
+def test_relative_difference_walks_report_json(tmp_path):
+    a, b = tmp_path / "a" / "report.json", tmp_path / "b" / "report.json"
+    a.parent.mkdir()
+    b.parent.mkdir()
+    a.write_text(json.dumps({"audit": {"res": [1.0, 2.0], "ok": True},
+                             "n": 4}))
+    b.write_text(json.dumps({"audit": {"res": [1.0, 2.5], "ok": True},
+                             "n": 4}))
+    assert same_bytes.relative_difference(a, b) == (0.2, "/audit/res/1")
+    b.write_text(json.dumps({"audit": {"res": [1.0, 2.0], "ok": False},
+                             "n": 4}))
+    assert same_bytes.relative_difference(a, b) == (math.inf, "/audit/ok")
+    b.write_text(json.dumps({"audit": {"res": [1.0], "ok": True}, "n": 4}))
+    assert same_bytes.relative_difference(a, b) == (math.inf, "/audit/res/1")

@@ -15,8 +15,9 @@ The layers, each one measure function:
 - kernel: the moment audit that `hsgas ops` runs at its first probe of the
   ops-beams workload, with its 10-node outer rule, for master alone,
   boltzmann alone and both flavours: the least wall and CPU time of
-  `ROUNDS` timings in one child, and kernel points (outer v1 x v2 x angle
-  x flavours) per second;
+  `ROUNDS` timings in one child, kernel points (outer v1 x v2 x angle
+  x flavours) per second, and the master/boltzmann ratios of the wall and
+  CPU times;
 - cli: one `perfbench/run.py --trace 0` run of `--workload` in the
   checkout: `wall_s`, `setup_s`, `cpu_s` and `peak_rss_mb`. The two
   checkout paths must have the same length, since a path's length moves
@@ -176,6 +177,9 @@ def measure_kernel() -> dict:
         figures[f"cpu_s.{name}"] = min(cpu[name])
         figures[f"points_per_s.{name}"] = (points * len(flavors)
                                            / min(seconds[name]))
+    for figure in ("audit_s", "cpu_s"):
+        figures[f"master_over_boltzmann.{figure}"] = (
+            figures[f"{figure}.master"] / figures[f"{figure}.boltzmann"])
     return figures
 
 

@@ -7,16 +7,20 @@ dicts of `tests/test_cli.py`, all read from this checkout, at program seeds
 7 and 8 (`--seed`) on both checkouts, each tree in one fresh child that
 imports `hsgas` from its `src/` (the child of `tools/bench.py`).
 It prints one line per output file, `equal` or `differs`, with the exit code
-of each run among them, and exits 1 if any differs. The manifests are left
-out: they carry the wall clock.
+of each run among them, and exits 1 if any differs. A differing CSV or
+`report.json` also shows its largest relative difference over the numeric
+fields and the field where it occurs (`relative_difference`). The manifests
+are left out: they carry the wall clock.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import csv
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -61,6 +65,63 @@ def run_all(config_dir: Path, out_dir: Path) -> dict:
     return digests
 
 
+def _fields(path: Path) -> dict:
+    """field -> value of an output: CSV cells by row/column, report.json
+    leaves by their key path."""
+    if path.suffix == ".csv":
+        with path.open(newline="") as f:
+            return {f"{i}/{j}": cell for i, row in enumerate(csv.reader(f))
+                    for j, cell in enumerate(row)}
+    out = {}
+
+    def walk(node, key):
+        if isinstance(node, (dict, list)):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for k, child in items:
+                walk(child, f"{key}/{k}")
+        else:
+            out[key] = node
+    walk(json.loads(path.read_text()), "")
+    return out
+
+
+def _number(value):
+    """value as a float, or None for a field that is not a number."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def relative_difference(a: Path, b: Path) -> tuple:
+    """(largest |x - y| / max(|x|, |y|), its field) over two outputs' fields.
+
+    Equal numbers count 0, NaN against NaN included. A field present in only
+    one output, or a non-numeric field that differs, counts inf.
+    """
+    fa, fb = _fields(a), _fields(b)
+    worst, where = 0.0, None
+    for key in sorted(fa.keys() | fb.keys()):
+        if key not in fa or key not in fb:
+            rel = math.inf
+        elif fa[key] == fb[key]:
+            continue
+        else:
+            x, y = _number(fa[key]), _number(fb[key])
+            if x is None or y is None:
+                rel = math.inf
+            elif x == y or math.isnan(x) and math.isnan(y):
+                rel = 0.0  # the same number written differently
+            else:
+                rel = abs(x - y) / max(abs(x), abs(y))
+                rel = math.inf if math.isnan(rel) else rel
+        if rel > worst:
+            worst, where = rel, key
+    return worst, where
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--child"]:
@@ -84,11 +145,16 @@ def main(argv=None) -> int:
                   f"{len(SEEDS)} seeds on {tree}", file=sys.stderr)
             digests[side] = child(tree, __file__, str(config_dir),
                                   str(Path(tmp) / side))
-    differs = 0
-    for name in sorted(digests["src"].keys() | digests["base"].keys()):
-        same = digests["src"].get(name) == digests["base"].get(name)
-        differs += not same
-        print(f"{'equal' if same else 'differs'}  {name}")
+        differs = 0
+        for name in sorted(digests["src"].keys() | digests["base"].keys()):
+            same = digests["src"].get(name) == digests["base"].get(name)
+            differs += not same
+            line = f"{'equal' if same else 'differs'}  {name}"
+            files = [Path(tmp) / side / name for side in ("src", "base")]
+            if not same and all(f.is_file() for f in files):
+                rel, field = relative_difference(*files)
+                line += f"  max relative {rel:.3g} at {field}"
+            print(line)
     print(f"{differs} of {len(digests['src'].keys() | digests['base'].keys())}"
           " outputs differ")
     return 1 if differs else 0
