@@ -722,7 +722,7 @@ def l1_k1_contact_integral(pdf, pair_occ: ContactOccupancy,
     contact sphere:
 
         value = -(N-1) sigma^2 * Int dOmega(n) [(v1 - u(r2)) . n]
-                 * rho1(r2) * k2(r1, r2),   r2 = r1 + sigma n,
+                 * rho1(r2) * k2_contact(r1, n),   r2 = r1 + sigma n,
 
     with rho1 = p theta_w k1 / Z1 the one-point marginal (k1 from the field
     carried by pair_occ) and u the local drift of the partner law. The n-even

@@ -15,7 +15,9 @@ law at zero mean. A family overrides only the law it changes:
   ``log_position_gradient``, and its integrals on a quadrature,
   ``_position_mass`` and ``_position_entropy``;
 * velocity law: ``_velocity_density``, ``sample_velocities`` and
-  ``_velocity_mass``/``_velocity_entropy``.
+  ``_velocity_mass``/``_velocity_entropy``. A family whose velocity law
+  moves with position also sets ``uniform_velocity_law`` False, so the
+  collision kernel does not share one velocity factor between positions.
 
 Normalization is position mass times velocity mass and entropy the sum of
 the two entropies; each error is the change under ``quad.coarsened()``.
