@@ -32,10 +32,10 @@ evaluated once:
 * a family whose velocity law is the same at every position
   (pdf.uniform_velocity_law) factors p(r, v) as position_density(r) times
   velocity_density(v), so the velocity factor at v2' is evaluated once per
-  block for p(r1, v2') and p(r2, v2'), and the factor at v2 once per chunk;
-* position_density(r2) is evaluated once per block for the gain partner
-  p(r2, v2') and the loss partner p(r2, v2) (pdf.densities for a family
-  that does not factor);
+  block for p(r1, v2') and p(r2, v2'), the factor at v2 once per chunk, and
+  position_density(r2) once per block for the gain partner p(r2, v2') and
+  the loss partner p(r2, v2); any other family evaluates pdf.density at each
+  point;
 * theta_w(r2) is skipped when r1's sigma-ball clears the sigma/2 wall layer
   on every face, where it is 1 on the whole contact sphere (so for every
   bg.bulk_phase_probes probe, which keep 1.5 sigma from the faces).
@@ -138,11 +138,11 @@ def _partner_factors(pdf):
     law is the same at every position (uniform_velocity_law) factors as
     position_density(r) times velocity_density(v), so a velocity factor
     serves every position and each position law is evaluated once for all
-    factors; otherwise the factor is v itself and at is pdf.densities. Both
-    keep the bits of pdf.density(r, v).
+    factors; otherwise the factor is v itself and at calls pdf.density for
+    each v. Both keep the bits of pdf.density(r, v).
     """
     if not pdf.uniform_velocity_law:
-        return pdf.densities, lambda v: v
+        return (lambda r, *vs: [pdf.density(r, v) for v in vs]), lambda v: v
 
     def at(r, *factors):
         pos = pdf.position_density(r)

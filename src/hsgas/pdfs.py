@@ -95,10 +95,6 @@ class OneBodyPdf:
     # the family's class, which no config sets
     uniform_velocity_law = False
 
-    def densities(self, r, *vs):
-        """[density(r, v) for v in vs], each with the bits of density."""
-        return [self.density(r, v) for v in vs]
-
     def drift(self, r):
         """Mean velocity at position r, broadcast to r's shape."""
         r = np.asarray(r, dtype=float)
@@ -182,11 +178,6 @@ class UniformMaxwellian(OneBodyPdf):
     # -- the product of the two laws ---------------------------------------
     def density(self, r, v):
         return self.position_density(r) * self._velocity_density(r, v)
-
-    def densities(self, r, *vs):
-        # the position law once for every v
-        pos = self.position_density(r)
-        return [pos * self._velocity_density(r, v) for v in vs]
 
     def sample(self, count: int, seed: int):
         rng = derive_rng(seed, "pdf", self.family_tag)

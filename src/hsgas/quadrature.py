@@ -183,20 +183,16 @@ def multilinear(axes, values, points) -> np.ndarray:
                 i = np.full(block.shape[0], i, dtype=np.intp)
                 for node in inner[below[0]:below[1]]:
                     i += x >= node
-                left, right = ax.take(i), ax.take(i + 1)
-            else:
-                left, right = ax[i], ax[i + 1]
+            left, right = ax.take(i), ax.take(i + 1)
             f = np.clip((x - left) / (right - left), 0.0, 1.0)
             lo_hi = (1.0 - f, f)
             cell = cell * len(ax) + i
             if k < len(axes) - 1:
                 prefix = [w * lo_hi[h] for h in (0, 1) for w in prefix]
         acc = out[lo:lo + INTERP_BLOCK]
-        scalar = np.ndim(cell) == 0
         for corner, off in enumerate(offsets):
             w = prefix[corner % len(prefix)] * lo_hi[corner // len(prefix)]
-            acc += w * (values[off + cell] if scalar
-                        else values[off:].take(cell))
+            acc += w * values[off:].take(cell)
     return out.reshape(points.shape[:-1])
 
 
