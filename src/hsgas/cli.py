@@ -340,26 +340,6 @@ def _run_relax(config, seed, out_dir):
     return ["relax_trace.csv", "final_f.csv"], report
 
 
-def _run_entropy(config, seed, out_dir):
-    from .pdfs import scale_length
-
-    model = _model_from(config)
-    pdf = _pdf_from(config, model.box)
-    quad = _quad_from(config)
-    rep = pdf.entropy(quad)
-    sm = scale_length(pdf, 64, derive_child_seed(seed, "cli", "entropy"),
-                      model=model)
-    report = {
-        "entropy": rep.S,
-        "quadrature_error": rep.quadrature_error,
-        "zero_fraction": rep.zero_fraction,
-        "normalization": pdf.normalization(quad),
-        "scale_length": sm.L_rho,
-        "delta": sm.delta,
-    }
-    return [], report
-
-
 def runner(name: str):
     """The function that runs subcommand `name` of runio.EXPERIMENTS."""
     return globals()["_run_" + name.replace("-", "_")]

@@ -1,28 +1,22 @@
-"""One-body phase-space density families and their diagnostics.
+"""One-body phase-space density families.
 
 Every family lives on the cube [0, box]^3 times velocity space and exposes a
 vectorized ``density(r, v)``. The tabulated family reads its density and its
-position marginal off tables with ``quadrature.multilinear`` and integrates
-on its own grid; the five analytic families share one base.
+position marginal off tables with ``quadrature.multilinear``; the five
+analytic families share one base.
 
 The base is ``UniformMaxwellian``. It writes a family as the product of a
 position law and a velocity law, f(r, v) = rho(r) M(r, v), and holds the
-only ``density``, ``normalization`` and ``entropy`` of the analytic
-families, with the uniform position law and the isotropic Maxwell velocity
-law at zero mean. A family overrides only the law it changes:
+only ``density`` of the analytic families, with the uniform position law and
+the isotropic Maxwell velocity law at zero mean. A family overrides only the
+law it changes:
 
-* position law: ``_position_law`` (rho inside the cube), ``sample_positions``,
-  ``log_position_gradient``, and its integrals on a quadrature,
-  ``_position_mass`` and ``_position_entropy``;
-* velocity law: ``_velocity_density``, ``sample_velocities`` and
-  ``_velocity_mass``/``_velocity_entropy``. A family whose velocity law
-  moves with position also sets ``uniform_velocity_law`` False, so the
-  collision kernel does not share one velocity factor between positions.
-
-Normalization is position mass times velocity mass and entropy the sum of
-the two entropies; each error is the change under ``quad.coarsened()``.
-Velocity-space integrals truncate at v_max thermal speeds per axis (default 6,
-Gaussian tails below 1e-7).
+* position law: ``_position_law`` (rho inside the cube) and
+  ``sample_positions``;
+* velocity law: ``_velocity_density`` and ``sample_velocities``. A family
+  whose velocity law moves with position also sets ``uniform_velocity_law``
+  False, so the collision kernel does not share one velocity factor between
+  positions.
 
 ``FAMILIES`` maps a config ``family`` tag to its factory, which is called as
 ``factory(box=box, **params)``. The factory's parameters other than box are
@@ -34,32 +28,12 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (
-    QuadratureSpec,
-    gauss_legendre,
-    multilinear,
-    tensor_rule,
-)
-from .seeding import derive_rng
+from .quadrature import multilinear
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass
-class EntropyReport:
-    S: float
-    quadrature_error: float
-    zero_fraction: float = 0.0
-
-
-@dataclass
-class SmoothnessReport:
-    L_rho: float
-    delta: float
 
 
 def _maxwell(v, mean, v_th):
@@ -83,10 +57,8 @@ class OneBodyPdf:
     """Interface of a one-body pdf on [0, box]^3 times velocity space.
 
     A family sets family_tag, box and v_th and provides density(r, v),
-    position_density(r), sample_positions(count, rng),
-    sample_velocities(positions, rng), sample(count, seed),
-    normalization(quad) and entropy(quad). The
-    defaults here are a zero drift and no analytic position gradient.
+    position_density(r), sample_positions(count, rng) and
+    sample_velocities(positions, rng). The default here is a zero drift.
     """
 
     family_tag = "abstract"
@@ -99,18 +71,6 @@ class OneBodyPdf:
         """Mean velocity at position r, broadcast to r's shape."""
         r = np.asarray(r, dtype=float)
         return np.zeros_like(r)
-
-    def log_position_gradient(self, r, v):
-        """Analytic d(ln rho)/dr, or None when only FD is available."""
-        return None
-
-
-def _axis_entropy(fvals, w):
-    # -sum w f ln f, guarding zeros
-    mask = fvals > 0.0
-    out = np.zeros_like(fvals)
-    out[mask] = fvals[mask] * np.log(fvals[mask])
-    return -float((w * out).sum())
 
 
 class UniformMaxwellian(OneBodyPdf):
@@ -135,17 +95,8 @@ class UniformMaxwellian(OneBodyPdf):
         r = np.asarray(r, dtype=float)
         return self._position_law(r) * _in_box(r, self.box)
 
-    def log_position_gradient(self, r, v):
-        return np.zeros_like(np.asarray(r, dtype=float))
-
     def sample_positions(self, count, rng):
         return rng.uniform(0.0, self.box, size=(count, 3))
-
-    def _position_mass(self, quad):
-        return 1.0
-
-    def _position_entropy(self, quad):
-        return 3.0 * math.log(self.box)
 
     # -- velocity law: isotropic Maxwell at zero mean ----------------------
     def _velocity_density(self, r, v):
@@ -159,45 +110,9 @@ class UniformMaxwellian(OneBodyPdf):
     def sample_velocities(self, positions, rng):
         return rng.normal(scale=self.v_th, size=(len(positions), 3))
 
-    def _axis_gaussian(self, quad):
-        # per-axis Maxwell factor on the truncated interval, with GL weights
-        x, w = gauss_legendre(quad.velocity_nodes, -quad.v_max * self.v_th,
-                              quad.v_max * self.v_th)
-        g = np.exp(-0.5 * (x / self.v_th) ** 2) / (math.sqrt(_TWO_PI) * self.v_th)
-        return g, w
-
-    def _velocity_mass(self, quad):
-        g, w = self._axis_gaussian(quad)
-        return float((w * g).sum()) ** 3
-
-    def _velocity_entropy(self, quad):
-        g, w = self._axis_gaussian(quad)
-        # 3 independent axes: S_vel = 3 * S_axis
-        return 3.0 * _axis_entropy(g, w)
-
     # -- the product of the two laws ---------------------------------------
     def density(self, r, v):
         return self.position_density(r) * self._velocity_density(r, v)
-
-    def sample(self, count: int, seed: int):
-        rng = derive_rng(seed, "pdf", self.family_tag)
-        r = self.sample_positions(count, rng)
-        return r, self.sample_velocities(r, rng)
-
-    def normalization(self, quad: QuadratureSpec):
-        def mass(q):
-            return self._position_mass(q) * self._velocity_mass(q)
-
-        val = mass(quad)
-        return val, abs(val - mass(quad.coarsened())) + 1e-15
-
-    def entropy(self, quad: QuadratureSpec) -> EntropyReport:
-        def total(q):
-            return self._position_entropy(q) + self._velocity_entropy(q)
-
-        s = total(quad)
-        err = abs(s - total(quad.coarsened()))
-        return EntropyReport(S=s, quadrature_error=err + 1e-14)
 
 
 class DriftedMaxwellian(UniformMaxwellian):
@@ -205,8 +120,7 @@ class DriftedMaxwellian(UniformMaxwellian):
 
     drift(r) = u0 + shear_rate * (x - box/2) * yhat. With shear_rate = 0 this
     is the constant-drift family; a nonzero shear gives the drift a spatial
-    gradient while keeping the local velocity law Maxwellian. The velocity
-    integrals are taken in the local drift frame, so they do not depend on r.
+    gradient while keeping the local velocity law Maxwellian.
     """
 
     family_tag = "drifted_maxwell"
@@ -223,15 +137,6 @@ class DriftedMaxwellian(UniformMaxwellian):
         if self.shear_rate != 0.0:
             u[..., 1] = u[..., 1] + self.shear_rate * (r[..., 0] - self.box / 2.0)
         return u
-
-    def log_position_gradient(self, r, v):
-        r = np.asarray(r, dtype=float)
-        v = np.asarray(v, dtype=float)
-        grad = np.zeros(np.broadcast_shapes(r.shape, v.shape), dtype=float)
-        if self.shear_rate != 0.0:
-            w = v - self.drift(r)
-            grad[..., 0] = w[..., 1] * self.shear_rate / self.v_th ** 2
-        return grad
 
     def _velocity_density(self, r, v):
         return _maxwell(v, self.drift(r), self.v_th)
@@ -258,10 +163,6 @@ class TiltedExponential(UniformMaxwellian):
     def _position_law(self, r):
         return np.exp((r * self.tilt).sum(axis=-1)) / self._axis_norm.prod()
 
-    def log_position_gradient(self, r, v):
-        r = np.asarray(r, dtype=float)
-        return np.broadcast_to(self.tilt, r.shape).copy()
-
     def sample_positions(self, count, rng):
         u = rng.uniform(size=(count, 3))
         r = np.empty((count, 3))
@@ -272,21 +173,6 @@ class TiltedExponential(UniformMaxwellian):
                 # inverse CDF of a e^{ax}/ (e^{aL}-1) on [0, L]
                 r[:, i] = np.log1p(u[:, i] * math.expm1(a * self.box)) / a
         return r
-
-    def _axis_position_quads(self, quad):
-        out = []
-        for i, a in enumerate(self.tilt):
-            x, w = gauss_legendre(quad.position_nodes, 0.0, self.box)
-            p = np.exp(a * x) / self._axis_norm[i]
-            out.append((p, w))
-        return out
-
-    def _position_mass(self, quad):
-        return math.prod(float((w * p).sum())
-                         for p, w in self._axis_position_quads(quad))
-
-    def _position_entropy(self, quad):
-        return sum(_axis_entropy(p, w) for p, w in self._axis_position_quads(quad))
 
 
 class SinusoidalMaxwellian(UniformMaxwellian):
@@ -309,14 +195,6 @@ class SinusoidalMaxwellian(UniformMaxwellian):
     def _position_law(self, r):
         return self._profile(r[..., self.axis]) / self.box ** 3
 
-    def log_position_gradient(self, r, v):
-        r = np.asarray(r, dtype=float)
-        k = _TWO_PI / self.box
-        x = r[..., self.axis]
-        grad = np.zeros_like(r)
-        grad[..., self.axis] = self.alpha * k * np.cos(k * x + self.phase) / self._profile(x)
-        return grad
-
     def sample_positions(self, count, rng):
         out = np.empty((count, 3))
         # rejection along the modulated axis, bound (1+alpha)
@@ -332,19 +210,6 @@ class SinusoidalMaxwellian(UniformMaxwellian):
         other = [i for i in range(3) if i != self.axis]
         out[:, other] = rng.uniform(0.0, self.box, size=(count, 2))
         return out
-
-    def _pos_quad(self, q):
-        x, w = gauss_legendre(q.position_nodes * 4, 0.0, self.box)
-        return self._profile(x) / self.box, w
-
-    def _position_mass(self, quad):
-        p, w = self._pos_quad(quad)
-        return float((w * p).sum())
-
-    def _position_entropy(self, quad):
-        p, w = self._pos_quad(quad)
-        # remaining two axes are uniform over box
-        return _axis_entropy(p, w) + 2.0 * math.log(self.box)
 
 
 class VelocityMixture(UniformMaxwellian):
@@ -388,20 +253,6 @@ class VelocityMixture(UniformMaxwellian):
             sel = idx == k
             v[sel] = m + rng.normal(scale=s, size=(int(sel.sum()), 3))
         return v
-
-    def _vel_grid(self, q):
-        span = max(
-            abs(np.abs(m).max()) + q.v_max * s for _, m, s in self.components
-        )
-        return tensor_rule(*gauss_legendre(q.velocity_nodes, -span, span))
-
-    def _velocity_mass(self, quad):
-        nodes, w = self._vel_grid(quad)
-        return float((w * self._velocity_density(None, nodes)).sum())
-
-    def _velocity_entropy(self, quad):
-        nodes, w = self._vel_grid(quad)
-        return _axis_entropy(self._velocity_density(None, nodes), w)
 
 
 class TabulatedPdf(OneBodyPdf):
@@ -464,32 +315,6 @@ class TabulatedPdf(OneBodyPdf):
             out.append(_cell_draws(self.vel_axes, table, 1, rng))
         return np.concatenate(out)
 
-    def sample(self, count, seed):
-        rng = derive_rng(seed, "pdf", self.family_tag)
-        pts = _cell_draws(self.axes, self.values, count, rng)
-        return pts[:, :3], pts[:, 3:]
-
-    def normalization(self, quad=None):
-        w = _trapezoid_weights_nd(self.axes)
-        val = float((w * self.values).sum())
-        # coarse estimate: every other node where possible
-        if all(len(a) >= 5 for a in self.axes):
-            every_other = (slice(None, None, 2),) * 6
-            w2 = _trapezoid_weights_nd([a[::2] for a in self.axes])
-            err = abs(val - float((w2 * self.values[every_other]).sum()))
-        else:
-            err = abs(val) * 1e-2
-        return val, err
-
-    def entropy(self, quad=None) -> EntropyReport:
-        w = _trapezoid_weights_nd(self.axes)
-        f = self.values
-        mask = f > 0
-        s = -float((w[mask] * f[mask] * np.log(f[mask])).sum())
-        zero_fraction = 1.0 - mask.mean()
-        return EntropyReport(S=s, quadrature_error=abs(s) * 1e-3,
-                             zero_fraction=float(zero_fraction))
-
     def to_csv(self, path):
         from .runio import write_csv
 
@@ -548,57 +373,6 @@ def _cell_masses(axes, values):
                      + acc.take(range(1, len(a)), axis=k))
     return acc * functools.reduce(np.multiply.outer,
                                   [np.diff(a) for a in axes])
-
-
-# ---------------------------------------------------------------------------
-# module-level diagnostics
-
-
-def fd_log_position_gradient(pdf, r, v):
-    """Central finite difference of ln density in the position argument."""
-    r = np.asarray(r, dtype=float)
-    h = 1e-5 * pdf.box
-    out = np.empty_like(r)
-    for k in range(3):
-        dr = np.zeros(3)
-        dr[k] = h
-        hi = pdf.density(r + dr, v)
-        lo = pdf.density(r - dr, v)
-        with np.errstate(divide="ignore"):
-            out[..., k] = (np.log(hi) - np.log(lo)) / (2 * h)
-    return out
-
-
-def scale_length(pdf: OneBodyPdf, probes: int, seed: int,
-                 model=None) -> SmoothnessReport:
-    """Probe-maximization estimate of the density's spatial scale length.
-
-    L_rho is the reciprocal of the largest |grad ln rho| seen over probe
-    points drawn half from the pdf itself and half from a uniform grid; it is
-    a declared approximation of the infimum over all of phase space. Gradient-
-    free densities report an unbounded scale (inf) and delta = 0.
-    """
-    n_samp = probes // 2
-    r_s, v_s = pdf.sample(max(n_samp, 1), seed)
-    m = max(2, int(round((probes - n_samp) ** (1.0 / 3.0))))
-    ax = (np.arange(m) + 0.5) / m * pdf.box
-    r_g = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
-    v_g = np.broadcast_to(pdf.drift(r_g), r_g.shape).copy()
-    r_all = np.concatenate([r_s, r_g], axis=0)
-    v_all = np.concatenate([v_s, v_g], axis=0)
-
-    g = pdf.log_position_gradient(r_all, v_all)
-    if g is None:
-        g = np.stack(
-            [fd_log_position_gradient(pdf, r, v) for r, v in zip(r_all, v_all)]
-        )
-    mag = np.linalg.norm(np.asarray(g, dtype=float), axis=-1)
-    mag = mag[np.isfinite(mag)]
-    g_max = float(mag.max()) if mag.size else 0.0
-    L_now = math.inf if g_max == 0.0 else 1.0 / g_max
-    sigma = model.sigma if model is not None else 0.0
-    delta = 0.0 if math.isinf(L_now) else sigma / L_now
-    return SmoothnessReport(L_rho=L_now, delta=delta)
 
 
 # ---------------------------------------------------------------------------

@@ -62,10 +62,6 @@ EXPERIMENTS = {
                           quadrature_keys=("angle_nodes", "position_nodes")),
     "chaos": Experiment(("sequence", "pdf", "k1", "bg")),
     "relax": Experiment(("model", "pdf", "relax")),
-    # the analytic families integrate on velocity and position rules
-    "entropy": Experiment(("model", "pdf", "quadrature"),
-                          quadrature_keys=("v_max", "velocity_nodes",
-                                           "position_nodes")),
 }
 SECTIONS = tuple(dict.fromkeys(s for e in EXPERIMENTS.values()
                                for s in e.sections))

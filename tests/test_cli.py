@@ -75,13 +75,6 @@ NONCOMM_CONFIG = {
     "quadrature": {"angle_nodes": 26},
 }
 
-ENTROPY_CONFIG = {
-    "schema_version": 1, "experiment": "entropy", "seed": 3,
-    "model": {"n": 8, "sigma": 0.05, "box": 1.0},
-    "pdf": {"family": "sinusoidal_maxwell", "alpha": 0.3},
-}
-
-
 def run_cli(tmp_path, config, name, command=None):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -136,24 +129,6 @@ def test_run_lists_its_artifacts_and_repeats_its_csvs(tmp_path, config):
         assert (out / name).read_bytes() == (again / name).read_bytes()
 
 
-def test_entropy_lists_its_artifacts_and_repeats_its_report(tmp_path):
-    # entropy writes no CSV; its report is the deterministic output
-    rc, out = run_cli(tmp_path, ENTROPY_CONFIG, "a")
-    assert rc == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["artifacts"] == ["report.json"]
-    assert sorted(p.name for p in out.iterdir()) == ["manifest.json",
-                                                     "report.json"]
-    assert manifest["config"] == ENTROPY_CONFIG
-    report = json.loads((out / "report.json").read_text())
-    assert math.isfinite(report["scale_length"]) and report["delta"] > 0
-
-    rc, again = run_cli(tmp_path, ENTROPY_CONFIG, "b")
-    assert rc == 0
-    assert ((out / "report.json").read_bytes()
-            == (again / "report.json").read_bytes())
-
-
 @pytest.mark.parametrize("config, command, named", [
     ({**K1_CONFIG, "threads": 2}, None, "'threads'"),
     ({**CHAOS_CONFIG, "bg": {**CHAOS_CONFIG["bg"], "probes": 4}}, None,
@@ -176,16 +151,16 @@ def test_entropy_lists_its_artifacts_and_repeats_its_report(tmp_path):
     ({**NONCOMM_CONFIG,
       "sequence": {**NONCOMM_CONFIG["sequence"], "sigma": 0.1}}, None,
      "'sigma'"),
-    ({**ENTROPY_CONFIG, "pdf": {**ENTROPY_CONFIG["pdf"], "alpha": -0.3}},
+    ({**K1_CONFIG, "pdf": {"family": "sinusoidal_maxwell", "alpha": -0.3}},
      None, "$.pdf.alpha: -0.3 is less than the minimum of 0"),
-    ({**ENTROPY_CONFIG, "pdf": {"family": "uniform_maxwell",
+    ({**K1_CONFIG, "pdf": {"family": "uniform_maxwell",
                                 "tilt": [5.0, 0.0, 0.0]}}, None,
      "$.pdf.tilt: family 'uniform_maxwell' takes no key 'tilt'"),
     ({**RELAX_CONFIG, "pdf": {"family": "velocity_mixture"}}, None,
      "$.pdf: family 'velocity_mixture' needs key 'components'"),
-    ({**ENTROPY_CONFIG, "pdf": {"family": "tabulated"}}, None,
+    ({**K1_CONFIG, "pdf": {"family": "tabulated"}}, None,
      "$.pdf: family 'tabulated' needs key 'path'"),
-    ({**ENTROPY_CONFIG, "pdf": {"family": ["uniform_maxwell"]}}, None,
+    ({**K1_CONFIG, "pdf": {"family": ["uniform_maxwell"]}}, None,
      "$.pdf.family: ['uniform_maxwell'] is not one of"),
     ({**K1_CONFIG, "relax": RELAX_CONFIG["relax"],
       "quadrature": OPS_CONFIG["quadrature"]}, None,
@@ -198,17 +173,10 @@ def test_entropy_lists_its_artifacts_and_repeats_its_report(tmp_path):
     ({**MD_CONFIG, "pdf": {"family": "tilted_exponential",
                            "tilt": [5.0, 0.0, 0.0]}}, None,
      "$.pdf.family: subcommand 'md' takes only family 'uniform_maxwell'"),
-    ({**{k: v for k, v in ENTROPY_CONFIG.items() if k != "model"},
-      "sequence": NONCOMM_CONFIG["sequence"]}, None,
-     ("$.sequence: subcommand 'entropy' does not read section 'sequence'",
-      "$: subcommand 'entropy' needs section 'model'")),
     ({**NONCOMM_CONFIG,
       "quadrature": {"angle_nodes": 26, "velocity_nodes": 40}}, None,
      "$.quadrature.velocity_nodes: subcommand 'noncomm' does not read key "
      "'velocity_nodes'"),
-    ({**ENTROPY_CONFIG, "quadrature": {"angle_nodes": 26}}, None,
-     "$.quadrature.angle_nodes: subcommand 'entropy' does not read key "
-     "'angle_nodes'"),
     ({**OPS_CONFIG, "ops": {"flavor": "boltzmann"}}, None,
      "$.k1: not read, as ops.flavor 'boltzmann'"),
     ({**{k: v for k, v in OPS_CONFIG.items() if k != "k1"},
@@ -238,9 +206,8 @@ def test_entropy_lists_its_artifacts_and_repeats_its_report(tmp_path):
         "bg-sweep.k1.probes", "noncomm.sequence.sigma", "pdf.alpha-negative",
         "pdf.tilt-on-uniform", "pdf.components-missing", "pdf.path-missing",
         "pdf.family-list", "k1.relax-and-quadrature", "k1.no-model",
-        "bg-sweep.model", "md.pdf-family", "entropy.sequence",
-        "noncomm.quadrature.velocity_nodes",
-        "entropy.quadrature.angle_nodes", "ops.boltzmann.k1",
+        "bg-sweep.model", "md.pdf-family",
+        "noncomm.quadrature.velocity_nodes", "ops.boltzmann.k1",
         "ops.boltzmann.rho2_form", "ops.boltzmann.position_nodes",
         "md.windows-without-snapshots",
         "md.equilibration_fraction-without-snapshots", "relax.cfl-with-dt",
@@ -258,27 +225,41 @@ def test_schema_violations_exit_2(tmp_path, capsys, config, command, named):
 
 def test_seed_option_is_checked_as_the_config_seed(tmp_path, capsys):
     # a root seed is a 63-bit integer: larger ones would share streams
-    rc, out = run_cli(tmp_path, {**ENTROPY_CONFIG, "seed": 2 ** 63}, "big")
+    rc, out = run_cli(tmp_path, {**K1_CONFIG, "seed": 2 ** 63}, "big")
     assert rc == 2
     assert capsys.readouterr().err == (
         "schema error: $.seed: 9223372036854775808 is greater than the "
         "maximum of 9223372036854775807\n")
     assert not out.exists()
-    path = tmp_path / "entropy.json"
-    path.write_text(json.dumps(ENTROPY_CONFIG), encoding="utf-8")
+    path = tmp_path / "k1.json"
+    path.write_text(json.dumps(K1_CONFIG), encoding="utf-8")
     out = tmp_path / "out"
-    rc = cli.main(["entropy", "--config", str(path), "--out", str(out),
+    rc = cli.main(["k1", "--config", str(path), "--out", str(out),
                    "--seed", "-1"])
     assert rc == 2
     assert capsys.readouterr().err == (
         "schema error: $.seed: -1 is less than the minimum of 0\n")
     assert not out.exists()
     # the seed that ran is the config's seed in the manifest
-    rc = cli.main(["entropy", "--config", str(path), "--out", str(out),
+    rc = cli.main(["k1", "--config", str(path), "--out", str(out),
                    "--seed", "5"])
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["root_seed"] == manifest["config"]["seed"] == 5
+
+
+def test_entropy_is_no_subcommand(tmp_path, capsys):
+    # the subcommand and its experiment are gone: both are config errors
+    path = tmp_path / "entropy.json"
+    path.write_text(json.dumps({**K1_CONFIG, "experiment": "entropy"}),
+                    encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["entropy", "--config", str(path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'entropy'" in capsys.readouterr().err
+    assert cli.main(["validate-config", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: $.experiment: 'entropy' is not one of")
 
 
 def test_seeds_outside_63_bits_raise_rather_than_wrap():
@@ -288,9 +269,9 @@ def test_seeds_outside_63_bits_raise_rather_than_wrap():
             derive_seedseq(seed, "a")
 
 
-def test_entropy_with_a_missing_table_exits_1_and_names_the_layer(
+def test_k1_with_a_missing_table_exits_1_and_names_the_layer(
         tmp_path, capsys):
-    config = {**ENTROPY_CONFIG,
+    config = {**K1_CONFIG,
               "pdf": {"family": "tabulated",
                       "path": str(tmp_path / "absent.csv")}}
     rc, _ = run_cli(tmp_path, config, "absent")

@@ -100,3 +100,20 @@ def test_relative_difference_walks_report_json(tmp_path):
     assert same_bytes.relative_difference(a, b) == (math.inf, "/audit/ok")
     b.write_text(json.dumps({"audit": {"res": [1.0], "ok": True}, "n": 4}))
     assert same_bytes.relative_difference(a, b) == (math.inf, "/audit/res/1")
+
+
+def test_same_bytes_records_an_unknown_subcommand_as_exit_2(tmp_path):
+    # a config for a subcommand this tree lacks must not end the run
+    configs, out = tmp_path / "configs", tmp_path / "out"
+    configs.mkdir()
+    (configs / "a_gone.json").write_text(
+        json.dumps({**test_cli.K1_CONFIG, "experiment": "gone"}))
+    (configs / "b_k1.json").write_text(json.dumps(test_cli.K1_CONFIG))
+    digests = same_bytes.run_all(configs, out)
+    for seed in same_bytes.SEEDS:
+        assert digests[f"a_gone.seed{seed}/exit"] == "2"
+        assert not any(k.startswith(f"a_gone.seed{seed}/") and
+                       not k.endswith("/exit") for k in digests)
+        assert digests[f"b_k1.seed{seed}/exit"] == "0"
+        assert f"b_k1.seed{seed}/k1_field.csv" in digests
+        assert f"b_k1.seed{seed}/report.json" in digests

@@ -7,7 +7,8 @@ dicts of `tests/test_cli.py`, all read from this checkout, at program seeds
 7 and 8 (`--seed`) on both checkouts, each tree in one fresh child that
 imports `hsgas` from its `src/` (the child of `tools/bench.py`).
 It prints one line per output file, `equal` or `differs`, with the exit code
-of each run among them, and exits 1 if any differs. A differing CSV or
+of each run among them, and exits 1 if any differs. A subcommand that only
+one tree has exits 2 in the other, so its outputs show on one side only. A differing CSV or
 `report.json` also shows its largest relative difference over the numeric
 fields and the field where it occurs (`relative_difference`). The manifests
 are left out: they carry the wall clock.
@@ -55,8 +56,12 @@ def run_all(config_dir: Path, out_dir: Path) -> dict:
         experiment = json.loads(path.read_text())["experiment"]
         for seed in SEEDS:
             run = f"{path.stem}.seed{seed}"
-            rc = cli.main([experiment, "--config", str(path),
-                           "--out", str(out_dir / run), "--seed", str(seed)])
+            try:
+                rc = cli.main([experiment, "--config", str(path),
+                               "--out", str(out_dir / run),
+                               "--seed", str(seed)])
+            except SystemExit as exc:  # argparse: a subcommand this tree lacks
+                rc = exc.code
             digests[f"{run}/exit"] = str(rc)
             for f in sorted((out_dir / run).glob("*")):
                 if f.suffix == ".csv" or f.name == "report.json":
