@@ -154,7 +154,7 @@ def test_run_lists_its_artifacts_and_repeats_its_csvs(tmp_path, config):
     ({**K1_CONFIG, "pdf": {"family": "sinusoidal_maxwell", "alpha": -0.3}},
      None, "$.pdf.alpha: -0.3 is less than the minimum of 0"),
     ({**K1_CONFIG, "pdf": {"family": "uniform_maxwell",
-                                "tilt": [5.0, 0.0, 0.0]}}, None,
+                           "tilt": [5.0, 0.0, 0.0]}}, None,
      "$.pdf.tilt: family 'uniform_maxwell' takes no key 'tilt'"),
     ({**RELAX_CONFIG, "pdf": {"family": "velocity_mixture"}}, None,
      "$.pdf: family 'velocity_mixture' needs key 'components'"),

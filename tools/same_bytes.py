@@ -8,10 +8,11 @@ dicts of `tests/test_cli.py`, all read from this checkout, at program seeds
 imports `hsgas` from its `src/` (the child of `tools/bench.py`).
 It prints one line per output file, `equal` or `differs`, with the exit code
 of each run among them, and exits 1 if any differs. A subcommand that only
-one tree has exits 2 in the other, so its outputs show on one side only. A differing CSV or
-`report.json` also shows its largest relative difference over the numeric
-fields and the field where it occurs (`relative_difference`). The manifests
-are left out: they carry the wall clock.
+one tree has exits 2 in the other, so its outputs show on one side only. A
+differing CSV or `report.json` also shows its largest relative difference
+over the numeric fields and the field where it occurs
+(`relative_difference`). The manifests are left out: they carry the wall
+clock.
 """
 
 from __future__ import annotations
