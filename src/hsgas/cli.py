@@ -205,13 +205,6 @@ def _run_md(config, seed, out_dir):
     t_end = p.get("t_end")
     max_events = p.get("max_events")
     snapshots = p.get("snapshots", 0)
-    windows = p.get("windows", 10)
-    if snapshots and t_end is None:
-        raise ValueError("snapshots need an explicit md.t_end")
-    if snapshots and snapshots < windows:
-        raise ValueError(f"md.snapshots={snapshots} but md.windows={windows} "
-                         f"needs {windows} snapshots; raise md.snapshots or "
-                         "lower md.windows")
     snap_times = None
     if snapshots:
         eq = p.get("equilibration_fraction", 0.2)
@@ -221,12 +214,11 @@ def _run_md(config, seed, out_dir):
     traj = run(model, config0, t_end=t_end, max_events=max_events,
                snapshot_times=snap_times, v_th_ref=v_th,
                **_given(p, "audit_every"))
-    if snapshots and len(traj.snapshots) < windows:
+    if len(traj.snapshots) < snapshots:
         raise ValueError(
             f"the run stopped at t={traj.t_final:.6g} after "
-            f"{len(traj.snapshots)} of {snapshots} snapshots, and "
-            f"md.windows={windows} needs {windows}; raise md.max_events or "
-            "lower md.t_end")
+            f"{len(traj.snapshots)} of {snapshots} snapshots; raise "
+            "md.max_events or lower md.t_end")
     traj.to_event_csv(artifact_path(out_dir, "events.csv"))
     final = traj.config
     rows = [[i] + list(final.positions[i]) + list(final.velocities[i])
@@ -240,7 +232,7 @@ def _run_md(config, seed, out_dir):
         "diagnostics": traj.diagnostics,
     }
     if snapshots:
-        obs = measure(traj, windows=windows)
+        obs = measure(traj)
         obs.tabulated.to_csv(artifact_path(out_dir, "histogram.csv"))
         artifacts.append("histogram.csv")
         enskog = enskog_frequency_prediction(model, T=obs.temperature)
@@ -254,8 +246,6 @@ def _run_md(config, seed, out_dir):
             "enskog_prediction": enskog,
             "wall_rate_prediction": wall_rate_prediction(
                 model, T=obs.temperature),
-            "entropy_slope": obs.entropy_slope,
-            "entropy_slope_stderr": obs.entropy_slope_stderr,
             "shell_mean": obs.shell_mean, "shell_se": obs.shell_se,
             "shell_prediction": shell_pred,
             "shell_prediction_error": shell_err,
@@ -323,10 +313,6 @@ def _run_relax(config, seed, out_dir):
              res.energy[k]] for k in range(len(res.times))]
     write_csv(artifact_path(out_dir, "relax_trace.csv"),
               ["t", "entropy", "mass", "px", "py", "pz", "energy"], rows)
-    pts = lattice.points()
-    frows = np.column_stack([pts, res.f.reshape(-1)])
-    write_csv(artifact_path(out_dir, "final_f.csv"),
-              ["vx", "vy", "vz", "f"], frows)
     target = moment_matched_maxwellian(lattice, res.f)
     report = {
         "steps": res.steps,
@@ -337,7 +323,7 @@ def _run_relax(config, seed, out_dir):
             lattice, res.f, target) / float(res.mass[-1]),
         "info": {**res.info, "offsets_used": res.offsets_used},
     }
-    return ["relax_trace.csv", "final_f.csv"], report
+    return ["relax_trace.csv"], report
 
 
 def runner(name: str):

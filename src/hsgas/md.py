@@ -31,6 +31,7 @@ from .occupation import (
     analytic_k1_uniform,
     lens_volume,
 )
+from .pdfs import TabulatedPdf
 from .quadrature import gauss_legendre, sphere_grid, tensor_rule
 
 
@@ -319,7 +320,6 @@ def run(model: HardSphereModel, config: NBodyConfig, *, t_end: float = None,
 # measurement
 
 
-VEL_BINS = 24        # 1-d marginal histogram bins (entropy trace)
 POS_BINS = 3         # per axis, for the 6-d phase histogram
 PDF_VEL_BINS = 6     # per axis, for the 6-d phase histogram
 SHELL_ETA = 0.05     # near-contact shell [sigma, sigma(1+eta)]
@@ -338,11 +338,6 @@ class Observables:
     speed4_ratio: float            # <|v|^4> / <|v|^2>^2, Maxwell: 5/3
     pair_rate_per_particle: float
     wall_rate_per_particle: float
-    window_times: np.ndarray
-    window_entropy: np.ndarray
-    entropy_slope: float
-    entropy_slope_stderr: float
-    velocity_histograms: dict
     shell_counts: np.ndarray       # per-snapshot pair counts in the shell
     shell_mean: float
     shell_se: float
@@ -351,13 +346,10 @@ class Observables:
     flags: list
 
 
-def measure(traj: Trajectory, *, windows: int) -> Observables:
-    """Time-averaged moments, rates, entropy trace, and density estimates.
+def measure(traj: Trajectory) -> Observables:
+    """Time-averaged moments, rates, and density estimates.
 
-    Entropy per window is the sum of the three one-dimensional velocity
-    marginal entropies from fixed-bin histograms over the window's
-    snapshots; the histogram bias is common to all windows, so the trace
-    tests constancy, not the absolute value. The 6-d phase histogram is
+    The trajectory needs at least 2 snapshots. The 6-d phase histogram is
     exported as a TabulatedPdf over cell centers; cells holding fewer than
     MIN_BIN_COUNT samples are reported through underpopulated_fraction and a
     flag instead of passing silently as noise. Shell counts are pairs with
@@ -367,11 +359,10 @@ def measure(traj: Trajectory, *, windows: int) -> Observables:
     the collision time.
     """
     snaps = traj.snapshots
-    if len(snaps) < max(windows, 2):
-        raise ValueError("not enough snapshots for the requested windows")
+    if len(snaps) < 2:
+        raise ValueError(f"measure needs 2 snapshots, not {len(snaps)}")
     vel_all = np.concatenate([v for (_, _, v) in snaps], axis=0)
     pos_all = np.concatenate([p for (_, p, _) in snaps], axis=0)
-    t_axis = np.array([s[0] for s in snaps])
     temperature = float((vel_all ** 2).sum() / (3 * vel_all.shape[0]))
     axis_m2 = (vel_all ** 2).mean(axis=0)
     sp2 = (vel_all ** 2).sum(axis=1)
@@ -380,34 +371,6 @@ def measure(traj: Trajectory, *, windows: int) -> Observables:
     n = traj.model.n
     pair_rate = 2.0 * traj.n_pair / duration / n
     wall_rate = traj.n_wall / duration / n
-
-    vmax = float(np.abs(vel_all).max()) * 1.0001
-    edges = np.linspace(-vmax, vmax, VEL_BINS + 1)
-    width = edges[1] - edges[0]
-    per_window = np.array_split(np.arange(len(snaps)), windows)
-    w_times = []
-    w_entropy = []
-    for idx in per_window:
-        vv = np.concatenate([snaps[k][2] for k in idx], axis=0)
-        s = 0.0
-        for a in range(3):
-            h, _ = np.histogram(vv[:, a], bins=edges)
-            p = h / h.sum() / width
-            mask = p > 0
-            s += -float((p[mask] * np.log(p[mask])).sum() * width)
-        w_entropy.append(s)
-        w_times.append(float(t_axis[idx].mean()))
-    w_times = np.array(w_times)
-    w_entropy = np.array(w_entropy)
-    x = w_times - w_times.mean()
-    slope = float((x * (w_entropy - w_entropy.mean())).sum() / (x * x).sum())
-    resid = w_entropy - w_entropy.mean() - slope * x
-    dof = max(len(w_times) - 2, 1)
-    slope_se = float(math.sqrt((resid ** 2).sum() / dof / (x * x).sum()))
-    hists = {}
-    for a, name in enumerate(("vx", "vy", "vz")):
-        h, _ = np.histogram(vel_all[:, a], bins=edges)
-        hists[name] = (edges.copy(), h)
 
     # near-contact shell occupancy
     sigma = traj.model.sigma
@@ -419,23 +382,21 @@ def measure(traj: Trajectory, *, windows: int) -> Observables:
         counts.append(int(((dd >= sigma) & (dd <= shell_hi)).sum()))
     shell_counts = np.array(counts, dtype=float)
     shell_mean = float(shell_counts.mean())
-    shell_se = float(shell_counts.std(ddof=1) / math.sqrt(len(counts))
-                     if len(counts) > 1 else 0.0)
+    shell_se = float(shell_counts.std(ddof=1) / math.sqrt(len(counts)))
 
     # 6-d phase histogram exported as a tabulated density
-    from .pdfs import TabulatedPdf
-
     box = traj.model.box
     pos_edges = np.linspace(0.0, box, POS_BINS + 1)
-    vel_edges6 = np.linspace(-vmax, vmax, PDF_VEL_BINS + 1)
+    vmax = float(np.abs(vel_all).max()) * 1.0001
+    vel_edges = np.linspace(-vmax, vmax, PDF_VEL_BINS + 1)
     sample6 = np.concatenate([pos_all, vel_all], axis=1)
-    hist, _ = np.histogramdd(sample6, bins=[pos_edges] * 3 + [vel_edges6] * 3)
+    hist, _ = np.histogramdd(sample6, bins=[pos_edges] * 3 + [vel_edges] * 3)
     total = hist.sum()
     cell_vol = ((box / POS_BINS) ** 3
                 * (2.0 * vmax / PDF_VEL_BINS) ** 3)
     values = hist / total / cell_vol
     pos_centers = 0.5 * (pos_edges[1:] + pos_edges[:-1])
-    vel_centers = 0.5 * (vel_edges6[1:] + vel_edges6[:-1])
+    vel_centers = 0.5 * (vel_edges[1:] + vel_edges[:-1])
     tabulated = TabulatedPdf([pos_centers] * 3, [vel_centers] * 3, values,
                              box=box, v_th=math.sqrt(temperature))
     under = float((hist < MIN_BIN_COUNT).mean())
@@ -448,10 +409,8 @@ def measure(traj: Trajectory, *, windows: int) -> Observables:
     return Observables(
         temperature=temperature, axis_second_moments=axis_m2,
         speed4_ratio=speed4_ratio, pair_rate_per_particle=pair_rate,
-        wall_rate_per_particle=wall_rate, window_times=w_times,
-        window_entropy=w_entropy, entropy_slope=slope,
-        entropy_slope_stderr=slope_se, velocity_histograms=hists,
-        shell_counts=shell_counts, shell_mean=shell_mean, shell_se=shell_se,
+        wall_rate_per_particle=wall_rate, shell_counts=shell_counts,
+        shell_mean=shell_mean, shell_se=shell_se,
         tabulated=tabulated, underpopulated_fraction=under, flags=flags,
     )
 

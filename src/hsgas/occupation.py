@@ -612,10 +612,8 @@ def correlation_delta(model: HardSphereModel, pdf,
 
     delta = Theta_bar^(s) * prod_i rho_hat(x_i) * (k_s - 1), where
     rho_hat = p theta_w / Z1 is the occupation-stripped one-point density
-    (Z1 = integral of p theta_w k1, so rho_hat = rho1 / k1). The same value
-    equals the direct difference rho_s - Theta_bar^(s) prod rho_hat; both
-    are computed and cross-checked. Point particles (sigma = 0) give exact
-    zeros through k_s = 1.
+    (Z1 = integral of p theta_w k1, so rho_hat = rho1 / k1). Point
+    particles (sigma = 0) give exact zeros through k_s = 1.
     """
     tuples = [tuple(tp) for tp in phase_tuples]
     s = len(tuples[0])
@@ -636,13 +634,7 @@ def correlation_delta(model: HardSphereModel, pdf,
         for p in tp:
             fac *= float(pdf.density(p.r, p.v)) / z1
         ks = float(pair_occ.ks_values[i])
-        delta = theta_bar * fac * (ks - 1.0)
-        direct = theta_bar * fac * ks - theta_bar * fac
-        if abs(delta - direct) > 1e-12 * max(abs(theta_bar * fac * ks),
-                                             abs(theta_bar * fac), 1e-300):
-            raise AssertionError(
-                "factored and direct defect forms disagree beyond roundoff")
-        deltas[i] = delta
+        deltas[i] = theta_bar * fac * (ks - 1.0)
         errors[i] = theta_bar * fac * float(pair_occ.mc_error[i])
     return CorrelationSample(delta_rho=deltas, mc_error=errors, s=s,
                              info={"z1": z1, **pair_occ.info})

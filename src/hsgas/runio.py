@@ -227,7 +227,6 @@ CONFIG_SCHEMA = {
                 "equilibration_fraction": {"type": "number", "minimum": 0,
                                            "maximum": 0.9},
                 "audit_every": {"type": "integer", "minimum": 0},
-                "windows": {"type": "integer", "minimum": 2},
             },
             "additionalProperties": False,
         },
@@ -305,11 +304,28 @@ def _unread_key_errors(config: dict) -> list:
         paths = ("k1", "ops.rho2_form", "quadrature.position_nodes")
         why = "ops.flavor 'boltzmann' runs no master kernel"
     elif name == "md" and not sections.get("md", {}).get("snapshots"):
-        paths = ("md.windows", "md.equilibration_fraction")
+        paths = ("md.equilibration_fraction",)
         why = "md.snapshots is 0 or absent, so nothing is measured"
     elif name == "relax" and "relax.dt" in given:
         paths, why = ("relax.cfl",), "relax.dt fixes the time step"
     return [f"$.{p}: not read, as {why}" for p in paths if p in given]
+
+
+def _md_snapshot_errors(config: dict) -> list:
+    """md's snapshot rules: their times need md.t_end, measure needs 2."""
+    md = config.get("md")
+    if config.get("experiment") != "md" or not isinstance(md, dict):
+        return []
+    snapshots = md.get("snapshots", 0)
+    if not _TYPES["integer"](snapshots) or snapshots < 1:
+        return []  # none taken, or the schema already names the value
+    out = []
+    if snapshots == 1:
+        out.append("$.md.snapshots: 1 is too few, as measure needs 2; set "
+                   "0 to measure nothing")
+    if "t_end" not in md:
+        out.append("$.md.t_end: needed, as md.snapshots are taken up to it")
+    return out
 
 
 # the instance kinds the schema's "type" names; integer is strict (see below)
@@ -410,6 +426,7 @@ def validate_config(config: dict) -> list:
     'integer'". Beyond the schema, the config must hold its subcommand's
     geometry section and no section or quadrature key the subcommand does
     not read (EXPERIMENTS) or that the values of other keys leave unread,
+    md.snapshots must be 0 or at least 2 and then needs md.t_end,
     and the pdf section must name a family the subcommand admits and hold
     exactly the keys that family's factory takes (pdfs.family_keys).
     """
@@ -419,6 +436,7 @@ def validate_config(config: dict) -> list:
     if isinstance(config, dict):
         out += _section_errors(config)
         out += _unread_key_errors(config)
+        out += _md_snapshot_errors(config)
         if isinstance(config.get("pdf"), dict):
             out += _pdf_key_errors(config["pdf"])
     return out

@@ -58,7 +58,7 @@ KS_CONFIG = {
 MD_CONFIG = {
     "schema_version": 1, "experiment": "md", "seed": 3,
     "model": {"n": 8, "sigma": 0.05, "box": 1.0},
-    "md": {"t_end": 0.5, "snapshots": 12, "windows": 4},
+    "md": {"t_end": 0.5, "snapshots": 12},
 }
 
 BG_SWEEP_CONFIG = {
@@ -186,8 +186,12 @@ def test_run_lists_its_artifacts_and_repeats_its_csvs(tmp_path, config):
       "ops": {"flavor": "boltzmann"},
       "quadrature": {**OPS_CONFIG["quadrature"], "position_nodes": 4}}, None,
      "$.quadrature.position_nodes: not read, as ops.flavor 'boltzmann'"),
-    ({**MD_CONFIG, "md": {"t_end": 0.5, "windows": 4}}, None,
-     "$.md.windows: not read, as md.snapshots is 0 or absent"),
+    ({**MD_CONFIG, "md": {**MD_CONFIG["md"], "windows": 4}}, None,
+     "$.md: Additional properties are not allowed ('windows'"),
+    ({**MD_CONFIG, "md": {"max_events": 100, "snapshots": 12}}, None,
+     "$.md.t_end: needed, as md.snapshots are taken up to it"),
+    ({**MD_CONFIG, "md": {"t_end": 0.5, "snapshots": 1}}, None,
+     "$.md.snapshots: 1 is too few, as measure needs 2"),
     ({**MD_CONFIG, "md": {"t_end": 0.5, "snapshots": 0,
                           "equilibration_fraction": 0.3}}, None,
      "$.md.equilibration_fraction: not read, as md.snapshots is 0"),
@@ -209,7 +213,8 @@ def test_run_lists_its_artifacts_and_repeats_its_csvs(tmp_path, config):
         "bg-sweep.model", "md.pdf-family",
         "noncomm.quadrature.velocity_nodes", "ops.boltzmann.k1",
         "ops.boltzmann.rho2_form", "ops.boltzmann.position_nodes",
-        "md.windows-without-snapshots",
+        "md.windows-unknown", "md.snapshots-without-t_end",
+        "md.snapshots-one",
         "md.equilibration_fraction-without-snapshots", "relax.cfl-with-dt",
         "k1.grid_nodes-float", "relax.grid_nodes-float",
         "md.snapshots-float", "seed-float"])
@@ -341,18 +346,15 @@ def test_benchmark_workloads_pass_the_schema(path):
 
 
 @pytest.mark.parametrize("md, names", [
-    ({"t_end": 5.0, "max_events": 20, "snapshots": 12, "windows": 4},
+    ({"t_end": 5.0, "max_events": 20, "snapshots": 12},
      ("of 12 snapshots", "md.max_events", "md.t_end")),
-    ({"t_end": 0.5, "snapshots": 3, "windows": 4},
-     ("md.snapshots=3", "md.snapshots", "md.windows")),
-], ids=["stopped-early", "windows-exceed-snapshots"])
+], ids=["stopped-early"])
 def test_md_short_of_snapshots_exits_1_and_names_the_keys(tmp_path, capsys,
                                                           md, names):
     rc, _ = run_cli(tmp_path, {**MD_CONFIG, "md": md}, "short")
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error[md]: ")
-    assert "needs 4" in err
     for name in names:
         assert name in err
 
@@ -371,6 +373,9 @@ def test_short_sequence_exits_1_and_names_its_key(tmp_path, capsys):
 def test_relax_reports_offsets_kept_per_step(tmp_path):
     rc, out = run_cli(tmp_path, RELAX_CONFIG, "relax")
     assert rc == 0
+    # the lattice's final f is not written: no claim reads it
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "relax_trace.csv", "report.json"]
     report = json.loads((out / "report.json").read_text())
     used = report["info"]["offsets_used"]
     assert len(used) == report["steps"] == 2

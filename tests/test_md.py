@@ -545,7 +545,7 @@ def test_pair_predictions_need_partners():
 
 
 def test_measure_observables(eq_traj):
-    obs = measure(eq_traj, windows=8)
+    obs = measure(eq_traj)
     # kinetic energy is conserved exactly, and the initial velocities were
     # normalized to temperature 1
     assert abs(obs.temperature - 1.0) < 1e-9
@@ -555,15 +555,6 @@ def test_measure_observables(eq_traj):
         2.0 * eq_traj.n_pair / eq_traj.t_final / EQ_MODEL.n)
     assert obs.wall_rate_per_particle == pytest.approx(
         eq_traj.n_wall / eq_traj.t_final / EQ_MODEL.n)
-    assert obs.window_times.shape == (8,)
-    assert obs.window_entropy.shape == (8,)
-    assert np.all(np.diff(obs.window_times) > 0)
-    assert math.isfinite(obs.entropy_slope)
-    assert obs.entropy_slope_stderr > 0.0
-    assert set(obs.velocity_histograms) == {"vx", "vy", "vz"}
-    edges, h = obs.velocity_histograms["vx"]
-    assert len(edges) == len(h) + 1
-    assert h.sum() == 40 * EQ_MODEL.n
     assert obs.shell_counts.shape == (40,)
     assert obs.shell_mean >= 0.0 and obs.shell_se >= 0.0
     assert 0.0 <= obs.underpopulated_fraction <= 1.0
@@ -576,8 +567,7 @@ def test_measure_observables(eq_traj):
 def test_measure_rejects_too_few_snapshots():
     model = HardSphereModel(n=4, sigma=0.1, box=1.0)
     cfg = _normalized_config(model, seed=5)
-    traj = run(model, cfg, max_events=10,
-               snapshot_times=[0.005, 0.01, 0.015])
-    assert len(traj.snapshots) == 3
-    with pytest.raises(ValueError):
-        measure(traj, windows=10)
+    traj = run(model, cfg, max_events=10, snapshot_times=[0.005])
+    assert len(traj.snapshots) == 1
+    with pytest.raises(ValueError, match="needs 2 snapshots"):
+        measure(traj)

@@ -111,7 +111,8 @@ def _beyond_schema(config) -> list:
     """What validate_config adds to the schema's lines."""
     if not isinstance(config, dict):
         return []
-    out = runio._section_errors(config) + runio._unread_key_errors(config)
+    out = (runio._section_errors(config) + runio._unread_key_errors(config)
+           + runio._md_snapshot_errors(config))
     if isinstance(config.get("pdf"), dict):
         out += runio._pdf_key_errors(config["pdf"])
     return out

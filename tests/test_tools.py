@@ -117,3 +117,22 @@ def test_same_bytes_records_an_unknown_subcommand_as_exit_2(tmp_path):
         assert digests[f"b_k1.seed{seed}/exit"] == "0"
         assert f"b_k1.seed{seed}/k1_field.csv" in digests
         assert f"b_k1.seed{seed}/report.json" in digests
+
+
+def test_same_bytes_names_the_tree_that_lacks_an_output(monkeypatch, capsys,
+                                                         tmp_path):
+    digests = {"src": {"r/exit": "0", "r/a.csv": "x", "r/b.csv": "y",
+                       "r/new.csv": "z"},
+               "base": {"r/exit": "0", "r/a.csv": "x", "r/b.csv": "w",
+                        "r/old.csv": "v"}}
+    monkeypatch.setattr(same_bytes, "child",
+                        lambda tree, *args: digests[tree.name])
+    (tmp_path / "src").mkdir()
+    (tmp_path / "base").mkdir()
+    rc = same_bytes.main(["--src", str(tmp_path / "src"),
+                          "--base", str(tmp_path / "base")])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "equal  r/a.csv", "differs  r/b.csv", "equal  r/exit",
+        "only in src  r/new.csv", "only in base  r/old.csv",
+        "3 of 5 outputs differ"]

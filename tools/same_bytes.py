@@ -6,13 +6,13 @@ Runs the configs in `perfbench/workloads/` and the module-level `*_CONFIG`
 dicts of `tests/test_cli.py`, all read from this checkout, at program seeds
 7 and 8 (`--seed`) on both checkouts, each tree in one fresh child that
 imports `hsgas` from its `src/` (the child of `tools/bench.py`).
-It prints one line per output file, `equal` or `differs`, with the exit code
-of each run among them, and exits 1 if any differs. A subcommand that only
-one tree has exits 2 in the other, so its outputs show on one side only. A
-differing CSV or `report.json` also shows its largest relative difference
-over the numeric fields and the field where it occurs
-(`relative_difference`). The manifests are left out: they carry the wall
-clock.
+It prints one line per output file, `equal`, `differs`, `only in src` or
+`only in base`, with the exit code of each run among them, and exits 1 if
+any is not equal. A subcommand that only one tree has exits 2 in the other,
+so its outputs show on one side only. A differing CSV or `report.json` also
+shows its largest relative difference over the numeric fields and the field
+where it occurs (`relative_difference`). The manifests are left out: they
+carry the wall clock.
 """
 
 from __future__ import annotations
@@ -153,11 +153,17 @@ def main(argv=None) -> int:
                                   str(Path(tmp) / side))
         differs = 0
         for name in sorted(digests["src"].keys() | digests["base"].keys()):
-            same = digests["src"].get(name) == digests["base"].get(name)
-            differs += not same
-            line = f"{'equal' if same else 'differs'}  {name}"
+            src, base = (digests[side].get(name) for side in ("src", "base"))
+            if src == base:
+                verdict = "equal"
+            elif src is None or base is None:
+                verdict = f"only in {'base' if src is None else 'src'}"
+            else:
+                verdict = "differs"
+            differs += verdict != "equal"
+            line = f"{verdict}  {name}"
             files = [Path(tmp) / side / name for side in ("src", "base")]
-            if not same and all(f.is_file() for f in files):
+            if verdict == "differs" and all(f.is_file() for f in files):
                 rel, field = relative_difference(*files)
                 line += f"  max relative {rel:.3g} at {field}"
             print(line)
