@@ -136,3 +136,78 @@ def test_same_bytes_names_the_tree_that_lacks_an_output(monkeypatch, capsys,
         "equal  r/a.csv", "differs  r/b.csv", "equal  r/exit",
         "only in src  r/new.csv", "only in base  r/old.csv",
         "3 of 5 outputs differ"]
+
+
+def test_field_moves_read_error_columns_against_their_row_value(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("n,raw_value,raw_error,rescaled_value,rescaled_error,tag\n"
+                 "20,2.0,1e-09,-4.0,3e-10,p\n40,1.0,1e-09,1.0,1e-09,q\n")
+    b.write_text("n,raw_value,raw_error,rescaled_value,rescaled_error,tag\n"
+                 "20,2.0,1.5e-09,-4.0,3e-10,p\n40,1.0,1e-09,1.25,1e-09,Q\n")
+    assert same_bytes.field_moves(a, b) == [
+        ("1/2", (1.5e-09 - 1e-09) / 1.5e-09, (1.5e-09 - 1e-09) / 2.0, "1/1"),
+        ("2/3", 0.2, None, None),
+        ("2/5", math.inf, None, None)]
+    # an error column moves against the larger of its two row values
+    b.write_text("n,raw_value,raw_error,rescaled_value,rescaled_error,tag\n"
+                 "20,2.0,1e-09,-8.0,5e-10,p\n40,1.0,1e-09,1.0,1e-09,q\n")
+    moves = same_bytes.field_moves(a, b)
+    assert [m[0] for m in moves] == ["1/3", "1/4"]
+    assert moves[1][2:] == ((5e-10 - 3e-10) / 8.0, "1/3")
+    assert same_bytes.field_moves(a, a) == []
+
+
+def test_field_moves_read_residuals_against_their_scale(tmp_path):
+    a, b = tmp_path / "a" / "report.json", tmp_path / "b" / "report.json"
+    a.parent.mkdir()
+    b.parent.mkdir()
+
+    def report(mass, momentum, scale, raw_error):
+        return json.dumps({
+            "audits": {"master": {"residuals": {"mass": mass, "p": momentum},
+                                  "scales": {"mass": scale, "p": 1.0},
+                                  "worst_relative": 0.5}},
+            "entries": [{"raw_value": 4.0, "raw_error": raw_error}]})
+
+    a.write_text(report(2e-18, 0.0, 0.15, 1e-9))
+    b.write_text(report(5e-18, 0.0, 0.25, 1e-9))
+    assert same_bytes.field_moves(a, b) == [
+        ("/audits/master/residuals/mass", 0.6, (5e-18 - 2e-18) / 0.25,
+         "/audits/master/scales/mass"),
+        ("/audits/master/scales/mass", 0.4, None, None)]
+    # a residual that leaves one output counts inf on both readings
+    b.write_text(json.dumps({"audits": {"master": {
+        "residuals": {"mass": 2e-18}, "scales": {"mass": 0.15, "p": 1.0},
+        "worst_relative": 0.5}},
+        "entries": [{"raw_value": 4.0, "raw_error": 3e-9}]}))
+    assert same_bytes.field_moves(a, b) == [
+        ("/audits/master/residuals/p", math.inf, math.inf,
+         "/audits/master/scales/p"),
+        ("/entries/0/raw_error", (3e-9 - 1e-9) / 3e-9, (3e-9 - 1e-9) / 4.0,
+         "/entries/0/raw_value")]
+    # the worst residual over its scale moves against 1
+    b.write_text(a.read_text().replace('"worst_relative": 0.5',
+                                       '"worst_relative": 0.75'))
+    assert same_bytes.field_moves(a, b) == [
+        ("/audits/master/worst_relative", (0.75 - 0.5) / 0.75, 0.25, 1.0)]
+
+
+def test_same_bytes_lists_each_moved_field(monkeypatch, capsys, tmp_path):
+    rows = {"src": "C_value,C_error\n2.0,1.5e-10\n",
+            "base": "C_value,C_error\n2.0,1e-10\n"}
+
+    def child(tree, script, configs, out):
+        (Path(out) / "r").mkdir(parents=True)
+        (Path(out) / "r" / "ops.csv").write_text(rows[tree.name])
+        return {"r/exit": "0", "r/ops.csv": tree.name}
+
+    monkeypatch.setattr(same_bytes, "child", child)
+    for side in rows:
+        (tmp_path / side).mkdir()
+    assert same_bytes.main(["--src", str(tmp_path / "src"),
+                            "--base", str(tmp_path / "base")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "equal  r/exit",
+        "differs  r/ops.csv  max relative 0.333 at 1/1",
+        "    1/1  relative 0.333  scaled 2.5e-11 by 1/0",
+        "1 of 2 outputs differ"]

@@ -11,8 +11,11 @@ It prints one line per output file, `equal`, `differs`, `only in src` or
 any is not equal. A subcommand that only one tree has exits 2 in the other,
 so its outputs show on one side only. A differing CSV or `report.json` also
 shows its largest relative difference over the numeric fields and the field
-where it occurs (`relative_difference`). The manifests are left out: they
-carry the wall clock.
+where it occurs (`relative_difference`), then one indented line per field
+that differs (`field_moves`): its relative move and, for a field judged
+against another (`SCALE_OF`: an audit residual against its scale, an error
+column against its row's value), its move over that field's magnitude. The
+manifests are left out: they carry the wall clock.
 """
 
 from __future__ import annotations
@@ -101,28 +104,91 @@ def _number(value):
         return None
 
 
+# a field whose move is judged against another field of the same output: a
+# key path segment (report.json) or a CSV column named on the left is read
+# against the one named on the right, at the same place (ops' moment audits,
+# ops' and noncomm's error columns); a number on the right is the scale
+# itself (an audit's worst residual is already a residual over its scale)
+SCALE_OF = {
+    "residuals": "scales",
+    "worst_relative": 1.0,
+    "C_error": "C_value",
+    "raw_error": "raw_value",
+    "rescaled_error": "rescaled_value",
+}
+
+
+def _scale_key(key: str, fields: dict):
+    """The key of the field that key's move is judged against, the scale
+    itself where SCALE_OF gives a number, or None."""
+    if not key.startswith("/"):  # a CSV cell: row/column
+        row, col = key.split("/")
+        name = SCALE_OF.get(fields.get(f"0/{col}"))
+        if row == "0" or name is None:
+            return None
+        cols = [k.split("/")[1] for k, v in fields.items()
+                if k.startswith("0/") and v == name]
+        return f"{row}/{cols[0]}" if cols else None
+    parts = key.split("/")
+    if isinstance(SCALE_OF.get(parts[-1]), float):
+        return SCALE_OF[parts[-1]]
+    scaled = [SCALE_OF.get(p, p) for p in parts]
+    return "/".join(scaled) if scaled != parts else None
+
+
+def _relative(x, y) -> float:
+    """|x - y| / max(|x|, |y|) of two field values: equal numbers 0 (NaN
+    against NaN included), a missing field or a differing non-number inf."""
+    x, y = _number(x), _number(y)
+    if x is None or y is None:
+        return math.inf
+    if x == y or math.isnan(x) and math.isnan(y):
+        return 0.0  # the same number written differently
+    rel = abs(x - y) / max(abs(x), abs(y))
+    return math.inf if math.isnan(rel) else rel
+
+
+def field_moves(a: Path, b: Path) -> list:
+    """[(field, relative move, scaled move, scale field)] for each field in
+    which two outputs differ, in key order.
+
+    The scaled move is |x - y| over the larger magnitude of the scale field
+    (SCALE_OF) in the two outputs, or over SCALE_OF's number in its place,
+    and None with the scale field for a field judged on its own.
+    """
+    fa, fb = _fields(a), _fields(b)
+    out = []
+    for key in sorted(fa.keys() | fb.keys()):
+        if key in fa and key in fb and fa[key] == fb[key]:
+            continue
+        rel = _relative(fa.get(key), fb.get(key))
+        scale_key = _scale_key(key, fa if key in fa else fb)
+        scaled = None
+        if scale_key is not None:
+            x, y = _number(fa.get(key)), _number(fb.get(key))
+            if isinstance(scale_key, float):
+                scale = scale_key
+            else:
+                sx, sy = (_number(f.get(scale_key)) for f in (fa, fb))
+                scale = None if None in (sx, sy) else max(abs(sx), abs(sy))
+            if rel == 0.0:
+                scaled = 0.0
+            elif None in (x, y, scale) or not scale > 0:
+                scaled = math.inf
+            else:
+                scaled = abs(x - y) / scale
+        out.append((key, rel, scaled, scale_key))
+    return out
+
+
 def relative_difference(a: Path, b: Path) -> tuple:
     """(largest |x - y| / max(|x|, |y|), its field) over two outputs' fields.
 
     Equal numbers count 0, NaN against NaN included. A field present in only
     one output, or a non-numeric field that differs, counts inf.
     """
-    fa, fb = _fields(a), _fields(b)
     worst, where = 0.0, None
-    for key in sorted(fa.keys() | fb.keys()):
-        if key not in fa or key not in fb:
-            rel = math.inf
-        elif fa[key] == fb[key]:
-            continue
-        else:
-            x, y = _number(fa[key]), _number(fb[key])
-            if x is None or y is None:
-                rel = math.inf
-            elif x == y or math.isnan(x) and math.isnan(y):
-                rel = 0.0  # the same number written differently
-            else:
-                rel = abs(x - y) / max(abs(x), abs(y))
-                rel = math.inf if math.isnan(rel) else rel
+    for key, rel, _, _ in field_moves(a, b):
         if rel > worst:
             worst, where = rel, key
     return worst, where
@@ -166,6 +232,10 @@ def main(argv=None) -> int:
             if verdict == "differs" and all(f.is_file() for f in files):
                 rel, field = relative_difference(*files)
                 line += f"  max relative {rel:.3g} at {field}"
+                for key, rel, scaled, scale_key in field_moves(*files):
+                    line += f"\n    {key}  relative {rel:.3g}"
+                    if scale_key is not None:
+                        line += f"  scaled {scaled:.3g} by {scale_key}"
             print(line)
     print(f"{differs} of {len(digests['src'].keys() | digests['base'].keys())}"
           " outputs differ")
