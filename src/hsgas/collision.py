@@ -11,7 +11,10 @@ Two flavors share one kernel (FLAVORS):
   occupation.hat_normalization). k2 is ContactOccupancy.k2_contact(r1, e),
   the only contact-sphere factor: the partner is always at exact contact,
   so its lens term is the constant CONTACT_LENS. Its mode selects the pair
-  form ("product" is k1(r1) k1(r2)).
+  form ("product" is k1(r1) k1(r2)). It reads k1 at r2 and at the midpoint
+  on the contact sphere about the one r1 (OccupationField.interp_on_sphere):
+  a polynomial in e's components per block, within roundoff of interp at
+  the points, with no per-point cell lookup.
 
 The angular rule is aligned with the relative velocity: contact directions
 e = u ghat + sqrt(1-u^2)(cos phi e1 + sin phi e2) with u in [0, 1], so the
@@ -38,7 +41,14 @@ evaluated once:
   point;
 * theta_w(r2) is skipped when r1's sigma-ball clears the sigma/2 wall layer
   on every face, where it is 1 on the whole contact sphere (so for every
-  bg.bulk_phase_probes probe, which keep 1.5 sigma from the faces).
+  bg.bulk_phase_probes probe, which keep 1.5 sigma from the faces), and so
+  is theta_w(r1) where it is 1: a mask that is all true multiplies nothing;
+* when r1's ball is clear and the family's density is the same at every
+  position in the box (pdf.position_free_density: uniform_maxwell and
+  velocity_mixture), p(r2, v) is p(r1, v) to the bit, since every r2 lies
+  in the box, so r2 is never built: the master takes the local flavor's
+  partner factors p(r1, v2') per block and p(r1, v2) per chunk, computed
+  once for both flavors, and divides the loss partner by Z1 once per chunk.
 
 Each shared factor enters the same products as before, so every value keeps
 the bits of pdf.density and wall_theta at its own point. Every product keeps
@@ -116,9 +126,12 @@ def _prefactor(model, flavor):
 def _rho_hat(density, is_open, z1):
     """Occupation-stripped one-body density p theta_w / Z1 from p.
 
-    is_open is wall_theta(r) > 0 at the position p was evaluated at.
+    is_open is wall_theta(r) > 0 at the position p was evaluated at, or True
+    where that holds at every such position, which skips the mask.
     """
-    return density * is_open / z1
+    if is_open is not True:
+        density = density * is_open
+    return density / z1
 
 
 def _ball_is_open(r1, model):
@@ -195,10 +208,15 @@ def _kernel_rows(model, pdf, r1, V1, quad, flavors, pair_occ, z1):
     u_ang = np.repeat(u_nodes, len(phi))
     f1 = pdf.density(r1, V1)
     f1_loss = {"boltzmann": f1}
+    shared = False
     if master:
-        open1 = wall_theta(r1, model) > 0
+        open1 = bool(wall_theta(r1, model) > 0)
         f1_loss["master"] = _rho_hat(f1, open1, z1)
         ball_open = _ball_is_open(r1, model)
+        # every contact point r2 is open and inside the box, so p(r2, v)
+        # is p(r1, v) to the bit
+        shared = ball_open and pdf.position_free_density
+    at_r1 = local or shared
 
     sums = {fl: (np.zeros(V1.shape[0]), np.zeros(V1.shape[0]))
             for fl in flavors}
@@ -215,8 +233,10 @@ def _kernel_rows(model, pdf, r1, V1, quad, flavors, pair_occ, z1):
         m2 = v2.shape[0]
         w2_ang = W2[lo:lo + _V2_CHUNK, None] * w_ang
         vel2 = velocity(v2[:, None, :])
-        if local:
-            (local_part_loss,) = at(r1, vel2)
+        if at_r1:
+            (part_loss_r1,) = at(r1, vel2)
+        if shared:
+            master_part_loss = _rho_hat(part_loss_r1, True, z1)
         block = _block_rows(w2_ang.size)
         for b0 in range(0, V1.shape[0], block):
             # the geometry both flavors share
@@ -238,19 +258,24 @@ def _kernel_rows(model, pdf, r1, V1, quad, flavors, pair_occ, z1):
             f1p = pdf.density(r1, v1p)
             vel2p = velocity(v2p)
             rows = slice(b0, b0 + nb)
+            if at_r1:
+                (part_gain_r1,) = at(r1, vel2p)
             if master:
                 # rho_2 at contact = k2 rho_hat(r1) rho_hat(r2)
-                r2 = r1 + sigma * e
-                open2 = True if ball_open else wall_theta(r2, model) > 0
-                part_gain, part_loss = at(r2, vel2p, vel2)
+                if shared:
+                    part_gain = _rho_hat(part_gain_r1, True, z1)
+                    part_loss = master_part_loss
+                else:
+                    r2 = r1 + sigma * e
+                    open2 = True if ball_open else wall_theta(r2, model) > 0
+                    part_gain, part_loss = (
+                        _rho_hat(p, open2, z1)
+                        for p in at(r2, vel2p, vel2))
                 add("master", rows, base * pair_occ.k2_contact(r1, e),
-                    _rho_hat(f1p, open1, z1),
-                    _rho_hat(part_gain, open2, z1),
-                    _rho_hat(part_loss, open2, z1))
+                    _rho_hat(f1p, open1, z1), part_gain, part_loss)
             if local:
-                (local_part_gain,) = at(r1, vel2p)
-                add("boltzmann", rows, base, f1p, local_part_gain,
-                    local_part_loss)
+                add("boltzmann", rows, base, f1p, part_gain_r1,
+                    part_loss_r1)
     return {fl: (_prefactor(model, fl) * gain, _prefactor(model, fl) * loss)
             for fl, (gain, loss) in sums.items()}
 

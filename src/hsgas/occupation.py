@@ -59,7 +59,8 @@ from .geometry import (
     ensemble_theta,
     wall_theta,
 )
-from .quadrature import gauss_legendre, multilinear, row_norm, tensor_rule
+from .quadrature import (gauss_legendre, multilinear, multilinear_on_sphere,
+                         row_norm, tensor_rule)
 from .runio import split_work, write_csv
 from .seeding import derive_rng
 
@@ -112,6 +113,12 @@ class OccupationField:
     def interp(self, r) -> np.ndarray:
         """Multilinear interpolation, clamped to the outermost cell centers."""
         return multilinear((self.axis,) * 3, self.values, r)
+
+    def interp_on_sphere(self, center, radii, n) -> list:
+        """[interp at center + s n for s in radii] for one center and unit
+        n (..., 3), within roundoff (quadrature.multilinear_on_sphere)."""
+        return multilinear_on_sphere((self.axis,) * 3, self.values, center,
+                                     radii, n)
 
     def sup_abs_deviation(self) -> float:
         return float(np.abs(self.values - 1.0).max())
@@ -511,12 +518,12 @@ def lens_volume(d, sigma: float):
                     math.pi / 12.0 * (4.0 * sigma + d) * (2.0 * sigma - d) ** 2)
 
 
-def ball_fraction_from_k1(field: OccupationField, r, n: int):
+def ball_fraction_from_k1(k1, n: int):
     """Invert k1 = (1 - v)^(N-1) for the exclusion-ball measure v."""
     if n < 2:
         raise ValueError(f"inverting k1 for the ball measure needs "
                          f"model.n >= 2, got n={n}")
-    k = np.clip(field.interp(r), 1e-300, 1.0)
+    k = np.clip(k1, 1e-300, 1.0)
     return 1.0 - k ** (1.0 / (n - 1))
 
 
@@ -537,6 +544,11 @@ class ContactOccupancy:
     value (1 - 2.25 pi sigma^3 / wall_volume)^(N-2) in the bulk. mode
     "product" gives the k1(r1) k1(r2) factorization and "unit" the constant-1
     approximation. Any other mode is refused.
+
+    Every caller asks for one r1 and many directions, so k1 at r2 and at the
+    midpoint is read on the spheres of radius sigma and sigma/2 about r1
+    (OccupationField.interp_on_sphere), without forming those points and
+    within a few ulps of k1_field.interp at them.
     """
 
     MODES = ("insertion", "product", "unit")
@@ -551,28 +563,38 @@ class ContactOccupancy:
                              f"expected one of {self.MODES}")
 
     def k2_contact(self, r1, n21):
-        """k2 at exact contact: r2 = r1 + sigma * n21, n21 unit (..., 3)."""
+        """k2 at exact contact: r2 = r1 + sigma * n21 for one r1 (3,) and
+        unit n21 (..., 3).
+
+        k1 at r2 and at the midpoint r1 + (sigma/2) n21 is read on the
+        contact sphere (OccupationField.interp_on_sphere), within roundoff of
+        interp at those points.
+        """
         r1 = np.asarray(r1, dtype=float)
+        if r1.shape != (3,):
+            raise ValueError(f"k2_contact takes one r1 of shape (3,), got "
+                             f"shape {r1.shape}")
         n21 = np.asarray(n21, dtype=float)
         n, sigma = self.model.n, self.model.sigma
         if self.mode == "unit" or sigma == 0.0:
-            return np.ones(np.broadcast_shapes(r1.shape, n21.shape)[:-1])
-        r2 = r1 + sigma * n21
+            return np.ones(n21.shape[:-1])
+        field = self.k1_field
+        k1_r1 = field.interp(r1)
         if self.mode == "product":
-            return self.k1_field.interp(r1) * self.k1_field.interp(r2)
-        v1 = ball_fraction_from_k1(self.k1_field, r1, n)
-        v2 = ball_fraction_from_k1(self.k1_field, r2, n)
-        vmid = ball_fraction_from_k1(self.k1_field, 0.5 * (r1 + r2), n)
+            (k1_r2,) = field.interp_on_sphere(r1, (sigma,), n21)
+            return k1_r1 * k1_r2
+        k1_r2, k1_mid = field.interp_on_sphere(r1, (sigma, 0.5 * sigma), n21)
+        v1 = ball_fraction_from_k1(k1_r1, n)
+        v2 = ball_fraction_from_k1(k1_r2, n)
+        vmid = ball_fraction_from_k1(k1_mid, n)
         vu = np.clip(v1 + v2 - CONTACT_LENS * vmid, 0.0, 1.0 - 1e-12)
         return (1.0 - vu) ** (n - 2)
 
     def g_contact(self, r1, n21):
         """Contact pair enhancement k2 / (k1(r1) k1(r2))."""
-        r1 = np.asarray(r1, dtype=float)
-        r2 = r1 + self.model.sigma * np.asarray(n21, dtype=float)
-        return self.k2_contact(r1, n21) / (
-            self.k1_field.interp(r1) * self.k1_field.interp(r2)
-        )
+        (k1_r2,) = self.k1_field.interp_on_sphere(r1, (self.model.sigma,),
+                                                  n21)
+        return self.k2_contact(r1, n21) / (self.k1_field.interp(r1) * k1_r2)
 
 
 def analytic_contact_k2_uniform(model: HardSphereModel) -> float:

@@ -18,6 +18,10 @@ law it changes:
   False, so the collision kernel does not share one velocity factor between
   positions.
 
+A family that changes either law so that the density moves with position
+also sets ``position_free_density`` False, so the collision kernel does not
+take the partner factors at r1 for those at the contact point.
+
 ``FAMILIES`` maps a config ``family`` tag to its factory, which is called as
 ``factory(box=box, **params)``. The factory's parameters other than box are
 the only pdf keys the family takes (``family_keys``).
@@ -66,6 +70,9 @@ class OneBodyPdf:
     # density(r, v) = position_density(r) * velocity_density(v); a fact of
     # the family's class, which no config sets
     uniform_velocity_law = False
+    # True when density(r, v) is the same at every r inside the box (which
+    # implies uniform_velocity_law); a class fact as well
+    position_free_density = False
 
     def drift(self, r):
         """Mean velocity at position r, broadcast to r's shape."""
@@ -82,6 +89,7 @@ class UniformMaxwellian(OneBodyPdf):
 
     family_tag = "uniform_maxwell"
     uniform_velocity_law = True
+    position_free_density = True
 
     def __init__(self, box: float, v_th: float = 1.0):
         self.box = float(box)
@@ -125,6 +133,7 @@ class DriftedMaxwellian(UniformMaxwellian):
 
     family_tag = "drifted_maxwell"
     uniform_velocity_law = False  # the drift moves with x under shear
+    position_free_density = False
 
     def __init__(self, box, v_th=1.0, u0=(0.0, 0.0, 0.0), shear_rate: float = 0.0):
         super().__init__(box, v_th)
@@ -149,6 +158,7 @@ class TiltedExponential(UniformMaxwellian):
     """Position density proportional to exp(a . r) on the cube, Maxwell velocities."""
 
     family_tag = "tilted_exponential"
+    position_free_density = False
 
     def __init__(self, box, tilt=(1.0, 0.0, 0.0), v_th=1.0):
         super().__init__(box, v_th)
@@ -179,6 +189,7 @@ class SinusoidalMaxwellian(UniformMaxwellian):
     """Density (1 + alpha sin(2 pi x/box + phase))/box^3 times a Maxwell law."""
 
     family_tag = "sinusoidal_maxwell"
+    position_free_density = False
 
     def __init__(self, box, alpha=0.2, v_th=1.0, phase: float = 0.0, axis: int = 0):
         if not 0 <= alpha < 1:

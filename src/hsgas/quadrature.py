@@ -162,38 +162,130 @@ def multilinear(axes, values, points) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     flat = points.reshape(-1, len(axes))
     values = np.asarray(values, dtype=float).ravel()
-    offsets = [0]  # flat offset of each corner from its cell
-    for ax in axes:
-        offsets = [o * len(ax) + h for h in (0, 1) for o in offsets]
+    offsets = corner_offsets(axes)
     out = np.zeros(flat.shape[0])
     for lo in range(0, flat.shape[0], INTERP_BLOCK):
-        block = flat[lo:lo + INTERP_BLOCK]
-        cell = 0
-        prefix = [1.0]  # corner weights over every axis but the last
-        for k, ax in enumerate(axes):
-            x = np.clip(block[:, k], ax[0], ax[-1])
-            inner = ax[1:-1]
-            least, most = x.min(), x.max()
-            if least <= most:  # no NaN among the block's points
-                below = np.searchsorted(inner, [least, most], side="right")
-            else:
-                below = (0, len(inner))
-            i = below[0]
-            if below[1] > below[0]:
-                i = np.full(block.shape[0], i, dtype=np.intp)
-                for node in inner[below[0]:below[1]]:
-                    i += x >= node
-            left, right = ax.take(i), ax.take(i + 1)
-            f = np.clip((x - left) / (right - left), 0.0, 1.0)
-            lo_hi = (1.0 - f, f)
-            cell = cell * len(ax) + i
-            if k < len(axes) - 1:
-                prefix = [w * lo_hi[h] for h in (0, 1) for w in prefix]
+        cell, weights = corner_weights(axes, flat[lo:lo + INTERP_BLOCK])
         acc = out[lo:lo + INTERP_BLOCK]
-        for corner, off in enumerate(offsets):
-            w = prefix[corner % len(prefix)] * lo_hi[corner // len(prefix)]
+        for w, off in zip(weights, offsets):
             acc += w * values[off:].take(cell)
     return out.reshape(points.shape[:-1])
+
+
+def corner_offsets(axes) -> list:
+    """Flat offset of each corner of a cell from its lower corner, in corner
+    order (bit k selects the upper node on axis k), in a C-order table."""
+    offsets = [0]
+    for ax in axes:
+        offsets = [o * len(ax) + h for h in (0, 1) for o in offsets]
+    return offsets
+
+
+def corner_weights(axes, block):
+    """(cell, weights) of multilinear's rule for points block (n, d).
+
+    cell is each point's lower corner as a flat C-order index into the
+    table (a scalar where the block lies in one cell on every axis) and
+    weights yields the 2^d corner weights in corner order, each when asked
+    for, so that only one is held at a time.
+    """
+    cell = 0
+    prefix = [1.0]  # corner weights over every axis but the last
+    for k, ax in enumerate(axes):
+        x = np.clip(block[:, k], ax[0], ax[-1])
+        inner = ax[1:-1]
+        least, most = x.min(), x.max()
+        if least <= most:  # no NaN among the block's points
+            below = np.searchsorted(inner, [least, most], side="right")
+        else:
+            below = (0, len(inner))
+        i = below[0]
+        if below[1] > below[0]:
+            i = np.full(block.shape[0], i, dtype=np.intp)
+            for node in inner[below[0]:below[1]]:
+                i += x >= node
+        left, right = ax.take(i), ax.take(i + 1)
+        f = np.clip((x - left) / (right - left), 0.0, 1.0)
+        lo_hi = (1.0 - f, f)
+        cell = cell * len(ax) + i
+        if k < len(axes) - 1:
+            prefix = [w * lo_hi[h] for h in (0, 1) for w in prefix]
+    weights = (prefix[corner % len(prefix)] * lo_hi[corner // len(prefix)]
+               for corner in range(2 ** len(axes)))
+    return cell, weights
+
+
+def multilinear_on_sphere(axes, values, center, radii, directions):
+    """multilinear at center + s n for each radius s and unit n (..., d).
+
+    Returns one array of shape directions.shape[:-1] per radius: the same
+    interpolant as multilinear, clamped to the hull alike, read without
+    forming the points. It agrees with multilinear at the points to a few
+    ulps of the largest |value| the sphere reaches (a sphere that spans many
+    cells loses a little more), and is exact on a constant table. center is
+    one point (d,); each radius is >= 0.
+
+    Along axis k the clamped interpolant is piecewise linear in x, with
+    breakpoints at the nodes (at the outer two its slope turns to 0). On the
+    sphere x = c + s t with t = n_k, so it is A + B t plus a hinge term
+    D_q max(t - tau_q, 0) for each node above c and D_q max(tau_q - t, 0)
+    for each node at or below c, over the nodes strictly inside (c - s,
+    c + s): A and B continue the segment that holds c, tau_q = (node_q - c)
+    / s and D_q is the change of slope at node_q. Taken on every axis, these
+    coefficients form a small tensor, built once per radius from the table
+    by differences (a constant table gives zeros besides A). Each point then
+    evaluates a polynomial in n's components and its hinges, one
+    multiply-add per coefficient, with no cell lookup; a sphere inside one
+    cell on every axis has no hinges and 2^d coefficients.
+    """
+    center = np.asarray(center, dtype=float)
+    if center.shape != (len(axes),):
+        raise ValueError(f"multilinear_on_sphere takes one center of "
+                         f"{len(axes)} coordinates, got shape {center.shape}")
+    n = np.asarray(directions, dtype=float)
+    comps = np.ascontiguousarray(n.reshape(-1, len(axes)).T)
+    values = np.asarray(values, dtype=float)
+    return [_on_sphere(axes, values, center, s, comps).reshape(n.shape[:-1])
+            for s in radii]
+
+
+def _on_sphere(axes, values, center, radius, comps):
+    """multilinear_on_sphere at one radius, on the components comps (d, P)."""
+    coef = values
+    bases = []  # per axis: the point values of t and of its hinges
+    for c, t, ax in zip(center, comps, axes):
+        # coef's axis 0 is this axis; the axes done hold their coefficients
+        # in coef's trailing dimensions. Slopes per unit x of the segments
+        # below ax[0], of the cells and above ax[-1]:
+        width = np.diff(ax).reshape((-1,) + (1,) * (coef.ndim - 1))
+        flat = np.zeros_like(coef[:1])
+        slope = np.concatenate([flat, np.diff(coef, axis=0) / width, flat])
+        seg = int(np.searchsorted(ax, c, side="right"))
+        node = min(max(seg - 1, 0), len(ax) - 1)  # the segment's left end
+        crossed = [q for q in range(len(ax))
+                   if c - radius < ax[q] < c + radius]
+        parts = [coef[node] + (c - ax[node]) * slope[seg],
+                 radius * slope[seg]]
+        parts += [radius * (slope[q + 1] - slope[q]) for q in crossed]
+        coef = np.stack(parts, axis=-1)
+        hinges = [t - tau if tau > 0 else tau - t
+                  for tau in ((ax[q] - c) / radius for q in crossed)]
+        bases.append([t] + [np.maximum(h, 0.0, out=h) for h in hinges])
+    # the coefficients in C order over the axes' terms, the last axis
+    # fastest, summed axis by axis from the last in arrays made here
+    terms = list(coef.ravel())
+    for level, basis in enumerate(reversed(bases)):
+        size = len(basis) + 1
+        reduced = []
+        for g in range(0, len(terms), size):
+            acc = None
+            for phi, a in zip(basis, terms[g + 1:g + size]):
+                a = phi * a if level == 0 else np.multiply(a, phi, out=a)
+                acc = a if acc is None else np.add(acc, a, out=acc)
+            acc += terms[g]
+            reduced.append(acc)
+        terms = reduced
+    return terms[0]
 
 
 def row_norm(a) -> np.ndarray:

@@ -275,20 +275,28 @@ def _master_per_point(model, pdf, r1, v1, quad, occ, z1):
     return pref * gain, pref * loss
 
 
-@pytest.mark.parametrize("case", ["crossing", "clear", "sheared"])
+@pytest.mark.parametrize("case", ["crossing", "clear", "sheared",
+                                  "clear-mixture", "clear-uniform"])
 def test_master_matches_the_per_point_densities(case):
     # crossing: the contact sphere dips into the sigma/2 wall layer, so
     # theta_w(r2) is evaluated; clear: it cannot, so it is skipped; sheared:
-    # the velocity law moves with x, so no velocity factor is shared
+    # the velocity law moves with x, so no velocity factor is shared;
+    # clear-mixture and clear-uniform: the density is the same at every
+    # position, so the master takes the local flavour's partner factors
     model = HardSphereModel(n=30, sigma=0.08, box=1.0)
     quad = QuadratureSpec(velocity_nodes=8, angle_nodes=26)
     if case == "sheared":
         pdf = DriftedMaxwellian(1.0, u0=(0.2, -0.1, 0.0), shear_rate=0.9)
+    elif case == "clear-mixture":
+        pdf = mixture_pdf()
+    elif case == "clear-uniform":
+        pdf = UniformMaxwellian(1.0)
     else:
         pdf = TiltedExponential(1.0, tilt=(1.0, -0.5, 0.3))
     assert pdf.uniform_velocity_law is (case != "sheared")
-    r1 = np.array([0.5, 0.45, 0.6] if case == "clear"
-                  else [0.3, 0.55, 0.07])
+    assert pdf.position_free_density is case.startswith("clear-")
+    clear = case.startswith("clear")
+    r1 = np.array([0.5, 0.45, 0.6] if clear else [0.3, 0.55, 0.07])
     field = OccupationField.constant(4, model.box, model=model)
     field.values = np.random.default_rng(2).uniform(0.8, 1.0, (4, 4, 4))
     occ = ContactOccupancy(model, field)
@@ -296,9 +304,9 @@ def test_master_matches_the_per_point_densities(case):
     V1 = np.random.default_rng(5).normal(size=(3, 3))
     gain, loss = _kernel_batch(model, pdf, r1, V1, quad, ("master",), occ,
                                z1=z1)["master"]
-    assert _ball_is_open(r1, model) is (case == "clear")
+    assert _ball_is_open(r1, model) is clear
     # the contact point nearest the z = 0 face
-    assert wall_theta(r1 - [0.0, 0.0, model.sigma], model) == (case == "clear")
+    assert wall_theta(r1 - [0.0, 0.0, model.sigma], model) == clear
     for i, v1 in enumerate(V1):
         g_ref, l_ref = _master_per_point(model, pdf, r1, v1, quad, occ, z1)
         assert gain[i] == pytest.approx(g_ref, rel=1e-13, abs=0.0)

@@ -105,11 +105,12 @@ def test_lens_volume_literals():
 
 def test_ball_fraction_inverts_k1():
     field = OccupationField.constant(4, 1.0, 0.97)
-    v = ball_fraction_from_k1(field, np.array([0.5, 0.5, 0.5]), n=16)
+    k1 = field.interp(np.array([0.5, 0.5, 0.5]))
+    v = ball_fraction_from_k1(k1, n=16)
     assert (1.0 - v) ** 15 == pytest.approx(0.97, rel=1e-12)
     # with no partner k1 is identically 1 and carries no ball measure
     with pytest.raises(ValueError, match="model.n >= 2"):
-        ball_fraction_from_k1(field, np.array([0.5, 0.5, 0.5]), n=1)
+        ball_fraction_from_k1(k1, n=1)
 
 
 def test_occupation_field_interp_and_roundtrip(tmp_path):
@@ -460,18 +461,24 @@ def test_contact_occupancy_reproduces_uniform_closed_form():
         analytic_contact_k2_uniform(HardSphereModel(n=1, sigma=0.05, box=1.0))
 
 
-def _k2_general(occ, r1, r2):
-    """The former two-point k2(r1, r2): the lens at the centres' distance."""
+def _k2_general(occ, r1, n21):
+    """The former two-point k2(r1, r2), r2 = r1 + sigma n21: the lens at the
+    centres' distance. k1 at r2 and at the midpoint is read on the contact
+    sphere, as k2_contact reads it; test_sphere_read_matches_interp holds
+    that read to interp at the points."""
     n, sigma = occ.model.n, occ.model.sigma
+    field = occ.k1_field
     if occ.mode == "unit":
-        return np.ones(np.broadcast_shapes(r1.shape, r2.shape)[:-1])
+        return np.ones(n21.shape[:-1])
+    k1_r2, k1_mid = field.interp_on_sphere(r1, (sigma, 0.5 * sigma), n21)
     if occ.mode == "product":
-        return occ.k1_field.interp(r1) * occ.k1_field.interp(r2)
-    v1 = ball_fraction_from_k1(occ.k1_field, r1, n)
-    v2 = ball_fraction_from_k1(occ.k1_field, r2, n)
+        return field.interp(r1) * k1_r2
+    v1 = ball_fraction_from_k1(field.interp(r1), n)
+    v2 = ball_fraction_from_k1(k1_r2, n)
     vball = 4.0 / 3.0 * math.pi * sigma ** 3
+    r2 = r1 + sigma * n21
     lens = lens_volume(np.linalg.norm(r2 - r1, axis=-1), sigma) / vball
-    vmid = ball_fraction_from_k1(occ.k1_field, 0.5 * (r1 + r2), n)
+    vmid = ball_fraction_from_k1(k1_mid, n)
     vu = np.clip(v1 + v2 - lens * vmid, 0.0, 1.0 - 1e-12)
     return (1.0 - vu) ** (n - 2)
 
@@ -493,12 +500,65 @@ def test_k2_contact_is_the_general_k2_at_contact(mode, r1):
     n21 = rng.normal(size=(500, 3))
     n21 /= np.linalg.norm(n21, axis=1, keepdims=True)
     got = occ.k2_contact(r1, n21)
-    want = _k2_general(occ, r1, r1 + model.sigma * n21)
+    want = _k2_general(occ, r1, n21)
     assert got.shape == want.shape == (500,)
     assert np.all(want > 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
     if mode != "insertion":  # no lens term: the same bits
         assert np.array_equal(got, want)
+
+
+SPHERE_ULPS = 4  # the contact-sphere read's bound, in ulps of max |k1|
+
+
+def _sphere_center(axis, where):
+    """r1 whose sigma = 0.05 sphere lies in one cell on each axis, or
+    straddles the middle node on one, two or three axes (on it, or off it
+    either way), or crosses the hull. A grid of 2 has no interior node; its
+    middle node is the hull's upper end."""
+    mid = 0.5 * (axis[len(axis) // 2 - 1] + axis[len(axis) // 2])
+    node = axis[len(axis) // 2]
+    return np.array({
+        "one-cell": [mid, mid, mid],
+        "one-node": [mid, node, mid],
+        "two-nodes": [node + 0.013, node - 0.021, mid],
+        "three-nodes": [node + 0.007, node - 0.03, node],
+        "hull": [0.02, mid, 0.97],
+    }[where])
+
+
+@pytest.mark.parametrize("grid", [2, 4, 5, 8])
+@pytest.mark.parametrize("where", ["one-cell", "one-node", "two-nodes",
+                                   "three-nodes", "hull"])
+def test_sphere_read_matches_interp(grid, where):
+    sigma = 0.05
+    field = OccupationField.constant(grid, 1.0)
+    nodes = field.nodes()
+    field.values = (0.6 + 0.35 * np.cos(3.0 * nodes[:, 0])
+                    * np.sin(2.0 + nodes[:, 1] + nodes[:, 2]) ** 2
+                    ).reshape(field.values.shape)
+    r1 = _sphere_center(field.axis, where)
+    rng = np.random.default_rng(grid)
+    n = np.concatenate([np.eye(3), -np.eye(3), rng.normal(size=(500, 3))])
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    n = n.reshape(2, 253, 3)
+    radii = (sigma, 0.5 * sigma)
+    bound = SPHERE_ULPS * np.finfo(float).eps * np.abs(field.values).max()
+    for s, got in zip(radii, field.interp_on_sphere(r1, radii, n)):
+        want = field.interp(r1 + s * n)
+        assert got.shape == want.shape == (2, 253)
+        assert np.abs(got - want).max() <= bound
+    # exact on a constant field
+    flat = OccupationField.constant(grid, 1.0, 0.8731)
+    for got in flat.interp_on_sphere(r1, radii, n):
+        assert np.all(got == 0.8731)
+
+
+def test_k2_contact_takes_one_r1():
+    model = HardSphereModel(n=40, sigma=0.1, box=1.0)
+    occ = ContactOccupancy(model, OccupationField.constant(4, 1.0))
+    with pytest.raises(ValueError, match="one r1"):
+        occ.k2_contact(np.full((2, 3), 0.5), np.eye(3)[:2])
 
 
 def test_contact_pair_tuples_geometry():

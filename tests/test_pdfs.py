@@ -77,6 +77,18 @@ ALL_FAMILIES = {
 }
 
 
+@pytest.mark.parametrize("name", sorted(ALL_FAMILIES) + ["tabulated"])
+def test_position_free_density_holds_for_its_families(name):
+    pdf = (_uneven_table() if name == "tabulated"
+           else ALL_FAMILIES[name]())
+    rng = np.random.default_rng(12)
+    r = rng.uniform(0.0, 1.0, size=(50, 3))
+    v = np.broadcast_to(rng.normal(size=3), r.shape)
+    density = pdf.density(r, v)
+    assert bool(np.all(density == density[0])) is pdf.position_free_density
+    assert pdf.uniform_velocity_law or not pdf.position_free_density
+
+
 @pytest.mark.parametrize("name", sorted(ALL_FAMILIES))
 def test_normalization_is_one(name):
     # 8^3 Gauss-Legendre nodes on the cube, 32^3 on a velocity box six
