@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .quadrature import multilinear
+from .quadrature import corner_offsets, corner_weights, multilinear
 
 _TWO_PI = 2.0 * math.pi
 
@@ -315,15 +315,24 @@ class TabulatedPdf(OneBodyPdf):
         """One velocity per position from the table at that position.
 
         The velocity table there is the 6-d table interpolated at the
-        velocity nodes, its position clamped to the position axes.
+        velocity nodes, its position clamped to the position axes. At a
+        velocity node the 6-d rule's weights on the velocity axes are
+        exactly 0 or 1, so it reduces, corner for corner, to the 3-d rule in
+        position: the same weights in the same order, with exact zeros in
+        between. So the table is interpolated in position once per draw,
+        with every bit of the 6-d rule.
         """
-        vgrid = np.stack(np.meshgrid(*self.vel_axes, indexing="ij"), axis=-1)
+        vel_shape = self.values.shape[3:]
+        rows = self.values.reshape(-1, math.prod(vel_shape))
+        offsets = corner_offsets(self.pos_axes)
         out = []
         for r in np.asarray(positions, dtype=float):
-            at_r = np.concatenate([np.broadcast_to(r, vgrid.shape), vgrid],
-                                  axis=-1)
-            table = multilinear(self.axes, self.values, at_r)
-            out.append(_cell_draws(self.vel_axes, table, 1, rng))
+            cell, weights = corner_weights(self.pos_axes, r[None, :])
+            table = np.zeros(rows.shape[1])
+            for w, off in zip(weights, offsets):
+                table += w * rows[off + cell]
+            out.append(_cell_draws(self.vel_axes, table.reshape(vel_shape),
+                                   1, rng))
         return np.concatenate(out)
 
     def to_csv(self, path):

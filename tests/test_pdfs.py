@@ -14,11 +14,13 @@ from hsgas.pdfs import (
     TiltedExponential,
     UniformMaxwellian,
     VelocityMixture,
+    _cell_draws,
     _maxwell,
     _trapezoid_weights_nd,
     build_family,
 )
-from hsgas.quadrature import INTERP_BLOCK, gauss_legendre, tensor_rule
+from hsgas.quadrature import (INTERP_BLOCK, gauss_legendre, multilinear,
+                              tensor_rule)
 from hsgas.seeding import derive_rng
 
 # Frozen closed form (independent of the implementation): the
@@ -373,6 +375,34 @@ def test_tabulated_velocities_follow_the_table_at_each_position():
     with pytest.raises(ValueError, match="no mass"):
         TabulatedPdf(pax, vax, values).sample_velocities(r[:1],
                                                          derive_rng(3, "t"))
+
+
+def _velocities_by_6d_rule(tab, positions, rng):
+    """The former sample_velocities: the 6-d rule at every velocity node."""
+    vgrid = np.stack(np.meshgrid(*tab.vel_axes, indexing="ij"), axis=-1)
+    out = []
+    for r in positions:
+        at_r = np.concatenate([np.broadcast_to(r, vgrid.shape), vgrid],
+                              axis=-1)
+        table = multilinear(tab.axes, tab.values, at_r)
+        out.append(_cell_draws(tab.vel_axes, table, 1, rng))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("table", ["uneven", "uniform"])
+def test_tabulated_velocities_keep_the_bits_of_the_6d_rule(table):
+    if table == "uneven":
+        tab = _uneven_table()
+    else:
+        tab = tabulate_pdf(UniformMaxwellian(1.0, v_th=1.0),
+                           [np.linspace(0.0, 1.0, 3)] * 3,
+                           [np.linspace(-5.0, 5.0, 17)] * 3)
+    # inside, on the nodes and faces of, and outside (clamped) the axes
+    r = _probe_points(tab.pos_axes, np.random.default_rng(9), 20)
+    got = tab.sample_velocities(r, derive_rng(4, "test"))
+    want = _velocities_by_6d_rule(tab, r, derive_rng(4, "test"))
+    assert got.shape == (len(r), 3)
+    assert np.array_equal(got, want)
 
 
 def test_tabulated_rejects_negative_values():
