@@ -274,7 +274,9 @@ def chaos_sweep(c: float, box: float, ns, *, pdf, tuple_count: int = 20,
                         measure=measure)
     control_model = HardSphereModel(n=models[0].n, sigma=0.0, box=box)
     zero_field = solve_k1(control_model, pdf, seed=seed, **k1)
-    cs0 = correlation_delta(control_model, pdf, zero_field, tuples)
+    cs0 = correlation_delta(control_model, pdf, zero_field, tuples,
+                            estimate_ks(control_model, pdf, positions,
+                                        k1_field=zero_field))
     info.update(c=c, box=box, tuple_count=tuple_count,
                 separation=PAIR_SEPARATION * sigma_max, samples=samples,
                 control_max_abs=float(np.abs(cs0.delta_rho).max()))

@@ -32,23 +32,18 @@ only its own factors: boltzmann p(r1, v2') and p(r1, v2); master k2 at
 contact, theta_w(r2) and rho_hat at r2. Factors two partners share are
 evaluated once:
 
-* a family whose velocity law is the same at every position
-  (pdf.uniform_velocity_law) factors p(r, v) as position_density(r) times
-  velocity_density(v), so the velocity factor at v2' is evaluated once per
-  block for p(r1, v2') and p(r2, v2'), the factor at v2 once per chunk, and
-  position_density(r2) once per block for the gain partner p(r2, v2') and
-  the loss partner p(r2, v2); any other family evaluates pdf.density at each
-  point;
+* a family whose density is the same at every position in the box
+  (pdf.position_free_density: uniform_maxwell and velocity_mixture) gives
+  the master the local flavor's partner factors p(r1, v2') per block and
+  p(r1, v2) per chunk, at every r1, computed once for both flavors. Where
+  r2 is open it lies in the box, so p(r2, v) is p(r1, v) to the bit; where
+  it is closed theta_w(r2) = 0 zeroes both products. Any other family
+  evaluates pdf.density at each contact point r2;
 * theta_w(r2) is skipped when r1's sigma-ball clears the sigma/2 wall layer
   on every face, where it is 1 on the whole contact sphere (so for every
   bg.bulk_phase_probes probe, which keep 1.5 sigma from the faces), and so
-  is theta_w(r1) where it is 1: a mask that is all true multiplies nothing;
-* when r1's ball is clear and the family's density is the same at every
-  position in the box (pdf.position_free_density: uniform_maxwell and
-  velocity_mixture), p(r2, v) is p(r1, v) to the bit, since every r2 lies
-  in the box, so r2 is never built: the master takes the local flavor's
-  partner factors p(r1, v2') per block and p(r1, v2) per chunk, computed
-  once for both flavors, and divides the loss partner by Z1 once per chunk.
+  is theta_w(r1) where it is 1: a mask that is all true multiplies nothing.
+  r2 is built only where that mask or the partner density needs it.
 
 Each shared factor enters the same products as before, so every value keeps
 the bits of pdf.density and wall_theta at its own point. Every product keeps
@@ -144,26 +139,6 @@ def _ball_is_open(r1, model):
     return bool(near > 1.5 * model.sigma + 1e-12 * model.box)
 
 
-def _partner_factors(pdf):
-    """(at, velocity): at(r, *factors) is [p(r, v) for each v's factor].
-
-    The factor of a velocity array is velocity(v). A family whose velocity
-    law is the same at every position (uniform_velocity_law) factors as
-    position_density(r) times velocity_density(v), so a velocity factor
-    serves every position and each position law is evaluated once for all
-    factors; otherwise the factor is v itself and at calls pdf.density for
-    each v. Both keep the bits of pdf.density(r, v).
-    """
-    if not pdf.uniform_velocity_law:
-        return (lambda r, *vs: [pdf.density(r, v) for v in vs]), lambda v: v
-
-    def at(r, *factors):
-        pos = pdf.position_density(r)
-        return [pos * m for m in factors]
-
-    return at, pdf.velocity_density
-
-
 def _block_rows(points_per_row):
     """v1 rows per numpy pass when each row holds points_per_row points."""
     return max(1, _BLOCK_POINTS // points_per_row)
@@ -197,8 +172,6 @@ def _kernel_rows(model, pdf, r1, V1, quad, flavors, pair_occ, z1):
     r1 = np.asarray(r1, dtype=float)
     master, local = "master" in flavors, "boltzmann" in flavors
     sigma = model.sigma
-    at, velocity = _partner_factors(pdf)
-
     drift = pdf.drift(r1)
     V2, W2 = velocity_grid(quad, pdf.v_th, center=drift)
     u_nodes, wu, phi, wphi, _ = hemisphere_rule(quad.angle_nodes)
@@ -208,15 +181,13 @@ def _kernel_rows(model, pdf, r1, V1, quad, flavors, pair_occ, z1):
     u_ang = np.repeat(u_nodes, len(phi))
     f1 = pdf.density(r1, V1)
     f1_loss = {"boltzmann": f1}
-    shared = False
+    # the master takes the partner factors at r1 (see the module docstring)
+    shared = master and pdf.position_free_density
+    at_r1 = local or shared
     if master:
         open1 = bool(wall_theta(r1, model) > 0)
         f1_loss["master"] = _rho_hat(f1, open1, z1)
         ball_open = _ball_is_open(r1, model)
-        # every contact point r2 is open and inside the box, so p(r2, v)
-        # is p(r1, v) to the bit
-        shared = ball_open and pdf.position_free_density
-    at_r1 = local or shared
 
     sums = {fl: (np.zeros(V1.shape[0]), np.zeros(V1.shape[0]))
             for fl in flavors}
@@ -232,11 +203,8 @@ def _kernel_rows(model, pdf, r1, V1, quad, flavors, pair_occ, z1):
         v2 = V2[lo:lo + _V2_CHUNK]
         m2 = v2.shape[0]
         w2_ang = W2[lo:lo + _V2_CHUNK, None] * w_ang
-        vel2 = velocity(v2[:, None, :])
         if at_r1:
-            (part_loss_r1,) = at(r1, vel2)
-        if shared:
-            master_part_loss = _rho_hat(part_loss_r1, True, z1)
+            part_loss_r1 = pdf.density(r1, v2[:, None, :])
         block = _block_rows(w2_ang.size)
         for b0 in range(0, V1.shape[0], block):
             # the geometry both flavors share
@@ -256,21 +224,19 @@ def _kernel_rows(model, pdf, r1, V1, quad, flavors, pair_occ, z1):
             v2p = v2[:, None, :] + gdote
             base = w2_ang * flux
             f1p = pdf.density(r1, v1p)
-            vel2p = velocity(v2p)
             rows = slice(b0, b0 + nb)
             if at_r1:
-                (part_gain_r1,) = at(r1, vel2p)
+                part_gain_r1 = pdf.density(r1, v2p)
             if master:
                 # rho_2 at contact = k2 rho_hat(r1) rho_hat(r2)
-                if shared:
-                    part_gain = _rho_hat(part_gain_r1, True, z1)
-                    part_loss = master_part_loss
-                else:
+                if not (shared and ball_open):
                     r2 = r1 + sigma * e
-                    open2 = True if ball_open else wall_theta(r2, model) > 0
-                    part_gain, part_loss = (
-                        _rho_hat(p, open2, z1)
-                        for p in at(r2, vel2p, vel2))
+                open2 = True if ball_open else wall_theta(r2, model) > 0
+                partners = ((part_gain_r1, part_loss_r1) if shared else
+                            (pdf.density(r2, v2p),
+                             pdf.density(r2, v2[:, None, :])))
+                part_gain, part_loss = (_rho_hat(p, open2, z1)
+                                        for p in partners)
                 add("master", rows, base * pair_occ.k2_contact(r1, e),
                     _rho_hat(f1p, open1, z1), part_gain, part_loss)
             if local:

@@ -542,8 +542,8 @@ class ContactOccupancy:
     constant CONTACT_LENS of a ball, weighted by the ball measure at the
     midpoint (r1 + r2) / 2. Reproduces the closed uniform-density contact
     value (1 - 2.25 pi sigma^3 / wall_volume)^(N-2) in the bulk. mode
-    "product" gives the k1(r1) k1(r2) factorization and "unit" the constant-1
-    approximation. Any other mode is refused.
+    "product" gives the k1(r1) k1(r2) factorization instead. Any other mode
+    is refused.
 
     Every caller asks for one r1 and many directions, so k1 at r2 and at the
     midpoint is read on the spheres of radius sigma and sigma/2 about r1
@@ -551,7 +551,7 @@ class ContactOccupancy:
     within a few ulps of k1_field.interp at them.
     """
 
-    MODES = ("insertion", "product", "unit")
+    MODES = ("insertion", "product")
 
     model: HardSphereModel
     k1_field: OccupationField
@@ -576,7 +576,7 @@ class ContactOccupancy:
                              f"shape {r1.shape}")
         n21 = np.asarray(n21, dtype=float)
         n, sigma = self.model.n, self.model.sigma
-        if self.mode == "unit" or sigma == 0.0:
+        if sigma == 0.0:
             return np.ones(n21.shape[:-1])
         field = self.k1_field
         k1_r1 = field.interp(r1)
@@ -627,24 +627,20 @@ class CorrelationSample:
 
 def correlation_delta(model: HardSphereModel, pdf,
                       k1_field: OccupationField, phase_tuples,
-                      pair_occ: PairOccupation | None = None, *,
-                      samples: int = KS_SAMPLES,
-                      seed: int = 0) -> CorrelationSample:
+                      pair_occ: PairOccupation) -> CorrelationSample:
     """Defect between the s-point density and its factorized part.
 
     delta = Theta_bar^(s) * prod_i rho_hat(x_i) * (k_s - 1), where
     rho_hat = p theta_w / Z1 is the occupation-stripped one-point density
-    (Z1 = integral of p theta_w k1, so rho_hat = rho1 / k1). Point
-    particles (sigma = 0) give exact zeros through k_s = 1.
+    (Z1 = integral of p theta_w k1, so rho_hat = rho1 / k1) and k_s comes
+    from pair_occ, estimate_ks at the tuples' positions. Point particles
+    (sigma = 0) give exact zeros through k_s = 1.
     """
     tuples = [tuple(tp) for tp in phase_tuples]
     s = len(tuples[0])
     if any(len(tp) != s for tp in tuples):
         raise ValueError("all phase tuples must have the same length")
     positions = [np.stack([p.r for p in tp]) for tp in tuples]
-    if pair_occ is None:
-        pair_occ = estimate_ks(model, pdf, positions, samples=samples,
-                               seed=seed, k1_field=k1_field)
     if pair_occ.s != s or len(pair_occ.points) != len(tuples):
         raise ValueError("pair_occ does not match the phase tuples")
     z1 = hat_normalization(model, pdf, k1_field)
@@ -727,8 +723,8 @@ class ContactIntegralReport:
 
 
 def l1_k1_contact_integral(pdf, pair_occ: ContactOccupancy,
-                           model: HardSphereModel, r1, *, quad=None,
-                           probe_velocity=None) -> ContactIntegralReport:
+                           model: HardSphereModel, r1, *,
+                           quad) -> ContactIntegralReport:
     """Free-streaming derivative of k1 along a probe, as a contact flux.
 
     Transporting the occupation coefficient along a trajectory with velocity
@@ -744,19 +740,14 @@ def l1_k1_contact_integral(pdf, pair_occ: ContactOccupancy,
     density gradient times (N-1) sigma^3 and vanishes identically for a
     uniform bulk density.
 
-    probe_velocity defaults to v_th (1,1,1)/sqrt(3); the value is linear in
-    the probe, and a fixed unit-thermal probe keeps scans comparable across
-    sequence entries.
+    The probe is v1 = v_th (1,1,1)/sqrt(3): a fixed unit-thermal probe
+    keeps scans comparable across sequence entries.
     """
-    from .quadrature import QuadratureSpec, sphere_grid
+    from .quadrature import sphere_grid
 
-    if quad is None:
-        quad = QuadratureSpec()
     r1 = np.asarray(r1, dtype=float)
     n_part, sigma = model.n, model.sigma
-    v_th = float(getattr(pdf, "v_th", 1.0))
-    v1 = (np.full(3, v_th / math.sqrt(3.0)) if probe_velocity is None
-          else np.asarray(probe_velocity, dtype=float))
+    v1 = np.full(3, pdf.v_th / math.sqrt(3.0))
     if sigma == 0.0:
         return ContactIntegralReport(0.0, 0.0, {"reason": "zero diameter"})
     k1_field = pair_occ.k1_field
@@ -768,8 +759,7 @@ def l1_k1_contact_integral(pdf, pair_occ: ContactOccupancy,
         r2 = r1[None, :] + sigma * nodes
         rho1 = (pdf.position_density(r2) * (wall_theta(r2, model) > 0)
                 * k1_field.interp(r2) / z1)
-        u = np.stack([np.broadcast_to(pdf.drift(p), (3,)) for p in r2])
-        flux = -((v1[None, :] - u) * nodes).sum(axis=1)
+        flux = -((v1[None, :] - pdf.drift(r2)) * nodes).sum(axis=1)
         k2 = pair_occ.k2_contact(r1, nodes)
         val = (n_part - 1) * sigma ** 2 * float(
             (weights * flux * rho1 * k2).sum())

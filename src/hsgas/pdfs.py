@@ -13,10 +13,7 @@ law it changes:
 
 * position law: ``_position_law`` (rho inside the cube) and
   ``sample_positions``;
-* velocity law: ``_velocity_density`` and ``sample_velocities``. A family
-  whose velocity law moves with position also sets ``uniform_velocity_law``
-  False, so the collision kernel does not share one velocity factor between
-  positions.
+* velocity law: ``_velocity_density`` and ``sample_velocities``.
 
 A family that changes either law so that the density moves with position
 also sets ``position_free_density`` False, so the collision kernel does not
@@ -66,12 +63,8 @@ class OneBodyPdf:
     """
 
     family_tag = "abstract"
-    # True when the velocity law is the same at every position, so that
-    # density(r, v) = position_density(r) * velocity_density(v); a fact of
-    # the family's class, which no config sets
-    uniform_velocity_law = False
-    # True when density(r, v) is the same at every r inside the box (which
-    # implies uniform_velocity_law); a class fact as well
+    # True when density(r, v) is the same, bit for bit, at every r inside
+    # the box; a fact of the family's class, which no config sets
     position_free_density = False
 
     def drift(self, r):
@@ -88,7 +81,6 @@ class UniformMaxwellian(OneBodyPdf):
     """
 
     family_tag = "uniform_maxwell"
-    uniform_velocity_law = True
     position_free_density = True
 
     def __init__(self, box: float, v_th: float = 1.0):
@@ -111,10 +103,6 @@ class UniformMaxwellian(OneBodyPdf):
         # a scalar mean keeps the Gaussian on v's shape, not r's
         return _maxwell(v, 0.0, self.v_th)
 
-    def velocity_density(self, v):
-        """The velocity law of a family with uniform_velocity_law."""
-        return self._velocity_density(None, v)
-
     def sample_velocities(self, positions, rng):
         return rng.normal(scale=self.v_th, size=(len(positions), 3))
 
@@ -132,8 +120,7 @@ class DriftedMaxwellian(UniformMaxwellian):
     """
 
     family_tag = "drifted_maxwell"
-    uniform_velocity_law = False  # the drift moves with x under shear
-    position_free_density = False
+    position_free_density = False  # the drift moves with x under shear
 
     def __init__(self, box, v_th=1.0, u0=(0.0, 0.0, 0.0), shear_rate: float = 0.0):
         super().__init__(box, v_th)

@@ -117,12 +117,10 @@ def moment_matched_maxwellian(lattice: VelocityLattice, f: np.ndarray):
     return maxwellian_on_lattice(lattice, mass, u, T)
 
 
-def initial_from_pdf(lattice: VelocityLattice, pdf, r=None):
-    """Velocity law of a pdf family at position r (default: box center)."""
-    if r is None:
-        r = np.full(3, pdf.box / 2.0)
+def initial_from_pdf(lattice: VelocityLattice, pdf):
+    """Velocity law of a pdf family at the box center."""
     pts = lattice.points()
-    vals = pdf.density(np.asarray(r, float), pts)
+    vals = pdf.density(np.full(3, pdf.box / 2.0), pts)
     vals = vals.reshape((lattice.nodes,) * 3)
     mass = lattice.cell_volume() * vals.sum()
     if mass <= 0:

@@ -39,6 +39,17 @@ OPS_CONFIG = {
     "quadrature": {"velocity_nodes": 8, "angle_nodes": 8},
 }
 
+# a family whose density moves with position: the master reads its partner
+# at each contact point r2
+OPS_TILTED_CONFIG = {
+    "schema_version": 1, "experiment": "ops", "seed": 3,
+    "model": {"n": 8, "sigma": 0.05, "box": 1.0},
+    "pdf": {"family": "tilted_exponential", "tilt": [1.0, 0.0, 0.0]},
+    "k1": {"grid_nodes": 2, "samples_per_node": 20_000},
+    "ops": {"probes": 1},
+    "quadrature": {"velocity_nodes": 8, "angle_nodes": 8},
+}
+
 RELAX_CONFIG = {
     "schema_version": 1, "experiment": "relax", "seed": 3,
     "model": {"n": 50, "sigma": 0.05, "box": 1.0},
@@ -547,23 +558,27 @@ def test_csv_cells_format_exactly(cell, text):
 
 
 def test_ops_both_flavors_equal_the_one_flavor_runs(tmp_path):
-    # one kernel pass serves both flavors without moving a byte of either
-    runs = {}
-    for flavor in ("both", "master", "boltzmann"):
-        config = {**OPS_CONFIG, "ops": {**OPS_CONFIG["ops"], "flavor": flavor}}
-        if flavor == "boltzmann":  # boltzmann alone reads no k1 section
-            del config["k1"]
-        rc, runs[flavor] = run_cli(tmp_path, config, flavor)
-        assert rc == 0
-    both = json.loads((runs["both"] / "report.json").read_text())
-    assert sorted(both["audits"]) == ["boltzmann", "master"]
-    for flavor in ("master", "boltzmann"):
-        name = f"ops_{flavor}.csv"
-        assert ((runs["both"] / name).read_bytes()
-                == (runs[flavor] / name).read_bytes())
-        alone = json.loads((runs[flavor] / "report.json").read_text())
-        assert list(alone["audits"]) == [flavor]
-        assert both["audits"][flavor] == alone["audits"][flavor]
+    # one kernel pass serves both flavors without moving a byte of either,
+    # whether the master shares the local partner factors (uniform) or reads
+    # its partner at r2 (tilted)
+    for family, base in (("uniform", OPS_CONFIG),
+                         ("tilted", OPS_TILTED_CONFIG)):
+        runs = {}
+        for flavor in ("both", "master", "boltzmann"):
+            config = {**base, "ops": {**base["ops"], "flavor": flavor}}
+            if flavor == "boltzmann":  # boltzmann alone reads no k1 section
+                del config["k1"]
+            rc, runs[flavor] = run_cli(tmp_path, config, f"{family}-{flavor}")
+            assert rc == 0
+        both = json.loads((runs["both"] / "report.json").read_text())
+        assert sorted(both["audits"]) == ["boltzmann", "master"]
+        for flavor in ("master", "boltzmann"):
+            name = f"ops_{flavor}.csv"
+            assert ((runs["both"] / name).read_bytes()
+                    == (runs[flavor] / name).read_bytes())
+            alone = json.loads((runs[flavor] / "report.json").read_text())
+            assert list(alone["audits"]) == [flavor]
+            assert both["audits"][flavor] == alone["audits"][flavor]
     # the moment audit's forked half of the rows is reaped before ops exits
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -159,7 +159,7 @@ def test_master_rejects_unknown_pair_form():
 
 
 @pytest.mark.parametrize("mode, k1", [
-    ("product", 1.0), ("product", 0.7), ("insertion", 1.0), ("unit", 1.0),
+    ("product", 1.0), ("product", 0.7), ("insertion", 1.0),
 ])
 def test_master_is_rescaled_boltzmann_on_uniform_positions(mode, k1):
     # position-uniform law at a bulk probe: rho_hat = p / (k1 Vw / box^3) on
@@ -276,25 +276,27 @@ def _master_per_point(model, pdf, r1, v1, quad, occ, z1):
 
 
 @pytest.mark.parametrize("case", ["crossing", "clear", "sheared",
-                                  "clear-mixture", "clear-uniform"])
+                                  "clear-mixture", "clear-uniform",
+                                  "crossing-mixture", "crossing-uniform"])
 def test_master_matches_the_per_point_densities(case):
-    # crossing: the contact sphere dips into the sigma/2 wall layer, so
-    # theta_w(r2) is evaluated; clear: it cannot, so it is skipped; sheared:
-    # the velocity law moves with x, so no velocity factor is shared;
-    # clear-mixture and clear-uniform: the density is the same at every
-    # position, so the master takes the local flavour's partner factors
+    # crossing: the contact sphere dips into the sigma/2 wall layer (and
+    # out of the box), so theta_w(r2) is evaluated; clear: it cannot, so it
+    # is skipped; sheared: the drift moves with x; *-mixture and *-uniform:
+    # the density is the same at every position, so the master takes the
+    # local flavour's partner factors at r1, on a clear contact sphere and
+    # on one where theta_w(r2) = 0 zeroes them
     model = HardSphereModel(n=30, sigma=0.08, box=1.0)
     quad = QuadratureSpec(velocity_nodes=8, angle_nodes=26)
+    family = case.partition("-")[2]
     if case == "sheared":
         pdf = DriftedMaxwellian(1.0, u0=(0.2, -0.1, 0.0), shear_rate=0.9)
-    elif case == "clear-mixture":
+    elif family == "mixture":
         pdf = mixture_pdf()
-    elif case == "clear-uniform":
+    elif family == "uniform":
         pdf = UniformMaxwellian(1.0)
     else:
         pdf = TiltedExponential(1.0, tilt=(1.0, -0.5, 0.3))
-    assert pdf.uniform_velocity_law is (case != "sheared")
-    assert pdf.position_free_density is case.startswith("clear-")
+    assert pdf.position_free_density is bool(family)
     clear = case.startswith("clear")
     r1 = np.array([0.5, 0.45, 0.6] if clear else [0.3, 0.55, 0.07])
     field = OccupationField.constant(4, model.box, model=model)

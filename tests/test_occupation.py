@@ -29,7 +29,7 @@ from hsgas.occupation import (
 )
 from hsgas.occupation import _Bank, _ball_densities, _ball_proposals
 from hsgas.pdfs import TiltedExponential, UniformMaxwellian
-from hsgas.quadrature import INTERP_BLOCK
+from hsgas.quadrature import INTERP_BLOCK, QuadratureSpec
 from hsgas.seeding import derive_rng
 
 
@@ -452,8 +452,6 @@ def test_contact_occupancy_reproduces_uniform_closed_form():
     assert float(occ.k2_contact(r1, n21)) == pytest.approx(expect, rel=1e-12)
     # contact enhancement exceeds 1: the shared lens is excluded only once
     assert float(occ.g_contact(r1, n21)) > 1.0
-    unit = ContactOccupancy(model, field, mode="unit")
-    assert float(unit.k2_contact(r1, n21)) == 1.0
     prod = ContactOccupancy(model, field, mode="product")
     assert float(prod.k2_contact(r1, n21)) == pytest.approx(k1 * k1, rel=1e-12)
     # a contact pair needs two spheres
@@ -468,8 +466,6 @@ def _k2_general(occ, r1, n21):
     that read to interp at the points."""
     n, sigma = occ.model.n, occ.model.sigma
     field = occ.k1_field
-    if occ.mode == "unit":
-        return np.ones(n21.shape[:-1])
     k1_r2, k1_mid = field.interp_on_sphere(r1, (sigma, 0.5 * sigma), n21)
     if occ.mode == "product":
         return field.interp(r1) * k1_r2
@@ -598,7 +594,10 @@ def test_correlation_delta_point_particles_vanish():
     tuples = contact_pair_tuples(geo_model, pdf, count=6, seed=23)
     model0 = HardSphereModel(n=64, sigma=0.0, box=1.0)
     field = OccupationField.constant(4, 1.0, 1.0, model=model0)
-    sample = correlation_delta(model0, pdf, field, tuples, samples=2000, seed=3)
+    positions = [np.stack([p.r for p in tp]) for tp in tuples]
+    pair_occ = estimate_ks(model0, pdf, positions, samples=2000, seed=3,
+                           k1_field=field)
+    sample = correlation_delta(model0, pdf, field, tuples, pair_occ)
     assert np.all(sample.delta_rho == 0.0)
 
 
@@ -608,8 +607,10 @@ def test_correlation_delta_sign_and_error():
     tuples = contact_pair_tuples(model, pdf, count=4, seed=29)
     field = OccupationField.constant(
         4, 1.0, analytic_k1_uniform(model), model=model)
-    sample = correlation_delta(model, pdf, field, tuples,
-                               samples=60_000, seed=31)
+    positions = [np.stack([p.r for p in tp]) for tp in tuples]
+    pair_occ = estimate_ks(model, pdf, positions, samples=60_000, seed=31,
+                           k1_field=field)
+    sample = correlation_delta(model, pdf, field, tuples, pair_occ)
     # k_s < 1 at close pairs: the defect is negative wherever resolved
     resolved = np.abs(sample.delta_rho) > 3 * sample.mc_error
     assert resolved.any()
@@ -627,9 +628,10 @@ def closed_form_contact_flux(model, tilt_mag, pos_density, z1, probe_along_tilt)
 def test_contact_integral_uniform_vanishes():
     model = HardSphereModel(n=8, sigma=0.04, box=1.0)
     field = OccupationField.constant(6, 1.0, 1.0, model=model)
-    occ = ContactOccupancy(model, field, mode="unit")
+    occ = ContactOccupancy(model, field)
     rep = l1_k1_contact_integral(UniformMaxwellian(1.0), occ, model,
-                                 np.array([0.5, 0.5, 0.5]))
+                                 np.array([0.5, 0.5, 0.5]),
+                                 quad=QuadratureSpec())
     assert abs(rep.value) < 1e-12
 
 
@@ -638,35 +640,24 @@ def test_contact_integral_matches_closed_form():
     a = 1.5
     pdf = TiltedExponential(1.0, tilt=(a, 0.0, 0.0))
     field = OccupationField.constant(6, 1.0, 1.0, model=model)
-    occ = ContactOccupancy(model, field, mode="unit")
+    occ = ContactOccupancy(model, field)
     r1 = np.array([0.5, 0.5, 0.5])
-    probe = np.array([0.7, 0.0, 0.0])
-    rep = l1_k1_contact_integral(pdf, occ, model, r1, probe_velocity=probe)
+    # the probe is v_th (1,1,1)/sqrt(3): its component along the tilt
+    probe_x = pdf.v_th / math.sqrt(3.0)
+    rep = l1_k1_contact_integral(pdf, occ, model, r1, quad=QuadratureSpec())
     z1 = hat_normalization(model, pdf, field)
     expect = closed_form_contact_flux(model, a, float(pdf.position_density(r1)),
-                                      z1, probe[0])
+                                      z1, probe_x)
     assert rep.value == pytest.approx(expect, rel=1e-8)
     assert rep.value < 0.0  # flux opposes the probe along the density gradient
     assert abs(rep.value - expect) <= 10 * rep.error + 1e-12
 
 
-def test_contact_integral_linear_in_probe():
-    model = HardSphereModel(n=8, sigma=0.04, box=1.0)
-    pdf = TiltedExponential(1.0, tilt=(1.5, 0.0, 0.0))
-    field = OccupationField.constant(6, 1.0, 1.0, model=model)
-    occ = ContactOccupancy(model, field, mode="unit")
-    r1 = np.array([0.5, 0.5, 0.5])
-    v1 = l1_k1_contact_integral(pdf, occ, model, r1,
-                                probe_velocity=np.array([0.4, 0.0, 0.0]))
-    v2 = l1_k1_contact_integral(pdf, occ, model, r1,
-                                probe_velocity=np.array([0.8, 0.0, 0.0]))
-    assert v2.value == pytest.approx(2.0 * v1.value, rel=1e-12)
-
-
 def test_contact_integral_zero_diameter():
     model = HardSphereModel(n=8, sigma=0.0, box=1.0)
     field = OccupationField.constant(4, 1.0, 1.0, model=model)
-    occ = ContactOccupancy(model, field, mode="unit")
+    occ = ContactOccupancy(model, field)
     rep = l1_k1_contact_integral(UniformMaxwellian(1.0), occ, model,
-                                 np.array([0.5, 0.5, 0.5]))
+                                 np.array([0.5, 0.5, 0.5]),
+                                 quad=QuadratureSpec())
     assert rep.value == 0.0 and rep.error == 0.0

@@ -88,7 +88,6 @@ def test_position_free_density_holds_for_its_families(name):
     v = np.broadcast_to(rng.normal(size=3), r.shape)
     density = pdf.density(r, v)
     assert bool(np.all(density == density[0])) is pdf.position_free_density
-    assert pdf.uniform_velocity_law or not pdf.position_free_density
 
 
 @pytest.mark.parametrize("name", sorted(ALL_FAMILIES))
