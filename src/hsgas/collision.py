@@ -25,12 +25,19 @@ v1' = v1 - (g.e)e, v2' = v2 + (g.e)e the same rule covers gain and loss.
 The deterministic kernel evaluates a tuple of flavors in one pass. It walks
 the v2 grid in chunks of _V2_CHUNK nodes and, inside each chunk, evaluates a
 block of v1 values per numpy pass, sized to a fixed budget of _BLOCK_POINTS
-(v1, v2, angle) points. Each block builds the geometry once: the relative
-velocities g and their frames, the contact directions e, the flux |g| u, v1'
-and v2', the quadrature-weighted flux and p(r1, v1'). Each flavor then adds
-only its own factors: boltzmann p(r1, v2') and p(r1, v2); master k2 at
-contact, theta_w(r2) and rho_hat at r2. Factors two partners share are
-evaluated once:
+(v1, v2, angle) points. Each block builds the geometry once
+(_ContactGeometry): the relative velocities g and their frames, the contact
+directions e, the flux |g| u, v1' and v2'. It is component-major: each
+component of g and of the frames is one (rows, v2) array, and each component
+of e, v1' and v2' one (rows, v2, angle) array, so numpy runs every operation
+on long arrays rather than over an inner axis of length 3. e, v1' and v2'
+fill buffers made once per chunk, and reach pdf.density, k2_contact and
+wall_theta as (..., 3) views whose components are contiguous. The block
+adds the quadrature-weighted flux and p(r1, v1'), and each flavor only its
+own factors: boltzmann p(r1, v2') and p(r1, v2); master k2 at contact,
+theta_w(r2) and rho_hat at r2. p(r1, v2), one value per v2 node, is
+broadcast over the angles once per chunk, so that no product runs a short
+inner loop. Factors two partners share are evaluated once:
 
 * a family whose density is the same at every position in the box
   (pdf.position_free_density: uniform_maxwell and velocity_mixture) gives
@@ -45,7 +52,10 @@ evaluated once:
   is theta_w(r1) where it is 1: a mask that is all true multiplies nothing.
   r2 is built only where that mask or the partner density needs it.
 
-Each shared factor enters the same products as before, so every value keeps
+The geometry performs the operations of the (..., 3) broadcast
+u ghat + sqrt(1-u^2)(cos phi e1 + sin phi e2) in the same order, one
+component at a time, so every element keeps that formula's bits. Each
+shared factor enters the same products as before, so every value keeps
 the bits of pdf.density and wall_theta at its own point. Every product keeps
 the operand order of a one-flavor pass, so a flavor's result does not depend
 on which others share the pass. Every v1 row is summed over its own
@@ -167,6 +177,66 @@ def _kernel_batch(model, pdf, r1, V1, quad, flavors, pair_occ=None, z1=None):
     return split_work(n_blocks, work, "collision._kernel_batch")
 
 
+class _ContactGeometry:
+    """The geometry both flavors share, for the blocks of one v2 chunk.
+
+    Made once per chunk from its nodes v2 (m2, 3), hemisphere_rule's tuple
+    and the most v1 rows a block holds. block(v1) returns e, the flux
+    |g| u = g.e, v1' and v2' at the (v1, v2, angle) points of the rows v1
+    (nb, 3): e, v1' and v2' as (nb, m2, angle, 3) views of component-major
+    (3, nb, m2, angle) buffers, which the next block overwrites.
+    """
+
+    def __init__(self, v2, rule, rows):
+        u, _, phi, _, n_ang = rule
+        self.u, self.cos, self.sin = u, np.cos(phi), np.sin(phi)
+        self.su = np.sqrt(np.clip(1.0 - u ** 2, 0.0, 1.0))
+        self.u_ang = np.repeat(u, len(phi))
+        self.v2 = np.ascontiguousarray(v2.T)  # (3, m2)
+        # v2 over the angles, so that v2' runs one long inner loop
+        self.v2_ang = np.repeat(self.v2, n_ang, axis=1).reshape(3, -1, n_ang)
+        size = rows * self.v2_ang[0].size
+        self._buf = {name: np.empty(3 * size)
+                     for name in ("e", "v1p", "v2p")}
+        self._buf.update(flux=np.empty(size), gdote=np.empty(size))
+
+    def _view(self, name, shape):
+        return self._buf[name][:math.prod(shape)].reshape(shape)
+
+    def block(self, v1):
+        """(e, flux, v1', v2') of the rows v1 (nb, 3); see the class."""
+        nb, (_, m2, n_ang) = v1.shape[0], self.v2_ang.shape
+        g = np.empty((3, nb, m2))
+        for k in range(3):
+            np.subtract(v1[:, k, None], self.v2[k], out=g[k])
+        rows_g = np.moveaxis(g, 0, -1)
+        ghat, e1, e2 = (np.moveaxis(a, -1, 0)
+                        for a in orthonormal_frames(rows_g))
+        # e = u ghat + su (cos phi e1 + sin phi e2) in the broadcast's order
+        # of operations, so with its bits; g.e = |g| u >= 0
+        e = self._view("e", (3, nb, m2, n_ang))
+        rim = [c * e1 + s * e2 for c, s in zip(self.cos, self.sin)]
+        tmp = np.empty_like(g)
+        n_phi = len(rim)
+        for a, (u, su) in enumerate(zip(self.u, self.su)):
+            ug = u * ghat
+            for b, rim_b in enumerate(rim):
+                np.multiply(su, rim_b, out=tmp)
+                np.add(ug, tmp, out=e[..., a * n_phi + b])
+        norm = row_norm(rows_g)
+        flux = np.multiply(norm[..., None], self.u_ang,
+                           out=self._view("flux", (nb, m2, n_ang)))
+        gdote = self._view("gdote", (nb, m2, n_ang))
+        v1p = self._view("v1p", (3, nb, m2, n_ang))
+        v2p = self._view("v2p", (3, nb, m2, n_ang))
+        for k in range(3):
+            np.multiply(flux, e[k], out=gdote)
+            np.subtract(v1[:, k, None, None], gdote, out=v1p[k])
+            np.add(self.v2_ang[k], gdote, out=v2p[k])
+        return (np.moveaxis(e, 0, -1), flux, np.moveaxis(v1p, 0, -1),
+                np.moveaxis(v2p, 0, -1))
+
+
 def _kernel_rows(model, pdf, r1, V1, quad, flavors, pair_occ, z1):
     """_kernel_batch's rows in this process, one block of rows per pass."""
     r1 = np.asarray(r1, dtype=float)
@@ -174,11 +244,9 @@ def _kernel_rows(model, pdf, r1, V1, quad, flavors, pair_occ, z1):
     sigma = model.sigma
     drift = pdf.drift(r1)
     V2, W2 = velocity_grid(quad, pdf.v_th, center=drift)
-    u_nodes, wu, phi, wphi, _ = hemisphere_rule(quad.angle_nodes)
-    cosphi, sinphi = np.cos(phi), np.sin(phi)
-    su = np.sqrt(np.clip(1.0 - u_nodes ** 2, 0.0, 1.0))
+    rule = hemisphere_rule(quad.angle_nodes)
+    _, wu, _, wphi, n_ang = rule
     w_ang = (wu[:, None] * wphi).reshape(-1)
-    u_ang = np.repeat(u_nodes, len(phi))
     f1 = pdf.density(r1, V1)
     f1_loss = {"boltzmann": f1}
     # the master takes the partner factors at r1 (see the module docstring)
@@ -201,30 +269,18 @@ def _kernel_rows(model, pdf, r1, V1, quad, flavors, pair_occ, z1):
 
     for lo in range(0, V2.shape[0], _V2_CHUNK):
         v2 = V2[lo:lo + _V2_CHUNK]
-        m2 = v2.shape[0]
         w2_ang = W2[lo:lo + _V2_CHUNK, None] * w_ang
         if at_r1:
-            part_loss_r1 = pdf.density(r1, v2[:, None, :])
+            # over the angles too, so that no product runs a short inner loop
+            part_loss_r1 = np.repeat(pdf.density(r1, v2[:, None, :]), n_ang,
+                                     axis=1)
         block = _block_rows(w2_ang.size)
+        geometry = _ContactGeometry(v2, rule, min(block, V1.shape[0]))
         for b0 in range(0, V1.shape[0], block):
-            # the geometry both flavors share
-            v1 = V1[b0:b0 + block]
-            nb = v1.shape[0]
-            g = v1[:, None, :] - v2
-            ghat, e1, e2 = orthonormal_frames(g)
-            # contact directions per (v1, v2, angle); e has g.e = |g| u >= 0
-            e = (u_nodes[:, None, None] * ghat[..., None, None, :]
-                 + su[:, None, None]
-                 * (cosphi[:, None] * e1[..., None, None, :]
-                    + sinphi[:, None] * e2[..., None, None, :]))
-            e = e.reshape(nb, m2, -1, 3)
-            flux = row_norm(g)[..., None] * u_ang
-            gdote = flux[..., None] * e
-            v1p = v1[:, None, None, :] - gdote
-            v2p = v2[:, None, :] + gdote
+            rows = slice(b0, b0 + block)
+            e, flux, v1p, v2p = geometry.block(V1[rows])
             base = w2_ang * flux
             f1p = pdf.density(r1, v1p)
-            rows = slice(b0, b0 + nb)
             if at_r1:
                 part_gain_r1 = pdf.density(r1, v2p)
             if master:

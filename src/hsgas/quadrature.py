@@ -299,25 +299,39 @@ def row_norm(a) -> np.ndarray:
     return np.sqrt(x * x + y * y + z * z)
 
 
-def orthonormal_frames(g: np.ndarray):
-    """Right-handed frames (ghat, e1, e2) for rows of g, shape (...,3).
+def _cross(a, b, out):
+    """a x b of component-major (3, ...) arrays into out, in np.cross's
+    order: component i is a_j b_k, minus a_k b_j."""
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=out[i, ...])
+        out[i, ...] -= a[k] * b[j]
+    return out
 
-    Rows with |g| = 0 get an arbitrary frame; callers weight those by |g|
-    factors that vanish anyway.
+
+def orthonormal_frames(g: np.ndarray):
+    """Right-handed frames (ghat, e1, e2) for finite rows of g, shape (...,3).
+
+    e1 is ghat x ref over its norm, ref the coordinate axis least aligned
+    with ghat (the first of equals), and e2 is ghat x e1. Rows with |g| = 0
+    get ghat = x; callers weight those by |g| factors that vanish anyway.
+    Built component by component, with the bits of the same formula over the
+    length-3 axis with np.cross, and returned as (..., 3) views of (3, ...)
+    arrays, so that each component [..., k] is contiguous.
     """
     g = np.asarray(g, dtype=float)
-    norm = row_norm(g)[..., None]
+    norm = row_norm(g)
     safe = np.where(norm > 0, norm, 1.0)
-    ghat = g / safe
-    zero = (norm.squeeze(-1) == 0)
-    if np.any(zero):
-        ghat = ghat.copy()
-        ghat[zero] = np.array([1.0, 0.0, 0.0])
-    # reference axis: the coordinate axis least aligned with ghat
-    ref_idx = np.argmin(np.abs(ghat), axis=-1)
-    ref = np.zeros_like(ghat)
-    np.put_along_axis(ref, ref_idx[..., None], 1.0, axis=-1)
-    e1 = np.cross(ghat, ref)
-    e1 /= row_norm(e1)[..., None]
-    e2 = np.cross(ghat, e1)
-    return ghat, e1, e2
+    ghat, e1, e2 = np.empty((3, 3) + norm.shape)
+    for k in range(3):
+        np.divide(g[..., k], safe, out=ghat[k, ...])
+    zero = norm == 0
+    if zero.any():
+        ghat[:, zero] = [[1.0], [0.0], [0.0]]
+    ax, ay, az = np.abs(ghat)
+    pick_x = (ax <= ay) & (ax <= az)
+    pick_y = ~pick_x & (ay <= az)
+    ref = np.stack([pick_x, pick_y, ~(pick_x | pick_y)]).astype(float)
+    _cross(ghat, ref, out=e1)
+    e1 /= row_norm(np.moveaxis(e1, 0, -1))
+    _cross(ghat, e1, out=e2)
+    return tuple(np.moveaxis(v, 0, -1) for v in (ghat, e1, e2))

@@ -20,8 +20,8 @@ from hsgas.collision import (
 )
 from hsgas import runio
 from hsgas.collision import (_BLOCK_POINTS, _V2_CHUNK, _ball_is_open,
-                             _hermite_velocity_grid, _kernel_batch,
-                             _master_z1)
+                             _ContactGeometry, _hermite_velocity_grid,
+                             _kernel_batch, _master_z1)
 from hsgas.geometry import HardSphereModel, wall_theta
 from hsgas.occupation import (
     ContactOccupancy,
@@ -245,6 +245,46 @@ def test_kernel_blocks_match_single_v1_evaluations(flavor):
         g1, l1 = _kernel_batch(model, pdf, r1, [v1], quad, (flavor,),
                                alone_occ, z1=alone_z1)[flavor]
         assert gain[i] == g1[0] and loss[i] == l1[0]
+
+
+def _geometry_by_broadcast(v1, v2, rule):
+    """e, |g| u, v1' and v2' by the broadcast over (rows, v2, u, phi, 3)."""
+    u, _, phi, _, _ = rule
+    su = np.sqrt(np.clip(1.0 - u ** 2, 0.0, 1.0))
+    g = v1[:, None, :] - v2
+    ghat, e1, e2 = (np.ascontiguousarray(a) for a in orthonormal_frames(g))
+    e = (u[:, None, None] * ghat[..., None, None, :]
+         + su[:, None, None]
+         * (np.cos(phi)[:, None] * e1[..., None, None, :]
+            + np.sin(phi)[:, None] * e2[..., None, None, :]))
+    e = e.reshape(v1.shape[0], v2.shape[0], -1, 3)
+    norm = np.sqrt(g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1]
+                   + g[..., 2] * g[..., 2])
+    flux = norm[..., None] * np.repeat(u, len(phi))
+    gdote = flux[..., None] * e
+    return e, flux, v1[:, None, None, :] - gdote, v2[:, None, :] + gdote
+
+
+@pytest.mark.parametrize("angle_nodes", [8, 75])
+def test_block_geometry_has_the_bits_of_the_broadcast(angle_nodes):
+    # a block of 7 rows, then one of 5 in the same buffers; a v1 on a v2
+    # node gives |g| = 0 and a tie gives the least aligned axis twice
+    pdf = mixture_pdf()
+    v2 = velocity_grid(QuadratureSpec(velocity_nodes=8), pdf.v_th,
+                       center=pdf.drift(BULK))[0][:300]
+    rule = hemisphere_rule(angle_nodes)
+    geometry = _ContactGeometry(v2, rule, 7)
+    V1 = np.random.default_rng(6).normal(size=(12, 3))
+    V1[2] = v2[41]
+    V1[9] = v2[200] + [0.25, 0.25, -0.5]
+    for v1 in (V1[:7], V1[7:]):
+        got = geometry.block(v1)
+        for a, b in zip(got, _geometry_by_broadcast(v1, v2, rule)):
+            assert a.shape == b.shape
+            assert np.ascontiguousarray(a).tobytes() == b.tobytes()
+        e, _, v1p, v2p = got
+        assert all(x[..., k].flags.c_contiguous for x in (e, v1p, v2p)
+                   for k in range(3))
 
 
 def _master_per_point(model, pdf, r1, v1, quad, occ, z1):

@@ -114,6 +114,21 @@ def test_sphere_grid_symmetry_and_moments():
         (4 * math.pi / 3) * (g @ g), rel=1e-12)
 
 
+def _frames_with_np_cross(g):
+    """orthonormal_frames' formula over the length-3 axis, with np.cross."""
+    def norm(a):
+        return np.sqrt(a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1]
+                       + a[..., 2] * a[..., 2])[..., None]
+    ghat = g / np.where(norm(g) > 0, norm(g), 1.0)
+    ghat[norm(g)[..., 0] == 0] = [1.0, 0.0, 0.0]
+    ref = np.zeros_like(ghat)
+    np.put_along_axis(ref, np.argmin(np.abs(ghat), axis=-1)[..., None], 1.0,
+                      axis=-1)
+    e1 = np.cross(ghat, ref)
+    e1 /= norm(e1)
+    return ghat, e1, np.cross(ghat, e1)
+
+
 def test_orthonormal_frames_properties():
     rng = np.random.default_rng(3)
     g = rng.normal(size=(40, 3))
@@ -131,6 +146,23 @@ def test_orthonormal_frames_properties():
     np.testing.assert_allclose(
         ghat[nz], g[nz] / np.linalg.norm(g[nz], axis=1, keepdims=True),
         atol=1e-12)
+    # the bits of the np.cross formula, on rows with |g| = 0 (zeros of
+    # either sign), signed zero components, ties for the least aligned axis
+    # and integer rows full of such ties
+    g = np.random.default_rng(4).normal(size=(16, 512, 3))
+    g[0, :4] = [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 1.0],
+                [-0.0, 2.0, -0.0]]
+    g[1, :5] = [[1.0, 1.0, 1.0], [-1.0, 1.0, -1.0], [0.5, -0.5, 2.0],
+                [2.0, 0.5, -0.5], [0.0, 0.0, -3.0]]
+    g[2] = np.round(g[2])
+    for rows in (g, g[:, 7], g[0, :1]):
+        got = orthonormal_frames(rows)
+        for a, b in zip(got, _frames_with_np_cross(rows)):
+            assert a.shape == b.shape
+            assert np.ascontiguousarray(a).tobytes() == b.tobytes()
+        # component k of each vector is contiguous
+        assert all(v[..., k].flags.c_contiguous for v in got
+                   for k in range(3))
 
 
 def _multilinear_at(axes, values, point):

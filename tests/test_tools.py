@@ -36,6 +36,9 @@ def test_pairs_alternate_and_summarise_per_pair(capsys):
     out = bench.compare(runs)
     assert out["digests"] == {"digest": "same"}
     assert out["pair_ratio_src_over_base"] == {"t": [2.0, 1.0, 2.0, 0.5]}
+    # src lower only in the last pair: the tie counts for neither tree
+    assert out["pairs_lower"] == {"t": 1}
+    assert out["median_pair_ratio"] == {"t": 1.5}
     assert out["figures"]["base"]["t"] == {
         "median": 2.5, "q1": 1.75, "q3": 3.25, "min": 1.0, "max": 4.0,
         "spread": 1.2, "runs": [1.0, 2.0, 3.0, 4.0]}

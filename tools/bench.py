@@ -35,8 +35,9 @@ time falling while its CPU time and summed memory do not.
 One entry is appended to `BENCH_<layer>.json` at the root of this checkout,
 after the earlier ones: both src digests, the host, the setup, per tree and
 figure the median, quartiles, min, max, spread (max - min) / median and
-runs, and per pair the src/base ratio of every figure. A host's speed
-drifts over hours, so compare trees only within one entry.
+runs, and per figure the src/base ratio of each pair, the number of pairs
+in which src reads lower (`pairs_lower`) and the median pair ratio. A
+host's speed drifts over hours, so compare trees only within one entry.
 """
 
 from __future__ import annotations
@@ -236,7 +237,9 @@ def summarize(values: list) -> dict:
 def compare(runs: dict) -> dict:
     """The entry's digests, figures and per-pair ratios of pair_runs' runs.
 
-    A string figure is a digest of the work done: it must be the same in
+    Per figure: each pair's src/base ratio, the pairs in which src reads
+    lower (a tie counts for neither tree) and the median of the ratios. A
+    string figure is a digest of the work done: it must be the same in
     every run of both trees, and the comparison stops otherwise.
     """
     every = runs["src"] + runs["base"]
@@ -245,12 +248,16 @@ def compare(runs: dict) -> dict:
         if any(r[k] != v for r in every):
             sys.exit(f"{k} differs between runs: the trees did other work")
     names = [k for k in every[0] if k not in digests]
+    ratios = {k: [s[k] / b[k] for s, b in zip(runs["src"], runs["base"])]
+              for k in names}
     return {"digests": digests,
             "figures": {side: {k: summarize([r[k] for r in rs])
                                for k in names} for side, rs in runs.items()},
-            "pair_ratio_src_over_base": {
-                k: [s[k] / b[k] for s, b in zip(runs["src"], runs["base"])]
-                for k in names}}
+            "pair_ratio_src_over_base": ratios,
+            "pairs_lower": {k: sum(r < 1 for r in rs)
+                            for k, rs in ratios.items()},
+            "median_pair_ratio": {k: statistics.median(rs)
+                                  for k, rs in ratios.items()}}
 
 
 def src_digest(src: Path) -> str:
@@ -340,8 +347,9 @@ def main(argv=None) -> int:
         print(f"{name}: src {src['median']:.4g} [{src['q1']:.4g}, "
               f"{src['q3']:.4g}], base {base['median']:.4g} "
               f"[{base['q1']:.4g}, {base['q3']:.4g}], src/base "
-              f"{min(ratios):.3f}-{max(ratios):.3f}, src lower in "
-              f"{sum(r < 1 for r in ratios)}/{pairs} pairs")
+              f"{min(ratios):.3f}-{max(ratios):.3f} (median "
+              f"{entry['median_pair_ratio'][name]:.3f}), src lower in "
+              f"{entry['pairs_lower'][name]}/{pairs} pairs")
     return 0
 
 
